@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
+from .cyclo import json_int
 from .group import GenPerm
 
 __all__ = [
@@ -101,8 +102,9 @@ class Chain:
 
     @staticmethod
     def from_json(data: Mapping) -> "Chain":
-        dec = {int(i): int(e) for i, e in data["decoration"].items()}
-        return make_chain(int(data["r"]), int(data["n"]), data["sets"], dec)
+        dec = {json_int(i, decimal=True): json_int(e) for i, e in data["decoration"].items()}
+        sets = [[json_int(i) for i in s] for s in data["sets"]]
+        return make_chain(json_int(data["r"]), json_int(data["n"]), sets, dec)
 
 
 def make_chain(

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chains import Chain, chain_dimension, enumerate_chains
 from .cosets import chain_to_coset, coset_elements
@@ -27,26 +26,17 @@ def _emit(data) -> None:
     print(json.dumps(data, separators=(",", ":"), sort_keys=False))
 
 
-def _load_json(path: str):
+def _load(path: str, what: str, parse: Callable):
+    """Read a JSON file and parse it; any failure becomes a one-line exit message."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
         raise SystemExit(f"cannot read JSON from {path}: {exc}")
-
-
-def _load_chain(path: str) -> Chain:
     try:
-        return Chain.from_json(_load_json(path))
+        return parse(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"malformed chain in {path}: {exc}")
-
-
-def _load_matrix(path: str) -> GenPerm:
-    try:
-        return GenPerm.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"malformed matrix in {path}: {exc}")
+        raise SystemExit(f"malformed {what} in {path}: {exc}")
 
 
 def _sorted_elements(elements) -> list[dict]:
@@ -69,7 +59,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_coset(args) -> int:
-    chain = _load_chain(args.chain)
+    chain = _load(args.chain, "chain", Chain.from_json)
     handle = chain_to_coset(chain)
     data = handle.to_json()
     if args.elements:
@@ -79,7 +69,7 @@ def _cmd_coset(args) -> int:
 
 
 def _cmd_face(args) -> int:
-    chain = _load_chain(args.chain)
+    chain = _load(args.chain, "chain", Chain.from_json)
     data: dict = {"chain": chain.to_json(), "dimension": chain_dimension(chain)}
     if args.vertices:
         data["vertices"] = DeltaFace.from_chain(chain).to_json()["vertices"]
@@ -90,7 +80,7 @@ def _cmd_face(args) -> int:
 
 
 def _cmd_stratum(args) -> int:
-    chain = _load_chain(args.chain)
+    chain = _load(args.chain, "chain", Chain.from_json)
     stratum = chain_to_stratum(chain)
     if args.dot:
         sys.stdout.write(dual_graph_dot(stratum))
@@ -105,26 +95,20 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    matrix = _load_matrix(args.matrix)
+    matrix = _load(args.matrix, "matrix", GenPerm.from_json)
     if args.chain:
-        chain = _load_chain(args.chain)
+        chain = _load(args.chain, "chain", Chain.from_json)
         _emit(act_on_face(chain, matrix).to_json())
     else:
-        try:
-            point = YPoint.from_json(_load_json(args.vertex), matrix.r)
-            moved = act_on_tuple(point, matrix)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SystemExit(f"malformed vertex in {args.vertex}: {exc}")
+        moved = _load(
+            args.vertex, "vertex", lambda data: act_on_tuple(YPoint.from_json(data, matrix.r), matrix)
+        )
         _emit(moved.to_json())
     return 0
 
 
 def _cmd_verify(args) -> int:
-    config = VerifyConfig(
-        max_group_order=args.max_group_order,
-        max_families=args.max_families,
-        threads=args.threads,
-    )
+    config = VerifyConfig(max_group_order=args.max_group_order, max_families=args.max_families)
     try:
         if args.suite == "all":
             reports = verify_all(args.r, args.n, config)
@@ -191,7 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-group-order", type=int, default=VerifyConfig.max_group_order)
     p.add_argument("--max-families", type=int, default=VerifyConfig.max_families)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .chains import Chain, make_chain, refines
-from .group import GenPerm, generate_subgroup, multiply
+from .chains import Chain, refines
+from .cyclo import json_int
+from .group import GenPerm, enumerate_group, generate_subgroup, multiply
 
 __all__ = [
     "TCosetHandle",
@@ -66,7 +67,7 @@ class TCosetHandle:
 
     @staticmethod
     def from_json(data: Mapping) -> "TCosetHandle":
-        return t_coset(data["gens"], GenPerm.from_json(data["rep"]))
+        return t_coset((json_int(g) for g in data["gens"]), GenPerm.from_json(data["rep"]))
 
 
 def _block_sizes(gens: frozenset[int], n: int) -> tuple[int, ...]:
@@ -199,8 +200,6 @@ def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:
 
 def block_product_elements(c: Chain) -> frozenset[GenPerm]:
     """Reassemble the coset from its factors through the block embedding."""
-    from .group import enumerate_group
-
     factors = coset_block_decomposition(c)
     choices = []
     for f in factors:

@@ -9,6 +9,7 @@ functions are pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +22,10 @@ __all__ = [
     "delta",
     "hyperplane_eval",
     "on_hyperplane",
+    "json_int",
 ]
+
+_is_decimal = re.compile(r"-?[0-9]+").fullmatch
 
 
 def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:
@@ -78,9 +82,28 @@ def _int_pair(q: Fraction) -> list[str]:
     return [str(q.numerator), str(q.denominator)]
 
 
+def json_int(value: object, decimal: bool = False) -> int:
+    """One integer field of a JSON input, refused unless it is exact.
+
+    A number field takes only a JSON integer (no bool, no float); a
+    decimal-string field (`decimal=True`) takes only a string -?[0-9]+.
+    """
+    if decimal:
+        if type(value) is str and _is_decimal(value):
+            return int(value)
+        raise ValueError(f"expected a decimal integer string, got {value!r}")
+    if type(value) is int:
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _pair_to_fraction(pair) -> Fraction:
-    num, den = pair
-    return Fraction(int(num), int(den))
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"expected a [numerator, denominator] pair, got {pair!r}")
+    num, den = (json_int(part, decimal=True) for part in pair)
+    if not den:
+        raise ValueError(f"zero denominator in {pair!r}")
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -162,7 +185,7 @@ class CycloNum:
 
     @staticmethod
     def from_json(data: Mapping) -> "CycloNum":
-        return CycloNum(int(data["r"]), tuple(_pair_to_fraction(p) for p in data["coeffs"]))
+        return CycloNum(json_int(data["r"]), tuple(_pair_to_fraction(p) for p in data["coeffs"]))
 
 
 @dataclass(frozen=True)
@@ -212,7 +235,7 @@ class YPoint:
     @staticmethod
     def from_json(data: Mapping, r: int) -> "YPoint":
         coords = tuple(
-            (_pair_to_fraction(c["mag"]), int(c["branch"])) for c in data["coords"]
+            (_pair_to_fraction(c["mag"]), json_int(c["branch"])) for c in data["coords"]
         )
         return YPoint(r, coords)
 

@@ -10,38 +10,34 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .chains import Chain, act_on_chain, enumerate_chains, maximal_refinements
-from .cyclo import YPoint, delta, hyperplane_eval, on_hyperplane
+from .cyclo import YPoint, delta, on_hyperplane
 from .group import GenPerm, act_on_tuple, group_order
 
 __all__ = [
     "DecoratedSubset",
     "DeltaFace",
-    "delta",
-    "YPoint",
     "chain_layers",
     "vertex_of_maximal_chain",
     "chain_to_face_vertices",
     "enumerate_vertices",
-    "vertex_chain_map",
     "point_in_complex",
     "face_membership",
     "face_membership_product_form",
     "shifted_permutohedron_contains",
     "hyperplanes_to_chain",
+    "hyperplane_vertex_ids",
     "face_nonempty_oracle",
     "face_dimension_bruteforce",
     "FaceFactor",
     "face_product_decomposition",
     "act_on_face",
     "hasse_dot",
-    "random_ypoints",
 ]
 
 
@@ -61,11 +57,6 @@ class DecoratedSubset:
         if len(self.exps) != len(elems):
             raise ValueError("decoration must cover exactly the elements")
         object.__setattr__(self, "exps", tuple(int(e) for e in self.exps))
-
-    @staticmethod
-    def from_mapping(decoration: Mapping[int, int]) -> "DecoratedSubset":
-        elems = tuple(sorted(decoration))
-        return DecoratedSubset(elems, tuple(decoration[i] for i in elems))
 
     def mapping(self) -> dict[int, int]:
         return dict(zip(self.elements, self.exps))
@@ -111,10 +102,6 @@ class DeltaFace:
     def from_chain(c: Chain) -> "DeltaFace":
         return DeltaFace(c, chain_to_face_vertices(c))
 
-    @property
-    def dimension(self) -> int:
-        return self.chain.n - self.chain.length
-
     def to_json(self) -> dict:
         return {
             "chain": self.chain.to_json(),
@@ -130,15 +117,6 @@ def enumerate_vertices(r: int, n: int) -> tuple[YPoint, ...]:
         for c in enumerate_chains(r, n)
         if c.length == n
     )
-
-
-@lru_cache(maxsize=None)
-def vertex_chain_map(r: int, n: int) -> dict[YPoint, Chain]:
-    out: dict[YPoint, Chain] = {}
-    for c in enumerate_chains(r, n):
-        if c.length == n:
-            out[vertex_of_maximal_chain(c)] = c
-    return out
 
 
 def point_in_complex(x: YPoint) -> bool:
@@ -236,23 +214,31 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
     return Chain(r, n, sets, tuple(sorted((i, e % r) for i, e in top.items())))
 
 
-def face_nonempty_oracle(
-    r: int, n: int, subsets: Sequence[DecoratedSubset], max_vertices: int = 2000
-) -> bool:
-    """Whether some vertex of the complex satisfies every listed hyperplane.
+def hyperplane_vertex_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:
+    """Positions, within `enumerate_vertices(r, n)`, of the vertices on s's hyperplane.
 
     Exhaustive scan with exact cyclotomic evaluation; independent of the
     combinatorial nesting test.
     """
+    dec = s.mapping()
+    return frozenset(
+        i for i, v in enumerate(enumerate_vertices(r, n)) if on_hyperplane(v, s.elements, dec)
+    )
+
+
+def face_nonempty_oracle(
+    r: int, n: int, subsets: Sequence[DecoratedSubset], max_vertices: int = 2000
+) -> bool:
+    """Whether some vertex of the complex satisfies every listed hyperplane."""
     order = group_order(r, n)
     if order > max_vertices:
         raise ValueError(
             f"instance has {order} vertices, above the max_vertices cap of {max_vertices}"
         )
-    for v in enumerate_vertices(r, n):
-        if all(on_hyperplane(v, s.elements, s.mapping()) for s in subsets):
-            return True
-    return False
+    hit = frozenset(range(order))
+    for s in subsets:
+        hit &= hyperplane_vertex_ids(r, n, s)
+    return bool(hit)
 
 
 def _affine_rank(vectors: Sequence[tuple[int, ...]]) -> int:
@@ -393,16 +379,3 @@ def hasse_dot(r: int, n: int) -> str:
             lines.append(f"  c{i} -> c{index[parent]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def random_ypoints(r: int, n: int, count: int, seed: int) -> list[YPoint]:
-    """Seeded sample of points: small-denominator magnitudes in [0, n]."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        coords = []
-        for _ in range(n):
-            den = rng.choice((1, 2, 3, 4))
-            coords.append((Fraction(rng.randint(0, n * den), den), rng.randrange(r)))
-        out.append(YPoint(r, tuple(coords)))
-    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
-from .cyclo import YPoint
+from .cyclo import YPoint, json_int
 
 __all__ = [
     "GenPerm",
@@ -89,16 +89,16 @@ class GenPerm:
 
     @staticmethod
     def from_json(data: Mapping) -> "GenPerm":
-        r, n = int(data["r"]), int(data["n"])
+        r, n = json_int(data["r"]), json_int(data["n"])
         rows, exps = [0] * n, [0] * n
         seen = set()
         for entry in data["cols"]:
-            c = int(entry["col"])
+            c = json_int(entry["col"])
             if not 1 <= c <= n or c in seen:
                 raise ValueError(f"bad or repeated column index {c}")
             seen.add(c)
-            rows[c - 1] = int(entry["row"])
-            exps[c - 1] = int(entry["exp"])
+            rows[c - 1] = json_int(entry["row"])
+            exps[c - 1] = json_int(entry["exp"])
         if len(seen) != n:
             raise ValueError(f"expected {n} columns, got {len(seen)}")
         return GenPerm(r, n, tuple(rows), tuple(exps))

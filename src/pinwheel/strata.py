@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .chains import Chain, refines
+from .cyclo import json_int
 from .group import GenPerm
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "chain_to_stratum",
     "stratum_to_chain",
     "contract_spoke_edges",
+    "spoke_contractions",
     "stratum_includes",
     "StratumFactor",
     "stratum_product_factors",
@@ -84,11 +86,11 @@ class PinwheelStratum:
     @staticmethod
     def from_json(data: Mapping) -> "PinwheelStratum":
         spoke = tuple(
-            tuple((int(p["orbit"]), int(p["exp"])) for p in comp)
+            tuple((json_int(p["orbit"]), json_int(p["exp"])) for p in comp)
             for comp in data["spoke"]
         )
-        s = PinwheelStratum(int(data["r"]), int(data["n"]), spoke)
-        if s.k != int(data["k"]):
+        s = PinwheelStratum(json_int(data["r"]), json_int(data["n"]), spoke)
+        if s.k != json_int(data["k"]):
             raise ValueError(f"stated spoke length {data['k']} differs from {s.k}")
         return s
 
@@ -138,6 +140,13 @@ def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelSt
     return PinwheelStratum(s.r, s.n, tuple(tuple(comp) for comp in merged))
 
 
+def spoke_contractions(s: PinwheelStratum) -> Iterator[PinwheelStratum]:
+    """The strata reached by contracting each subset of s's spoke edges (s itself first)."""
+    for size in range(s.k + 1):
+        for edges in itertools.combinations(range(1, s.k + 1), size):
+            yield contract_spoke_edges(s, edges)
+
+
 def stratum_includes(s: PinwheelStratum, t: PinwheelStratum) -> bool:
     """Whether t arises from s by contracting spoke edges.
 
@@ -146,11 +155,7 @@ def stratum_includes(s: PinwheelStratum, t: PinwheelStratum) -> bool:
     """
     if (s.r, s.n) != (t.r, t.n):
         raise ValueError("strata live over different (r, n)")
-    by_contraction = any(
-        contract_spoke_edges(s, edges) == t
-        for size in range(s.k + 1)
-        for edges in itertools.combinations(range(1, s.k + 1), size)
-    )
+    by_contraction = t in spoke_contractions(s)
     by_chains = refines(stratum_to_chain(s), stratum_to_chain(t))
     if by_contraction != by_chains:
         raise RuntimeError(

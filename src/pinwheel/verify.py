@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
-from .chains import Chain, act_on_chain, coarsenings, enumerate_chains
+from .chains import Chain, act_on_chain, chain_dimension, coarsenings, enumerate_chains
 from .cosets import (
     act_on_coset,
     chain_to_coset,
@@ -23,21 +22,22 @@ from .cosets import (
     coset_size,
     coset_to_chain,
 )
-from .cyclo import YPoint, on_hyperplane
+from .cyclo import YPoint
 from .faces import (
     DecoratedSubset,
     chain_to_face_vertices,
     enumerate_vertices,
     face_dimension_bruteforce,
     face_product_decomposition,
+    hyperplane_vertex_ids,
     hyperplanes_to_chain,
     vertex_of_maximal_chain,
 )
-from .group import GenPerm, act_on_tuple, enumerate_group, group_order, multiply
+from .group import act_on_tuple, enumerate_group, group_order, multiply
 from .strata import (
     act_on_zero_dim_stratum,
     chain_to_stratum,
-    contract_spoke_edges,
+    spoke_contractions,
     stratum_product_factors,
     stratum_to_chain,
 )
@@ -54,10 +54,6 @@ __all__ = [
     "SUITES",
 ]
 
-T = TypeVar("T")
-U = TypeVar("U")
-
-
 class CapExceeded(ValueError):
     """An instance is larger than a configured size cap allows."""
 
@@ -68,7 +64,6 @@ class VerifyConfig:
 
     max_group_order: int = 2000
     max_families: int = 60000
-    threads: int = 1
 
 
 DEFAULT_CONFIG = VerifyConfig()
@@ -107,15 +102,8 @@ def _check_order_cap(r: int, n: int, config: VerifyConfig) -> None:
 def _counts_by_dim(chains: Sequence[Chain], n: int) -> list[int]:
     counts = [0] * (n + 1)
     for c in chains:
-        counts[c.n - c.length] += 1
+        counts[chain_dimension(c)] += 1
     return counts
-
-
-def _pmap(fn: Callable[[T], U], items: Sequence[T], threads: int) -> list[U]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _relation_via_memberships(owned: dict[int, frozenset]) -> frozenset[tuple[int, int]]:
@@ -156,17 +144,17 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
         if stratum_to_chain(s) != c:
             fail(f"stratum roundtrip broke on {c.to_json()}")
         dims = {
-            "chain": n - c.length,
+            "chain": chain_dimension(c),
             "coset": h.dimension,
             "stratum": n - s.k,
         }
         if len(set(dims.values())) != 1:
             fail(f"dimension mismatch {dims} on {c.to_json()}")
 
-    face_dims = _pmap(face_dimension_bruteforce, chains, config.threads)
-    for c, dim in zip(chains, face_dims):
-        if dim != n - c.length:
-            fail(f"face dimension oracle gave {dim}, expected {n - c.length} on {c.to_json()}")
+    for c in chains:
+        dim = face_dimension_bruteforce(c)
+        if dim != chain_dimension(c):
+            fail(f"face dimension oracle gave {dim}, expected {chain_dimension(c)} on {c.to_json()}")
 
     seen_vertices: dict[YPoint, Chain] = {}
     for c in chains:
@@ -192,12 +180,9 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     )
 
     stratum_index = {s: i for i, s in strata.items()}
-    stratum_pairs = set()
-    for i, s in strata.items():
-        for size in range(s.k + 1):
-            for edges in itertools.combinations(range(1, s.k + 1), size):
-                stratum_pairs.add((i, stratum_index[contract_spoke_edges(s, edges)]))
-    relations["stratum"] = frozenset(stratum_pairs)
+    relations["stratum"] = frozenset(
+        (i, stratum_index[t]) for i, s in strata.items() for t in spoke_contractions(s)
+    )
 
     base = relations["refinement"]
     for name in ("coset", "face", "stratum"):
@@ -270,7 +255,7 @@ def verify_products(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
             fail(f"coset cardinality does not match factor arithmetic on {c.to_json()}")
         m = stratum_sizes[0]
         spoke_dims = sum(size - 1 for block, size in stratum_sizes.items() if block)
-        if m + spoke_dims != n - c.length:
+        if m + spoke_dims != chain_dimension(c):
             fail(f"factor dimensions do not sum to the face dimension on {c.to_json()}")
     return report
 
@@ -296,12 +281,7 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
         )
 
     vertices = enumerate_vertices(r, n)
-    on_ids: dict[DecoratedSubset, frozenset[int]] = {}
-    for s in subsets:
-        dec = s.mapping()
-        on_ids[s] = frozenset(
-            i for i, v in enumerate(vertices) if on_hyperplane(v, s.elements, dec)
-        )
+    on_ids = {s: hyperplane_vertex_ids(r, n, s) for s in subsets}
     vertex_ids = {v: i for i, v in enumerate(vertices)}
     face_ids = {
         c: frozenset(vertex_ids[v] for v in chain_to_face_vertices(c)) for c in chains

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from pinwheel import Chain, GenPerm
+from pinwheel import Chain, GenPerm, YPoint
 
 
 SMALL_RN = [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)]
@@ -76,6 +76,19 @@ class DenseMatrix:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DenseMatrix) and (self.r, self.entries) == (other.r, other.entries)
+
+
+def random_ypoints(r: int, n: int, count: int, seed: int) -> list[YPoint]:
+    """Seeded sample of points: small-denominator magnitudes in [0, n]."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        coords = []
+        for _ in range(n):
+            den = rng.choice((1, 2, 3, 4))
+            coords.append((Fraction(rng.randint(0, n * den), den), rng.randrange(r)))
+        out.append(YPoint(r, tuple(coords)))
+    return out
 
 
 def brute_force_in_complex(x) -> bool:

@@ -30,7 +30,8 @@ from pinwheel import (
     verify_threeway,
 )
 from pinwheel.cosets import coset_size
-from pinwheel.faces import random_ypoints
+
+from conftest import random_ypoints
 
 THREEWAY_ENVELOPE = [
     (r, n) for r in (2, 3, 4) for n in range(4)

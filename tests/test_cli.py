@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,23 @@ MATRIX_JSON = json.dumps(
         ],
     }
 )
+VERTEX_JSON = json.dumps({"coords": [{"mag": [str(i), "1"], "branch": 0} for i in (1, 2, 3, 4)]})
+
+# sha256 of each command's stdout.  CHAIN, MATRIX and VERTEX stand for files
+# holding the JSON above.  The digests pin the output byte for byte, so a
+# change to any of them has to be deliberate.
+STDOUT_SHA256 = {
+    "chains --r 2 --n 2": "3a81249718ba69b5c95be69701c7ba81e87e3d44b998ced09b53f71e3ad769c8",
+    "chains --r 2 --n 2 --table": "f8b9b205468028babb7b590e0c3b519c7a6d40ffd0f080af1dbfd47fd521916e",
+    "hasse --r 2 --n 2 --dot": "16a0a0a3399af886907aaa799ce082a7c748ded5c030d1e98cc1037a321042f5",
+    "coset --chain CHAIN --elements": "afe60f72221d5226b233e1bc45a5ca2505cfc630c72bc32e92ae50cb960d17b2",
+    "face --chain CHAIN --vertices --factors": "fab810b77a904b3f3c8e241f16457a1018c79267c9c75cf523406b115b81e89a",
+    "stratum --chain CHAIN": "c5116ead9a3451219473b1be730229fb78b698aaec7dbc94ae88fa16951cf4d7",
+    "stratum --chain CHAIN --dot": "cb6dd2b9f3bfdbbb24b5603dd5d88137618e2e0b6741003371b761d982988103",
+    "act --matrix MATRIX --chain CHAIN": "65a519bd67546ff8bf2032f457954b60d9431b20a55a0076c09adcb9c5bf9151",
+    "act --matrix MATRIX --vertex VERTEX": "ddcdac9461768f8628a6b4fc0641799e99febf46de5e652409fe81efeefe95bf",
+    "verify --r 2 --n 2 --suite all": "3ca91032a02de9a98d6f9daca59600d6ce9192c921cf6c81fa1e8b3196a1970d",
+}
 
 
 @pytest.fixture
@@ -181,6 +199,18 @@ class TestVerify:
         assert code == 0
 
 
+class TestOutputBytes:
+    @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+    def test_stdout_digest(self, capsys, tmp_path, command):
+        files = {"CHAIN": CHAIN_JSON, "MATRIX": MATRIX_JSON, "VERTEX": VERTEX_JSON}
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [str(tmp_path / f"{a}.json") if a in files else a for a in command.split()]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
 class TestErrors:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -189,12 +219,52 @@ class TestErrors:
             main(["coset", "--chain", str(path)])
         assert "cannot read JSON" in str(err.value)
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(SystemExit) as err:
+            main(["face", "--chain", str(path)])
+        assert "cannot read JSON" in str(err.value)
+
     def test_invalid_chain(self, tmp_path, capsys):
         path = tmp_path / "bad_chain.json"
         path.write_text('{"r":2,"n":2,"sets":[[1],[1]],"decoration":{"1":0}}')
         with pytest.raises(SystemExit) as err:
             main(["face", "--chain", str(path)])
         assert "malformed chain" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "what,text",
+        [
+            ("matrix", MATRIX_JSON.replace('"r": 3', '"r": 3.9')),
+            ("matrix", MATRIX_JSON.replace('"exp": 1}', '"exp": 1.7}')),
+            ("matrix", MATRIX_JSON.replace('"col": 1,', '"col": true,')),
+            ("matrix", MATRIX_JSON.replace('"row": 4,', '"row": "4",')),
+            ("chain", '{"r":2,"n":1,"sets":[[1.0]],"decoration":{"1":0}}'),
+            ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":{"1.0":0}}'),
+            ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":{" 1":0}}'),
+            ("vertex", VERTEX_JSON.replace('["2", "1"]', '["2", "0"]')),
+            ("vertex", VERTEX_JSON.replace('["2", "1"]', '["2.5", "1"]')),
+            ("vertex", VERTEX_JSON.replace('["2", "1"]', '[2, 1]')),
+            ("vertex", VERTEX_JSON.replace('["2", "1"]', '"21"')),
+        ],
+        ids=[
+            "float-r", "float-exp", "bool-col", "string-row", "float-set-element",
+            "float-key", "padded-key", "zero-denominator", "decimal-point-mag",
+            "number-mag", "string-mag",
+        ],
+    )
+    def test_inexact_input_is_refused(self, tmp_path, capsys, chain_file, matrix_file, what, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        argv = {
+            "matrix": ["act", "--matrix", str(path), "--chain", chain_file],
+            "chain": ["face", "--chain", str(path)],
+            "vertex": ["act", "--matrix", matrix_file, "--vertex", str(path)],
+        }[what]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert f"malformed {what} in {path}" in str(err.value)
 
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit):

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pinwheel import CycloNum, YPoint, cyclotomic_polynomial, delta, hyperplane_eval, on_hyperplane
-from pinwheel.faces import random_ypoints
+
+from conftest import random_ypoints
 
 
 def poly_mul(a, b):

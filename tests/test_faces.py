@@ -11,6 +11,7 @@ from pinwheel import (
     YPoint,
     act_on_face,
     act_on_tuple,
+    chain_dimension,
     chain_to_face_vertices,
     enumerate_chains,
     enumerate_vertices,
@@ -28,9 +29,9 @@ from pinwheel import (
     shifted_permutohedron_contains,
     vertex_of_maximal_chain,
 )
-from pinwheel.faces import chain_layers, random_ypoints
+from pinwheel.faces import chain_layers
 
-from conftest import brute_force_in_complex
+from conftest import brute_force_in_complex, random_ypoints
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 EXAMPLE_COARSE = make_chain(3, 4, [[2, 3, 4]], {2: 1, 3: 0, 4: 2})
@@ -104,7 +105,7 @@ class TestFaceVertices:
 
     def test_delta_face_wrapper(self):
         face = DeltaFace.from_chain(EXAMPLE)
-        assert face.dimension == 2
+        assert chain_dimension(face.chain) == 2
         assert face.vertices == chain_to_face_vertices(EXAMPLE)
         data = face.to_json()
         assert len(data["vertices"]) == 6
@@ -305,9 +306,11 @@ class TestVertexIncidence:
         # a vertex satisfies a decorated-subset hyperplane exactly when that
         # subset is a layer of the vertex's maximal chain
         from pinwheel import on_hyperplane
-        from pinwheel.faces import vertex_chain_map
 
-        for v, chain in vertex_chain_map(r, n).items():
+        for chain in enumerate_chains(r, n):
+            if chain.length != n:
+                continue
+            v = vertex_of_maximal_chain(chain)
             layers = set(chain_layers(chain))
             for size in range(1, n + 1):
                 for elems in itertools.combinations(range(1, n + 1), size):

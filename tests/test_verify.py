@@ -34,11 +34,6 @@ class TestThreeway:
         config = VerifyConfig(max_group_order=10**6)
         assert verify_threeway(2, 2, config).ok
 
-    def test_threads_do_not_change_the_report(self):
-        seq = verify_threeway(3, 2)
-        par = verify_threeway(3, 2, VerifyConfig(threads=4))
-        assert seq.to_json() == par.to_json()
-
 
 class TestEquivariance:
     def test_octagon(self):
