@@ -102,7 +102,10 @@ class Chain:
 
     @staticmethod
     def from_json(data: Mapping) -> "Chain":
-        dec = {json_int(i, decimal=True): json_int(e) for i, e in data["decoration"].items()}
+        decoration = data["decoration"]
+        if not isinstance(decoration, Mapping):
+            raise ValueError(f"decoration must be an object, got {decoration!r}")
+        dec = {json_int(i, decimal=True): json_int(e) for i, e in decoration.items()}
         sets = [[json_int(i) for i in s] for s in data["sets"]]
         return make_chain(json_int(data["r"]), json_int(data["n"]), sets, dec)
 
@@ -122,7 +125,6 @@ def make_chain(
     return Chain(r, n, tuple(normalized), tuple(dec))
 
 
-@lru_cache(maxsize=None)
 def _set_chains(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     subsets = []
     for size in range(1, n + 1):

@@ -118,8 +118,8 @@ def t_coset(gens: Iterable[int], rep: GenPerm) -> TCosetHandle:
 
     Any representative works; it is replaced by the canonical one.
     """
-    raw = TCosetHandle(frozenset(gens), rep)
-    return TCosetHandle(raw.gens, _canonical_rep(_chain_from_parts(raw.gens, rep)))
+    gens = frozenset(gens)
+    return TCosetHandle(gens, _canonical_rep(_chain_from_parts(gens, rep)))
 
 
 def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
@@ -159,18 +159,6 @@ class CosetFactor:
     columns: tuple[int, ...]
     size: int
     translation: GenPerm | None
-
-    def to_json(self) -> dict:
-        data = {
-            "kind": self.kind,
-            "block": self.block,
-            "rows": list(self.rows),
-            "columns": list(self.columns),
-            "size": self.size,
-        }
-        if self.translation is not None:
-            data["translation"] = self.translation.to_json()
-        return data
 
 
 def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:

@@ -273,6 +273,6 @@ def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[
 
 def on_hyperplane(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> bool:
     """Whether the decorated-subset sum equals the bound for its size, exactly."""
-    elems = _checked_elements(point, elements)
-    value = hyperplane_eval(point, elems, decoration).as_rational()
-    return value is not None and value == delta(point.n, len(elems))
+    elements = tuple(elements)
+    value = hyperplane_eval(point, elements, decoration).as_rational()
+    return value is not None and value == delta(point.n, len(elements))

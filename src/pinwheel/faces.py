@@ -348,13 +348,12 @@ def face_product_decomposition(c: Chain) -> tuple[FaceFactor, ...]:
     return tuple(factors)
 
 
-def act_on_face(c: Chain, a: GenPerm, check: bool = True) -> Chain:
+def act_on_face(c: Chain, a: GenPerm) -> Chain:
     """Image chain of a face under the action, with a vertex-set cross-check."""
     image = act_on_chain(c, a)
-    if check:
-        moved = frozenset(act_on_tuple(v, a) for v in chain_to_face_vertices(c))
-        if moved != chain_to_face_vertices(image):
-            raise RuntimeError("action moved the vertex set off the image face")
+    moved = frozenset(act_on_tuple(v, a) for v in chain_to_face_vertices(c))
+    if moved != chain_to_face_vertices(image):
+        raise RuntimeError("action moved the vertex set off the image face")
     return image
 
 

@@ -68,12 +68,6 @@ class GenPerm:
     def col_of_row(self, row: int) -> int:
         return self._col_of_row[row - 1]
 
-    def __mul__(self, other: "GenPerm") -> "GenPerm":
-        return multiply(self, other)
-
-    def inverse(self) -> "GenPerm":
-        return inverse(self)
-
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.row_of_col, self.exp_of_col)
 
@@ -89,18 +83,18 @@ class GenPerm:
 
     @staticmethod
     def from_json(data: Mapping) -> "GenPerm":
-        r, n = json_int(data["r"]), json_int(data["n"])
+        r, n, cols = json_int(data["r"]), json_int(data["n"]), data["cols"]
+        if len(cols) != n:
+            raise ValueError(f"expected {n} columns, got {len(cols)}")
         rows, exps = [0] * n, [0] * n
         seen = set()
-        for entry in data["cols"]:
+        for entry in cols:
             c = json_int(entry["col"])
             if not 1 <= c <= n or c in seen:
                 raise ValueError(f"bad or repeated column index {c}")
             seen.add(c)
             rows[c - 1] = json_int(entry["row"])
             exps[c - 1] = json_int(entry["exp"])
-        if len(seen) != n:
-            raise ValueError(f"expected {n} columns, got {len(seen)}")
         return GenPerm(r, n, tuple(rows), tuple(exps))
 
 
@@ -158,6 +152,8 @@ def act_on_tuple(x: YPoint, a: GenPerm) -> YPoint:
 
 
 def group_order(r: int, n: int) -> int:
+    if r < 2 or n < 0:
+        raise ValueError(f"need r >= 2 and n >= 0, got r={r!r}, n={n!r}")
     return r**n * math.factorial(n)
 
 

@@ -177,9 +177,6 @@ class StratumFactor:
     block: int
     size: int
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "block": self.block, "size": self.size}
-
 
 def stratum_product_factors(c: Chain) -> tuple[StratumFactor, ...]:
     """Central factor first, then one factor per spoke component outward-in."""

@@ -126,6 +126,12 @@ def _relation_via_memberships(owned: dict[int, frozenset]) -> frozenset[tuple[in
     return frozenset(pairs)
 
 
+def _numbered(items, ids: dict) -> frozenset[int]:
+    # One integer per distinct item, so the sets kept for every chain do not
+    # hold a fresh copy of each coset element or vertex.
+    return frozenset(ids.setdefault(item, len(ids)) for item in items)
+
+
 def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
     """Roundtrips, dimension agreement, and the four-way inclusion equivalence."""
     _check_order_cap(r, n, config)
@@ -134,55 +140,45 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     report = Report("threeway", r, n, _counts_by_dim(chains, n))
     fail = report.violations.append
 
-    strata = {}
-    for c in chains:
+    strata, elements, vertices, element_ids, vertex_ids = {}, {}, {}, {}, {}
+    refine_pairs = set()
+    seen_vertices: dict[YPoint, Chain] = {}
+    for i, c in enumerate(chains):
         h = chain_to_coset(c)
         if coset_to_chain(h) != c:
             fail(f"coset roundtrip broke on {c.to_json()}")
         s = chain_to_stratum(c)
-        strata[index[c]] = s
         if stratum_to_chain(s) != c:
             fail(f"stratum roundtrip broke on {c.to_json()}")
         dims = {
             "chain": chain_dimension(c),
             "coset": h.dimension,
             "stratum": n - s.k,
+            "face": face_dimension_bruteforce(c),
         }
         if len(set(dims.values())) != 1:
             fail(f"dimension mismatch {dims} on {c.to_json()}")
-
-    for c in chains:
-        dim = face_dimension_bruteforce(c)
-        if dim != chain_dimension(c):
-            fail(f"face dimension oracle gave {dim}, expected {chain_dimension(c)} on {c.to_json()}")
-
-    seen_vertices: dict[YPoint, Chain] = {}
-    for c in chains:
         if c.length == n:
             v = vertex_of_maximal_chain(c)
             if v in seen_vertices:
                 fail(f"vertex collision between {seen_vertices[v].to_json()} and {c.to_json()}")
             seen_vertices[v] = c
+        strata[i] = s
+        elements[i] = _numbered(coset_elements(h), element_ids)
+        vertices[i] = _numbered(chain_to_face_vertices(c), vertex_ids)
+        refine_pairs.update((i, index[coarse]) for coarse in coarsenings(c))
     if len(seen_vertices) != group_order(r, n):
         fail(f"vertex census {len(seen_vertices)} != {group_order(r, n)}")
 
-    refine_pairs = set()
-    for c in chains:
-        for coarse in coarsenings(c):
-            refine_pairs.add((index[c], index[coarse]))
-    relations = {"refinement": frozenset(refine_pairs)}
-
-    relations["coset"] = _relation_via_memberships(
-        {i: coset_elements(chain_to_coset(c)) for i, c in enumerate(chains)}
-    )
-    relations["face"] = _relation_via_memberships(
-        {i: chain_to_face_vertices(c) for i, c in enumerate(chains)}
-    )
-
     stratum_index = {s: i for i, s in strata.items()}
-    relations["stratum"] = frozenset(
-        (i, stratum_index[t]) for i, s in strata.items() for t in spoke_contractions(s)
-    )
+    relations = {
+        "refinement": frozenset(refine_pairs),
+        "coset": _relation_via_memberships(elements),
+        "face": _relation_via_memberships(vertices),
+        "stratum": frozenset(
+            (i, stratum_index[t]) for i, s in strata.items() for t in spoke_contractions(s)
+        ),
+    }
 
     base = relations["refinement"]
     for name in ("coset", "face", "stratum"):

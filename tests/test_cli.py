@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pinwheel.cli import main
 
@@ -243,6 +245,10 @@ class TestErrors:
             ("chain", '{"r":2,"n":1,"sets":[[1.0]],"decoration":{"1":0}}'),
             ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":{"1.0":0}}'),
             ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":{" 1":0}}'),
+            ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":[]}'),
+            ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":null}'),
+            ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":"x"}'),
+            ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":1}'),
             ("vertex", VERTEX_JSON.replace('["2", "1"]', '["2", "0"]')),
             ("vertex", VERTEX_JSON.replace('["2", "1"]', '["2.5", "1"]')),
             ("vertex", VERTEX_JSON.replace('["2", "1"]', '[2, 1]')),
@@ -250,7 +256,8 @@ class TestErrors:
         ],
         ids=[
             "float-r", "float-exp", "bool-col", "string-row", "float-set-element",
-            "float-key", "padded-key", "zero-denominator", "decimal-point-mag",
+            "float-key", "padded-key", "list-decoration", "null-decoration",
+            "string-decoration", "number-decoration", "zero-denominator", "decimal-point-mag",
             "number-mag", "string-mag",
         ],
     )
@@ -269,3 +276,39 @@ class TestErrors:
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit):
             main(["coset", "--chain", "/nonexistent/file.json"])
+
+    def test_negative_n_is_named(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--r", "2", "--n", "-1", "--suite", "nonempty"])
+        assert str(err.value) == "error: need r >= 2 and n >= 0, got r=2, n=-1"
+
+
+# Small arbitrary JSON: integers, short strings, null, and lists and objects
+# keyed by the field names the loaders read.
+FIELDS = ["r", "n", "sets", "decoration", "cols", "col", "row", "exp", "coords", "mag", "branch", "1", "2"]
+JSON_VALUES = st.recursive(
+    st.integers(-3, 5) | st.sampled_from(["1", "2", "-1", "x"]) | st.none(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=4),
+    max_leaves=12,
+)
+ONE_MATRIX = '{"r":2,"n":1,"cols":[{"col":1,"row":1,"exp":0}]}'
+ONE_CHAIN = '{"r":2,"n":1,"sets":[[1]],"decoration":{"1":1}}'
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(what=st.sampled_from(["chain", "matrix", "vertex"]), data=JSON_VALUES)
+    def test_arbitrary_json_exits_cleanly(self, tmp_path, what, data):
+        fixed = tmp_path / "fixed.json"
+        fixed.write_text(ONE_CHAIN if what == "matrix" else ONE_MATRIX)
+        fuzzed = tmp_path / "fuzzed.json"
+        fuzzed.write_text(json.dumps(data))
+        argv = {
+            "chain": ["face", "--chain", str(fuzzed)],
+            "matrix": ["act", "--matrix", str(fuzzed), "--chain", str(fixed)],
+            "vertex": ["act", "--matrix", str(fixed), "--vertex", str(fuzzed)],
+        }[what]
+        try:
+            assert main(argv) == 0
+        except SystemExit as exc:
+            assert "\n" not in str(exc)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,16 @@ class TestJson:
         data["cols"][0]["col"] = 2
         with pytest.raises(ValueError):
             GenPerm.from_json(data)
+
+    def test_column_count_is_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expected 1000000 columns, got 0"):
+                GenPerm.from_json({"r": 2, "n": 1000000, "cols": []})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):

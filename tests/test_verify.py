@@ -1,14 +1,66 @@
+import re
+
 import pytest
 
 from pinwheel import (
     CapExceeded,
+    GenPerm,
     VerifyConfig,
+    chain_to_coset,
+    chain_to_stratum,
+    make_chain,
+    vertex_of_maximal_chain,
     verify_all,
     verify_equivariance,
     verify_nonemptiness,
     verify_products,
     verify_threeway,
 )
+from pinwheel import verify
+
+# Chains over (2, 2) that the fault-injection tests corrupt one route on.
+TARGET = make_chain(2, 2, [[1]], {1: 1})
+OTHER = make_chain(2, 2, [[2]], {2: 0})
+MAXIMAL = make_chain(2, 2, [[1], [1, 2]], {1: 0, 2: 1})
+OTHER_MAXIMAL = make_chain(2, 2, [[2], [1, 2]], {1: 0, 2: 1})
+
+
+def _drop_one(items, key):
+    return items - {min(items, key=key)}
+
+
+# Route name in `pinwheel.verify` -> (corruption of its result for one
+# argument, the violation the threeway suite must then report).
+BROKEN_ROUTES = {
+    "coset_to_chain": (
+        lambda h, c: OTHER if c == TARGET else c,
+        r"coset roundtrip broke",
+    ),
+    "stratum_to_chain": (
+        lambda s, c: OTHER if c == TARGET else c,
+        r"stratum roundtrip broke",
+    ),
+    "face_dimension_bruteforce": (
+        lambda c, dim: dim + 1 if c == TARGET else dim,
+        r"dimension (mismatch|oracle)",
+    ),
+    "vertex_of_maximal_chain": (
+        lambda c, v: vertex_of_maximal_chain(OTHER_MAXIMAL) if c == MAXIMAL else v,
+        r"vertex (census|collision)",
+    ),
+    "coset_elements": (
+        lambda h, els: _drop_one(els, GenPerm.sort_key) if h == chain_to_coset(TARGET) else els,
+        r"inclusion mismatch \(coset\)",
+    ),
+    "chain_to_face_vertices": (
+        lambda c, vs: _drop_one(vs, lambda v: v.coords) if c == TARGET else vs,
+        r"inclusion mismatch \(face\)",
+    ),
+    "spoke_contractions": (
+        lambda s, out: list(out)[:-1] if s == chain_to_stratum(TARGET) else out,
+        r"inclusion mismatch \(stratum\)",
+    ),
+}
 
 
 class TestThreeway:
@@ -33,6 +85,14 @@ class TestThreeway:
     def test_cap_override(self):
         config = VerifyConfig(max_group_order=10**6)
         assert verify_threeway(2, 2, config).ok
+
+    @pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
+    def test_a_broken_route_is_reported(self, monkeypatch, route):
+        corrupt, violation = BROKEN_ROUTES[route]
+        real = getattr(verify, route)
+        monkeypatch.setattr(verify, route, lambda arg: corrupt(arg, real(arg)))
+        report = verify_threeway(2, 2)
+        assert any(re.search(violation, v) for v in report.violations), report.violations
 
 
 class TestEquivariance:
