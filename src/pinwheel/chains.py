@@ -143,7 +143,7 @@ def _set_chains(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_chains(r: int, n: int) -> tuple[Chain, ...]:
     """Every chain for the given (r, n), deduplicated, in deterministic order.
 

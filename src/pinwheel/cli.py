@@ -108,6 +108,9 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, cap in (("--max-group-order", args.max_group_order), ("--max-families", args.max_families)):
+        if cap < 0:
+            raise SystemExit(f"error: {flag} must be >= 0, got {cap}")
     config = VerifyConfig(max_group_order=args.max_group_order, max_families=args.max_families)
     try:
         if args.suite == "all":

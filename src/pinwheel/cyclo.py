@@ -3,8 +3,10 @@
 Magnitudes are `fractions.Fraction` throughout and zeta stays symbolic,
 reduced modulo the r-th cyclotomic polynomial, so every value has a single
 canonical coefficient tuple and equality of values is equality of tuples.
-No floating point is used anywhere.  All types are immutable and all
-functions are pure.
+Hyperplane evaluation sums integral magnitudes as plain integers and
+combines them through a per-r table of the reduced powers zeta^k, whose
+coefficients are integers.  No floating point is used anywhere.  All types
+are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     """Coefficients (ascending degree) of the r-th cyclotomic polynomial.
 
@@ -259,16 +261,33 @@ def _checked_elements(point: YPoint, elements: Iterable[int]) -> tuple[int, ...]
     return elems
 
 
+@lru_cache(maxsize=64)
+def _zeta_powers(r: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficients of zeta^k modulo Phi_r for k = 0..r-1; integers, as Phi_r is monic."""
+    return tuple(tuple(int(c) for c in _reduce([0] * k + [1], r)) for k in range(r))
+
+
 def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> CycloNum:
-    """Exact value of sum over i in the subset of zeta^{decoration(i)} * x_i."""
+    """Exact value of sum over i in the subset of zeta^{decoration(i)} * x_i.
+
+    The magnitudes are first summed per power of zeta (integral ones as
+    plain integers), then the r sums are combined through the reduced
+    zeta^k table, so one CycloNum is built per call.
+    """
     elems = _checked_elements(point, elements)
-    total = CycloNum.zero(point.r)
+    r = point.r
+    by_power = [0] * r
     for i in elems:
         if i not in decoration:
             raise ValueError(f"decoration undefined on element {i}")
         mag, branch = point.coords[i - 1]
-        total = total + CycloNum.from_term(mag, decoration[i] + branch, point.r)
-    return total
+        by_power[(decoration[i] + branch) % r] += mag.numerator if mag.denominator == 1 else mag
+    coeffs = [0] * _degree(r)
+    for total, power in zip(by_power, _zeta_powers(r)):
+        if total:
+            for j, c in enumerate(power):
+                coeffs[j] += total * c
+    return CycloNum(r, tuple(coeffs))
 
 
 def on_hyperplane(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> bool:

@@ -109,7 +109,7 @@ class DeltaFace:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_vertices(r: int, n: int) -> tuple[YPoint, ...]:
     """All vertices of the complex, ordered by their maximal chains."""
     return tuple(

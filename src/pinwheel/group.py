@@ -157,7 +157,8 @@ def group_order(r: int, n: int) -> int:
     return r**n * math.factorial(n)
 
 
-@lru_cache(maxsize=None)
+# Keyed by generator set: one stream of the json-queries benchmark closes 56.
+@lru_cache(maxsize=256)
 def _subgroup_closure(r: int, n: int, gens: frozenset[int]) -> frozenset[GenPerm]:
     seeds = [generator(r, n, i) for i in sorted(gens)]
     elements = {identity(r, n)}
@@ -183,7 +184,7 @@ def generate_subgroup(r: int, n: int, gens: Iterable[int]) -> frozenset[GenPerm]
     return _subgroup_closure(r, n, gens)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_group(r: int, n: int) -> tuple[GenPerm, ...]:
     """All elements of S(r, n), lexicographic on (row word, exponent word)."""
     out = []

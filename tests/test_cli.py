@@ -282,6 +282,12 @@ class TestErrors:
             main(["verify", "--r", "2", "--n", "-1", "--suite", "nonempty"])
         assert str(err.value) == "error: need r >= 2 and n >= 0, got r=2, n=-1"
 
+    @pytest.mark.parametrize("flag", ["--max-group-order", "--max-families"])
+    def test_negative_cap_is_named(self, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--r", "2", "--n", "2", "--suite", "nonempty", flag, "-5"])
+        assert str(err.value) == f"error: {flag} must be >= 0, got -5"
+
 
 # Small arbitrary JSON: integers, short strings, null, and lists and objects
 # keyed by the field names the loaders read.

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -182,6 +183,46 @@ class TestHyperplane:
                         )
                         magnitude_ok = sum(x.magnitude(i) for i in elems) == delta(n, size)
                         assert on_hyperplane(x, elems, dec) == (branches_ok and magnitude_ok)
+
+
+def term_by_term_eval(point, elements, decoration):
+    """The reference: one CycloNum.from_term per element, added with `+`."""
+    total = CycloNum.zero(point.r)
+    for i in elements:
+        mag, branch = point.coords[i - 1]
+        total = total + CycloNum.from_term(mag, decoration[i] + branch, point.r)
+    return total
+
+
+class TestHyperplaneKernel:
+    MAGNITUDES = [Fraction(0), Fraction(1), Fraction(2), Fraction(4), Fraction(1, 2), Fraction(7, 3), Fraction(5, 6)]
+
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_matches_term_by_term_sum(self, r):
+        # Composite r (4, 6, 8, 9, 12) reduce zeta^k to several nonzero and
+        # negative coefficients; exponents run below 0 and beyond r.
+        rng = random.Random(r)
+        n = 4
+        hits = 0
+        for trial in range(300):
+            elems = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+            if trial % 2:
+                point = YPoint(r, tuple((rng.choice(self.MAGNITUDES), rng.randrange(-r, 2 * r)) for _ in range(n)))
+                dec = {i: rng.randrange(-2 * r, 3 * r) for i in elems}
+            else:
+                # A vertex with each exponent cancelling its branch up to a
+                # multiple of r, or, every other time, one step past it.
+                mags = rng.sample(range(1, n + 1), n)
+                point = YPoint(r, tuple((Fraction(m), rng.randrange(r)) for m in mags))
+                step = trial % 4 // 2
+                dec = {i: rng.randrange(-2, 3) * r - point.branch(i) + step for i in elems}
+            want = term_by_term_eval(point, elems, dec)
+            assert hyperplane_eval(point, elems, dec) == want
+            value = want.as_rational()
+            expected = value is not None and value == delta(n, len(elems))
+            assert on_hyperplane(point, elems, dec) == expected
+            hits += expected
+        assert hits
 
 
 class TestYPoint:

@@ -4,6 +4,7 @@ import pytest
 
 from pinwheel import (
     CapExceeded,
+    DecoratedSubset,
     GenPerm,
     VerifyConfig,
     chain_to_coset,
@@ -16,7 +17,7 @@ from pinwheel import (
     verify_products,
     verify_threeway,
 )
-from pinwheel import verify
+from pinwheel import faces, verify
 
 # Chains over (2, 2) that the fault-injection tests corrupt one route on.
 TARGET = make_chain(2, 2, [[1]], {1: 1})
@@ -59,6 +60,35 @@ BROKEN_ROUTES = {
     "spoke_contractions": (
         lambda s, out: list(out)[:-1] if s == chain_to_stratum(TARGET) else out,
         r"inclusion mismatch \(stratum\)",
+    ),
+}
+
+
+# Case -> (module and name of a route the nonempty suite reaches, corruption
+# of its result for one argument tuple, the violation the suite must then
+# report).  MAXIMAL's vertex lies on the hyperplane of the set {1} with
+# decoration 1 -> 0, and the one-set family of that hyperplane is sortable.
+ON_SET_ONE = DecoratedSubset((1,), (0,))
+BROKEN_NONEMPTY_ROUTES = {
+    "on_hyperplane": (
+        faces,
+        "on_hyperplane",
+        lambda args, on: not on
+        if args[0] == vertex_of_maximal_chain(MAXIMAL) and tuple(args[1]) == (1,) and args[2] == {1: 0}
+        else on,
+        r"hyperplane intersection is not the face's vertex set",
+    ),
+    "hyperplanes_to_chain-none": (
+        verify,
+        "hyperplanes_to_chain",
+        lambda args, chain: None if tuple(args[2]) == (ON_SET_ONE,) else chain,
+        r"sortability and vertex scan disagree",
+    ),
+    "hyperplanes_to_chain-other": (
+        verify,
+        "hyperplanes_to_chain",
+        lambda args, chain: OTHER if tuple(args[2]) == (ON_SET_ONE,) else chain,
+        r"hyperplane intersection is not the face's vertex set",
     ),
 }
 
@@ -122,6 +152,14 @@ class TestNonemptiness:
     def test_family_cap(self):
         with pytest.raises(CapExceeded, match="max_families"):
             verify_nonemptiness(3, 3, VerifyConfig(max_families=100))
+
+    @pytest.mark.parametrize("route", sorted(BROKEN_NONEMPTY_ROUTES))
+    def test_a_broken_route_is_reported(self, monkeypatch, route):
+        module, name, corrupt, violation = BROKEN_NONEMPTY_ROUTES[route]
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: corrupt(args, real(*args)))
+        report = verify_nonemptiness(2, 2)
+        assert any(re.search(violation, v) for v in report.violations), report.violations
 
 
 class TestReports:
