@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 from .cyclo import json_int
@@ -55,7 +56,7 @@ class Chain:
                     raise ValueError(f"element {i} out of range 1..{self.n}")
             prev = cur
         top = sets[-1] if sets else ()
-        dec = tuple(sorted((int(i), int(e) % self.r) for i, e in self.decoration))
+        dec = tuple(sorted((index(i), index(e) % self.r) for i, e in self.decoration))
         if tuple(i for i, _ in dec) != top:
             raise ValueError(
                 f"decoration domain {tuple(i for i, _ in dec)} must equal the largest set {top}"
@@ -183,11 +184,11 @@ def act_on_chain(c: Chain, a: GenPerm) -> Chain:
     """
     if (c.r, c.n) != (a.r, a.n):
         raise ValueError("chain and matrix live over different (r, n)")
-    sets = tuple(tuple(sorted(a.col_of_row(i) for i in s)) for s in c.sets)
+    sets = tuple(tuple(a.col_of_row(i) for i in s) for s in c.sets)
     dec = []
     for i, e in c.decoration:
         col = a.col_of_row(i)
-        dec.append((col, (e - a.exp_of(col)) % c.r))
+        dec.append((col, e - a.exp_of(col)))
     return Chain(c.r, c.n, sets, tuple(dec))
 
 
@@ -205,7 +206,7 @@ def maximal_refinements(c: Chain) -> tuple[Chain, ...]:
         prefix = tuple(itertools.chain.from_iterable(seg_orders))
         for tail_order in itertools.permutations(tail):
             order = prefix + tail_order
-            sets = tuple(tuple(sorted(order[: j + 1])) for j in range(c.n))
+            sets = tuple(order[: j + 1] for j in range(c.n))
             for tail_exps in itertools.product(range(c.r), repeat=len(tail)):
                 full = dict(dec)
                 full.update(zip(tail_order, tail_exps))

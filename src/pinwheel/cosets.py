@@ -78,11 +78,10 @@ def _block_sizes(gens: frozenset[int], n: int) -> tuple[int, ...]:
 def _chain_from_parts(gens: frozenset[int], rep: GenPerm) -> Chain:
     sizes = _block_sizes(gens, rep.n)
     sets = tuple(
-        tuple(sorted(c for c in range(1, rep.n + 1) if rep.row_of(c) > rep.n - size))
-        for size in sizes
+        tuple(c for c in range(1, rep.n + 1) if rep.row_of(c) > rep.n - size) for size in sizes
     )
     top = sets[-1] if sets else ()
-    dec = tuple((i, (-rep.exp_of(i)) % rep.r) for i in top)
+    dec = tuple((i, -rep.exp_of(i)) for i in top)
     return Chain(rep.r, rep.n, sets, dec)
 
 
@@ -97,7 +96,7 @@ def _canonical_rep(c: Chain) -> GenPerm:
         for col in block:
             rows[col - 1] = row
             row -= 1
-            exps[col - 1] = (-dec.get(col, 0)) % c.r
+            exps[col - 1] = -dec.get(col, 0)
     return GenPerm(c.r, c.n, tuple(rows), tuple(exps))
 
 
@@ -176,7 +175,7 @@ def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:
         translation = None
         if kind == "symmetric":
             m = len(cols)
-            exps = tuple((-dec[col]) % c.r for col in cols)
+            exps = tuple(-dec[col] for col in cols)
             translation = GenPerm(c.r, m, tuple(range(1, m + 1)), exps)
         factors.append(CosetFactor(kind, block, rows, tuple(cols), len(cols), translation))
 

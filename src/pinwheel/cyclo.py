@@ -1,12 +1,12 @@
 """Exact scalar arithmetic: numbers in Q(zeta_r) and points on roots-of-unity rays.
 
-Magnitudes are `fractions.Fraction` throughout and zeta stays symbolic,
-reduced modulo the r-th cyclotomic polynomial, so every value has a single
-canonical coefficient tuple and equality of values is equality of tuples.
-Hyperplane evaluation sums integral magnitudes as plain integers and
-combines them through a per-r table of the reduced powers zeta^k, whose
-coefficients are integers.  No floating point is used anywhere.  All types
-are immutable and all functions are pure.
+An exact scalar is an `int` or a `fractions.Fraction`, kept as given (the two
+compare, hash and serialize alike); floats, bools and strings are refused.
+Zeta stays symbolic, reduced modulo the r-th cyclotomic polynomial, so every
+value has one canonical coefficient tuple and equal values have equal tuples.
+Hyperplane evaluation combines per-power sums of magnitudes through a per-r
+table of the reduced powers zeta^k, whose coefficients are integers.  All
+types are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -80,6 +81,11 @@ def _reduce(coeffs: list[Fraction], r: int) -> tuple[Fraction, ...]:
     return tuple(work)
 
 
+def _check_exact(value: object, what: str) -> None:
+    if type(value) is not int and type(value) is not Fraction:
+        raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
 def _int_pair(q: Fraction) -> list[str]:
     return [str(q.numerator), str(q.denominator)]
 
@@ -113,18 +119,20 @@ class CycloNum:
     """Element of Q(zeta_r) in canonical form.
 
     Stored as the remainder modulo the r-th cyclotomic polynomial in the
-    power basis 1, zeta, ..., zeta^(phi(r)-1), so two values are equal
-    exactly when their coefficient tuples are equal.
+    power basis 1, zeta, ..., zeta^(phi(r)-1) with exact scalar coefficients,
+    so two values are equal exactly when their coefficient tuples are equal.
     """
 
     r: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise ValueError(f"r must be >= 2, got {self.r!r}")
         want = _degree(self.r)
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        for c in coeffs:
+            _check_exact(c, "coefficient")
         if len(coeffs) != want:
             raise ValueError(f"need {want} coefficients for r={self.r}, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -176,7 +184,7 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def as_rational(self) -> Fraction | None:
+    def as_rational(self) -> int | Fraction | None:
         """The value as a rational number, or None if it is irrational."""
         if any(self.coeffs[1:]):
             return None
@@ -194,29 +202,29 @@ class CycloNum:
 class YPoint:
     """Point of Y^n: per coordinate a nonnegative magnitude and a branch in Z_r.
 
-    Zero magnitudes are stored with branch 0 (the branch rays meet at the
-    origin), so equality of points is structural.
+    Magnitudes are exact scalars.  Zero magnitudes are stored with branch 0
+    (the branch rays meet at the origin), so equality of points is structural.
     """
 
     r: int
-    coords: tuple[tuple[Fraction, int], ...]
+    coords: tuple[tuple[int | Fraction, int], ...]
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise ValueError(f"r must be >= 2, got {self.r!r}")
         norm = []
         for mag, branch in self.coords:
-            mag = Fraction(mag)
+            _check_exact(mag, "magnitude")
             if mag < 0:
                 raise ValueError(f"magnitude must be nonnegative, got {mag}")
-            norm.append((mag, branch % self.r if mag else 0))
+            norm.append((mag, index(branch) % self.r if mag else 0))
         object.__setattr__(self, "coords", tuple(norm))
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
-    def magnitude(self, i: int) -> Fraction:
+    def magnitude(self, i: int) -> int | Fraction:
         """Magnitude of coordinate i (1-based)."""
         return self.coords[i - 1][0]
 
@@ -224,7 +232,7 @@ class YPoint:
         """Branch of coordinate i (1-based)."""
         return self.coords[i - 1][1]
 
-    def magnitudes(self) -> tuple[Fraction, ...]:
+    def magnitudes(self) -> tuple[int | Fraction, ...]:
         return tuple(mag for mag, _ in self.coords)
 
     def to_json(self) -> dict:
@@ -270,9 +278,9 @@ def _zeta_powers(r: int) -> tuple[tuple[int, ...], ...]:
 def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> CycloNum:
     """Exact value of sum over i in the subset of zeta^{decoration(i)} * x_i.
 
-    The magnitudes are first summed per power of zeta (integral ones as
-    plain integers), then the r sums are combined through the reduced
-    zeta^k table, so one CycloNum is built per call.
+    The magnitudes are first summed per power of zeta, then the r sums are
+    combined through the reduced zeta^k table, so one CycloNum is built per
+    call.
     """
     elems = _checked_elements(point, elements)
     r = point.r
@@ -281,7 +289,7 @@ def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[
         if i not in decoration:
             raise ValueError(f"decoration undefined on element {i}")
         mag, branch = point.coords[i - 1]
-        by_power[(decoration[i] + branch) % r] += mag.numerator if mag.denominator == 1 else mag
+        by_power[(decoration[i] + branch) % r] += mag
     coeffs = [0] * _degree(r)
     for total, power in zip(by_power, _zeta_powers(r)):
         if total:

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Sequence
 
 from .chains import Chain, act_on_chain, enumerate_chains, maximal_refinements
@@ -56,7 +57,7 @@ class DecoratedSubset:
             raise ValueError(f"elements must be sorted and distinct, got {elems}")
         if len(self.exps) != len(elems):
             raise ValueError("decoration must cover exactly the elements")
-        object.__setattr__(self, "exps", tuple(int(e) for e in self.exps))
+        object.__setattr__(self, "exps", tuple(index(e) for e in self.exps))
 
     def mapping(self) -> dict[int, int]:
         return dict(zip(self.elements, self.exps))
@@ -79,10 +80,10 @@ def vertex_of_maximal_chain(c: Chain) -> YPoint:
     if c.length != c.n:
         raise ValueError(f"chain has length {c.length}, need a maximal chain of length {c.n}")
     dec = c.decoration_map()
-    coords: list[tuple[Fraction, int]] = [(Fraction(0), 0)] * c.n
+    coords = [(0, 0)] * c.n
     for j, seg in enumerate(c.segments(), start=1):
         (i,) = seg
-        coords[i - 1] = (Fraction(c.n + 1 - j), (-dec[i]) % c.r)
+        coords[i - 1] = (c.n + 1 - j, -dec[i])
     return YPoint(c.r, tuple(coords))
 
 
@@ -211,7 +212,7 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
         if any(top[i] % r != e % r for i, e in s.mapping().items()):
             return None
     sets = tuple(s.elements for s in ordered)
-    return Chain(r, n, sets, tuple(sorted((i, e % r) for i, e in top.items())))
+    return Chain(r, n, sets, tuple(top.items()))
 
 
 def hyperplane_vertex_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:
@@ -263,17 +264,16 @@ def face_dimension_bruteforce(c: Chain) -> int:
 
     Cell vertices permute each nesting gap's magnitude range and place a
     greedy descending prefix on any ordered subset of the leftover
-    coordinates (unplaced coordinates sit at the origin of their ray bundle
-    and so belong to every branch assignment).  Grouping by branch
-    assignment, the answer is the largest affine rank over the groups.
+    coordinates.  A branch assignment of the leftover coordinates selects
+    one octant cell; each placed prefix lies in every octant, on the
+    octant's own branches, and unplaced coordinates sit at the origin of
+    their ray bundle.  So every octant has the same magnitude vectors, and
+    the dimension is the affine rank of that one set.
     """
-    segments = c.segments()
     tail = c.complement()
     m = len(tail)
-    dec = c.decoration_map()
-
-    points: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
-    for seg_orders in itertools.product(*(itertools.permutations(s) for s in segments)):
+    vectors: set[tuple[int, ...]] = set()
+    for seg_orders in itertools.product(*(itertools.permutations(s) for s in c.segments())):
         mags = [0] * c.n
         pos = 1
         for seg in seg_orders:
@@ -285,25 +285,8 @@ def face_dimension_bruteforce(c: Chain) -> int:
                 pmags = list(mags)
                 for step, i in enumerate(placed):
                     pmags[i - 1] = m - step
-                for branches in itertools.product(range(c.r), repeat=t):
-                    points.append((tuple(pmags), tuple(zip(placed, branches))))
-
-    octants: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for key in itertools.product(range(c.r), repeat=m):
-        wanted = dict(zip(tail, key))
-        group = octants.setdefault(key, set())
-        for mags, placed in points:
-            if all(wanted[i] == b for i, b in placed):
-                group.add(mags)
-
-    best = 0
-    ranks: dict[frozenset[tuple[int, ...]], int] = {}
-    for group in octants.values():
-        frozen = frozenset(group)
-        if frozen not in ranks:
-            ranks[frozen] = _affine_rank(sorted(frozen))
-        best = max(best, ranks[frozen])
-    return best
+                vectors.add(tuple(pmags))
+    return _affine_rank(sorted(vectors))
 
 
 @dataclass(frozen=True)

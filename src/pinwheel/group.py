@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import index
 from typing import Iterable, Mapping
 
 from .cyclo import YPoint, json_int
@@ -44,7 +45,7 @@ class GenPerm:
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n!r}")
         rows = tuple(self.row_of_col)
-        exps = tuple(e % self.r for e in self.exp_of_col)
+        exps = tuple(index(e) % self.r for e in self.exp_of_col)
         if len(rows) != self.n or len(exps) != self.n:
             raise ValueError(f"need {self.n} columns, got {len(rows)} rows / {len(exps)} exponents")
         if sorted(rows) != list(range(1, self.n + 1)):
@@ -122,15 +123,13 @@ def multiply(a: GenPerm, b: GenPerm) -> GenPerm:
     """Matrix product a * b."""
     _check_compatible(a, b)
     rows = tuple(a.row_of(b.row_of(c)) for c in range(1, a.n + 1))
-    exps = tuple(
-        (a.exp_of(b.row_of(c)) + b.exp_of(c)) % a.r for c in range(1, a.n + 1)
-    )
+    exps = tuple(a.exp_of(b.row_of(c)) + b.exp_of(c) for c in range(1, a.n + 1))
     return GenPerm(a.r, a.n, rows, exps)
 
 
 def inverse(a: GenPerm) -> GenPerm:
     rows = a._col_of_row
-    exps = tuple((-a.exp_of(rows[c - 1])) % a.r for c in range(1, a.n + 1))
+    exps = tuple(-a.exp_of(rows[c - 1]) for c in range(1, a.n + 1))
     return GenPerm(a.r, a.n, rows, exps)
 
 

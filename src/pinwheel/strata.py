@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 from .chains import Chain, refines
@@ -53,7 +54,7 @@ class PinwheelStratum:
         seen: set[int] = set()
         norm = []
         for comp in self.spoke:
-            comp = tuple(sorted((int(i), int(e) % self.r) for i, e in comp))
+            comp = tuple(sorted((index(i), index(e) % self.r) for i, e in comp))
             if not comp:
                 raise ValueError("every spoke component must carry a light point")
             for i, _ in comp:
@@ -113,8 +114,8 @@ def stratum_to_chain(s: PinwheelStratum) -> Chain:
         for i, e in comp:
             acc.append(i)
             dec[i] = e
-        sets.append(tuple(sorted(acc)))
-    return Chain(s.r, s.n, tuple(sets), tuple(sorted(dec.items())))
+        sets.append(tuple(acc))
+    return Chain(s.r, s.n, tuple(sets), tuple(dec.items()))
 
 
 def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelStratum:
@@ -212,7 +213,7 @@ def act_on_zero_dim_stratum(s: PinwheelStratum, a: GenPerm) -> PinwheelStratum:
     spoke: list[tuple[tuple[int, int], ...]] = [()] * s.n
     for b in range(1, s.n + 1):
         i = a.row_of(b)
-        spoke[position[i] - 1] = ((b, (exponent[i] - a.exp_of(b)) % s.r),)
+        spoke[position[i] - 1] = ((b, exponent[i] - a.exp_of(b)),)
     return PinwheelStratum(s.r, s.n, tuple(spoke))
 
 

@@ -65,6 +65,11 @@ class VerifyConfig:
     max_group_order: int = 2000
     max_families: int = 60000
 
+    def __post_init__(self) -> None:
+        for name in ("max_group_order", "max_families"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 DEFAULT_CONFIG = VerifyConfig()
 

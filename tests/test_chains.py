@@ -6,7 +6,10 @@ from hypothesis import given
 
 from pinwheel import (
     Chain,
+    DecoratedSubset,
     GenPerm,
+    PinwheelStratum,
+    YPoint,
     act_on_chain,
     chain_dimension,
     enumerate_chains,
@@ -68,6 +71,21 @@ class TestValidation:
     def test_out_of_range_elements_rejected(self):
         with pytest.raises(ValueError):
             Chain(2, 2, ((3,),), ((3, 0),))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Chain(2, 1, ((1,),), ((1, 2.9),)),
+            lambda: GenPerm(2, 1, (1,), (1.5,)),
+            lambda: PinwheelStratum(2, 1, (((1, 0.5),),)),
+            lambda: DecoratedSubset((1,), (1.5,)),
+            lambda: YPoint(2, ((1, 1.5),)),
+        ],
+        ids=["Chain", "GenPerm", "PinwheelStratum", "DecoratedSubset", "YPoint-branch"],
+    )
+    def test_float_integer_fields_are_refused(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestEnumeration:

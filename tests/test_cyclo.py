@@ -127,6 +127,18 @@ class TestCycloNum:
         assert data["coeffs"][0] == ["-1", "2"]
         assert CycloNum.from_json(data) == value
 
+    def test_int_coefficients_are_kept_and_equal_their_fraction_twins(self):
+        value = CycloNum(3, (1, -2))
+        twin = CycloNum(3, (Fraction(1), Fraction(-2)))
+        assert type(value.coeffs[0]) is int
+        assert value == twin and hash(value) == hash(twin)
+        assert value.to_json() == twin.to_json()
+
+    @pytest.mark.parametrize("coeff", [0.5, False, "1"])
+    def test_inexact_coefficient_refused(self, coeff):
+        with pytest.raises(ValueError, match="coefficient must be an int or a Fraction"):
+            CycloNum(3, (coeff, 0))
+
 
 class TestDelta:
     def test_reference_values(self):
@@ -238,3 +250,15 @@ class TestYPoint:
         x = YPoint(3, ((Fraction(1, 2), 2), (Fraction(0), 0)))
         assert YPoint.from_json(x.to_json(), 3) == x
         assert x.to_json()["coords"][0] == {"mag": ["1", "2"], "branch": 2}
+
+    def test_int_magnitude_is_kept_and_equals_its_fraction_twin(self):
+        x = YPoint(3, ((2, 1), (0, 2)))
+        twin = YPoint(3, ((Fraction(2), 1), (Fraction(0), 2)))
+        assert type(x.magnitude(1)) is int
+        assert x == twin and hash(x) == hash(twin)
+        assert x.to_json() == twin.to_json()
+
+    @pytest.mark.parametrize("mag", [0.1, True, "1"])
+    def test_inexact_magnitude_refused(self, mag):
+        with pytest.raises(ValueError, match="magnitude must be an int or a Fraction"):
+            YPoint(2, ((mag, 0),))

@@ -65,6 +65,9 @@ class TestVertices:
         }
         assert vertices == expected
 
+    def test_vertex_magnitudes_are_ints(self):
+        assert all(type(m) is int for v in enumerate_vertices(3, 3) for m in v.magnitudes())
+
     def test_worked_action_vertex(self):
         a = GenPerm(3, 4, (4, 1, 3, 2), (0, 2, 2, 1))
         chain = identity_maximal_chain(3, 4)

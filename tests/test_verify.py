@@ -153,6 +153,12 @@ class TestNonemptiness:
         with pytest.raises(CapExceeded, match="max_families"):
             verify_nonemptiness(3, 3, VerifyConfig(max_families=100))
 
+    @pytest.mark.parametrize("field", ["max_group_order", "max_families"])
+    def test_negative_cap_is_refused_by_the_library(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -5$") as err:
+            VerifyConfig(**{field: -5})
+        assert not isinstance(err.value, CapExceeded)
+
     @pytest.mark.parametrize("route", sorted(BROKEN_NONEMPTY_ROUTES))
     def test_a_broken_route_is_reported(self, monkeypatch, route):
         module, name, corrupt, violation = BROKEN_NONEMPTY_ROUTES[route]
