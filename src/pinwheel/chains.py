@@ -41,7 +41,7 @@ class Chain:
             raise ValueError(f"r must be >= 2, got {self.r!r}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n!r}")
-        sets = tuple(tuple(sorted(s)) for s in self.sets)
+        sets = tuple(tuple(sorted(map(index, s))) for s in self.sets)
         prev: frozenset[int] = frozenset()
         for s in sets:
             cur = frozenset(s)
@@ -192,26 +192,34 @@ def act_on_chain(c: Chain, a: GenPerm) -> Chain:
     return Chain(c.r, c.n, sets, tuple(dec))
 
 
+def _maximal_orders(c: Chain) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every maximal refinement of c as (order, exps), in `maximal_refinements`' order.
+
+    `order` lists the elements in the order the refinement's sets add them
+    and `exps[j]` is the decoration of `order[j]`.  Segment orders vary
+    slowest, then the order of the leftover elements, then their exponents.
+    """
+    dec = c.decoration_map()
+    tail = c.complement()
+    for seg_orders in itertools.product(*(itertools.permutations(s) for s in c.segments())):
+        prefix = tuple(itertools.chain.from_iterable(seg_orders))
+        prefix_exps = tuple(dec[i] for i in prefix)
+        for tail_order in itertools.permutations(tail):
+            order = prefix + tail_order
+            for tail_exps in itertools.product(range(c.r), repeat=len(tail)):
+                yield order, prefix_exps + tail_exps
+
+
 def maximal_refinements(c: Chain) -> tuple[Chain, ...]:
     """All maximal chains refining c.
 
     Orders each nesting gap in every possible way and extends beyond the
     largest set by every ordering and decoration of the leftover elements.
     """
-    segments = c.segments()
-    tail = c.complement()
-    dec = c.decoration_map()
-    out = []
-    for seg_orders in itertools.product(*(itertools.permutations(s) for s in segments)):
-        prefix = tuple(itertools.chain.from_iterable(seg_orders))
-        for tail_order in itertools.permutations(tail):
-            order = prefix + tail_order
-            sets = tuple(order[: j + 1] for j in range(c.n))
-            for tail_exps in itertools.product(range(c.r), repeat=len(tail)):
-                full = dict(dec)
-                full.update(zip(tail_order, tail_exps))
-                out.append(Chain(c.r, c.n, sets, tuple(full.items())))
-    return tuple(out)
+    return tuple(
+        Chain(c.r, c.n, tuple(order[: j + 1] for j in range(c.n)), tuple(zip(order, exps)))
+        for order, exps in _maximal_orders(c)
+    )
 
 
 def coarsenings(c: Chain) -> Iterator[Chain]:

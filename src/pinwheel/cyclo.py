@@ -143,12 +143,14 @@ class CycloNum:
 
     @staticmethod
     def from_rational(value, r: int) -> "CycloNum":
+        _check_exact(value, "value")
         coeffs = [Fraction(value)] + [Fraction(0)] * (_degree(r) - 1)
         return CycloNum(r, tuple(coeffs))
 
     @staticmethod
     def from_term(magnitude, exp: int, r: int) -> "CycloNum":
         """Canonical form of magnitude * zeta^exp (exp may be any integer)."""
+        _check_exact(magnitude, "magnitude")
         e = exp % r
         raw = [Fraction(0)] * (e + 1)
         raw[e] = Fraction(magnitude)

@@ -2,8 +2,12 @@
 
 The complex lives in Y^n (one root-of-unity ray bundle per coordinate) and is
 cut out by bounding every subset sum of magnitudes.  Faces are intersections
-with decorated-subset hyperplanes and are indexed by chains.  All tests here
-are exact rational or cyclotomic comparisons.
+with decorated-subset hyperplanes and are indexed by chains.  A vertex is the
+face of a maximal chain: the element the chain adds at step j has magnitude
+n + 1 - j on the branch opposite to its decoration.  A face's vertices are
+built straight from the orders of its chain's maximal refinements, with no
+`Chain` built per vertex.  All tests here are exact rational or cyclotomic
+comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import lru_cache
 from operator import index
 from typing import Sequence
 
-from .chains import Chain, act_on_chain, enumerate_chains, maximal_refinements
+from .chains import Chain, _maximal_orders, act_on_chain, enumerate_chains
 from .cyclo import YPoint, delta, on_hyperplane
 from .group import GenPerm, act_on_tuple, group_order
 
@@ -50,13 +54,14 @@ class DecoratedSubset:
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        elems = tuple(self.elements)
+        elems = tuple(map(index, self.elements))
         if not elems:
             raise ValueError("decorated subset must be nonempty")
         if list(elems) != sorted(set(elems)):
             raise ValueError(f"elements must be sorted and distinct, got {elems}")
         if len(self.exps) != len(elems):
             raise ValueError("decoration must cover exactly the elements")
+        object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "exps", tuple(index(e) for e in self.exps))
 
     def mapping(self) -> dict[int, int]:
@@ -71,25 +76,37 @@ def chain_layers(c: Chain) -> tuple[DecoratedSubset, ...]:
     )
 
 
-def vertex_of_maximal_chain(c: Chain) -> YPoint:
-    """The one point of a maximal chain's face.
+def _vertex(r: int, n: int, order: Sequence[int], exps: Sequence[int]) -> YPoint:
+    """The vertex of the maximal chain that adds order[0], order[1], ... in turn.
 
     The element added at step j carries magnitude n + 1 - j on the branch
-    opposite to its decoration.
+    opposite to its decoration exps[j - 1].
     """
+    coords = [(0, 0)] * n
+    for j, (i, e) in enumerate(zip(order, exps)):
+        coords[i - 1] = (n - j, -e)
+    return YPoint(r, tuple(coords))
+
+
+def vertex_of_maximal_chain(c: Chain) -> YPoint:
+    """The one point of a maximal chain's face (see `_vertex`)."""
     if c.length != c.n:
         raise ValueError(f"chain has length {c.length}, need a maximal chain of length {c.n}")
+    order = tuple(i for (i,) in c.segments())
     dec = c.decoration_map()
-    coords = [(0, 0)] * c.n
-    for j, seg in enumerate(c.segments(), start=1):
-        (i,) = seg
-        coords[i - 1] = (c.n + 1 - j, -dec[i])
-    return YPoint(c.r, tuple(coords))
+    return _vertex(c.r, c.n, order, tuple(dec[i] for i in order))
 
 
 def chain_to_face_vertices(c: Chain) -> frozenset[YPoint]:
-    """Vertices of the face: one per maximal refinement of the chain."""
-    return frozenset(vertex_of_maximal_chain(m) for m in maximal_refinements(c))
+    """Vertices of the face: one per maximal refinement of the chain.
+
+    Each vertex is built straight from the refinement's order and
+    decoration: the element added at step j gets magnitude n + 1 - j on
+    the branch opposite to its decoration.  No `Chain` is built per vertex,
+    and no group element either, so this route shares no work with the
+    coset route (`coset_elements`) it is compared against.
+    """
+    return frozenset(_vertex(c.r, c.n, order, exps) for order, exps in _maximal_orders(c))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class GenPerm:
             raise ValueError(f"r must be >= 2, got {self.r!r}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n!r}")
-        rows = tuple(self.row_of_col)
+        rows = tuple(map(index, self.row_of_col))
         exps = tuple(index(e) % self.r for e in self.exp_of_col)
         if len(rows) != self.n or len(exps) != self.n:
             raise ValueError(f"need {self.n} columns, got {len(rows)} rows / {len(exps)} exponents")
@@ -122,14 +122,16 @@ def generator(r: int, n: int, i: int) -> GenPerm:
 def multiply(a: GenPerm, b: GenPerm) -> GenPerm:
     """Matrix product a * b."""
     _check_compatible(a, b)
-    rows = tuple(a.row_of(b.row_of(c)) for c in range(1, a.n + 1))
-    exps = tuple(a.exp_of(b.row_of(c)) + b.exp_of(c) for c in range(1, a.n + 1))
+    a_rows, a_exps = a.row_of_col, a.exp_of_col
+    # List comprehensions: at these lengths a generator expression costs more.
+    rows = tuple([a_rows[row - 1] for row in b.row_of_col])
+    exps = tuple([a_exps[row - 1] + e for row, e in zip(b.row_of_col, b.exp_of_col)])
     return GenPerm(a.r, a.n, rows, exps)
 
 
 def inverse(a: GenPerm) -> GenPerm:
     rows = a._col_of_row
-    exps = tuple(-a.exp_of(rows[c - 1]) for c in range(1, a.n + 1))
+    exps = tuple(-a.exp_of_col[col - 1] for col in rows)
     return GenPerm(a.r, a.n, rows, exps)
 
 
@@ -144,9 +146,9 @@ def act_on_tuple(x: YPoint, a: GenPerm) -> YPoint:
     if x.n != a.n:
         raise ValueError(f"dimension mismatch: point has {x.n} coordinates, matrix is {a.n} x {a.n}")
     coords = []
-    for b in range(1, a.n + 1):
-        mag, branch = x.coords[a.row_of(b) - 1]
-        coords.append((mag, branch + a.exp_of(b)))
+    for row, e in zip(a.row_of_col, a.exp_of_col):
+        mag, branch = x.coords[row - 1]
+        coords.append((mag, branch + e))
     return YPoint(x.r, tuple(coords))
 
 

@@ -45,6 +45,26 @@ def chain_count_oracle(r: int, n: int) -> int:
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 
 
+def reference_maximal_refinements(c: Chain) -> tuple[Chain, ...]:
+    """The maximal refinements built one Chain at a time, in the library's order.
+
+    Segment orders vary slowest, then the order of the leftover elements,
+    then their exponents.
+    """
+    dec = c.decoration_map()
+    out = []
+    for seg_orders in itertools.product(*(itertools.permutations(s) for s in c.segments())):
+        prefix = tuple(itertools.chain.from_iterable(seg_orders))
+        for tail_order in itertools.permutations(c.complement()):
+            order = prefix + tail_order
+            sets = tuple(order[: j + 1] for j in range(c.n))
+            for tail_exps in itertools.product(range(c.r), repeat=len(tail_order)):
+                full = dict(dec)
+                full.update(zip(tail_order, tail_exps))
+                out.append(Chain(c.r, c.n, sets, tuple(full.items())))
+    return tuple(out)
+
+
 class TestValidation:
     def test_worked_example_is_accepted(self):
         assert EXAMPLE.sets == ((3,), (2, 3, 4))
@@ -80,8 +100,20 @@ class TestValidation:
             lambda: PinwheelStratum(2, 1, (((1, 0.5),),)),
             lambda: DecoratedSubset((1,), (1.5,)),
             lambda: YPoint(2, ((1, 1.5),)),
+            lambda: Chain(2, 1, ((1.0,),), ((1, 0),)),
+            lambda: GenPerm(2, 1, (1.0,), (0,)),
+            lambda: DecoratedSubset((1.0,), (0,)),
         ],
-        ids=["Chain", "GenPerm", "PinwheelStratum", "DecoratedSubset", "YPoint-branch"],
+        ids=[
+            "Chain",
+            "GenPerm",
+            "PinwheelStratum",
+            "DecoratedSubset",
+            "YPoint-branch",
+            "Chain-set-element",
+            "GenPerm-row",
+            "DecoratedSubset-element",
+        ],
     )
     def test_float_integer_fields_are_refused(self, build):
         with pytest.raises(TypeError):
@@ -230,6 +262,11 @@ class TestRefinements:
         assert set(maximal_refinements(empty)) == {
             c for c in enumerate_chains(2, 2) if c.length == 2
         }
+
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
+    def test_same_tuple_in_the_same_order_as_the_reference(self, r, n):
+        for c in enumerate_chains(r, n):
+            assert maximal_refinements(c) == reference_maximal_refinements(c)
 
 
 class TestJson:

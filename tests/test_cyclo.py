@@ -139,6 +139,16 @@ class TestCycloNum:
         with pytest.raises(ValueError, match="coefficient must be an int or a Fraction"):
             CycloNum(3, (coeff, 0))
 
+    @pytest.mark.parametrize("scalar", [0.1, True, "1"])
+    def test_from_term_refuses_an_inexact_magnitude(self, scalar):
+        with pytest.raises(ValueError, match="magnitude must be an int or a Fraction"):
+            CycloNum.from_term(scalar, 0, 3)
+
+    @pytest.mark.parametrize("scalar", [0.5, False, "1"])
+    def test_from_rational_refuses_an_inexact_value(self, scalar):
+        with pytest.raises(ValueError, match="value must be an int or a Fraction"):
+            CycloNum.from_rational(scalar, 3)
+
 
 class TestDelta:
     def test_reference_values(self):

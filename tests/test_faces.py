@@ -25,6 +25,7 @@ from pinwheel import (
     hyperplanes_to_chain,
     identity,
     make_chain,
+    maximal_refinements,
     point_in_complex,
     shifted_permutohedron_contains,
     vertex_of_maximal_chain,
@@ -104,6 +105,12 @@ class TestFaceVertices:
         vertices = enumerate_vertices(r, n)
         for c in enumerate_chains(r, n):
             expected = frozenset(v for v in vertices if face_membership(v, c))
+            assert chain_to_face_vertices(c) == expected
+
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
+    def test_one_vertex_per_maximal_refinement(self, r, n):
+        for c in enumerate_chains(r, n):
+            expected = {vertex_of_maximal_chain(m) for m in maximal_refinements(c)}
             assert chain_to_face_vertices(c) == expected
 
     def test_delta_face_wrapper(self):

@@ -7,9 +7,13 @@ from pinwheel import (
     DecoratedSubset,
     GenPerm,
     VerifyConfig,
+    YPoint,
     chain_to_coset,
     chain_to_stratum,
+    generator,
+    identity,
     make_chain,
+    multiply,
     vertex_of_maximal_chain,
     verify_all,
     verify_equivariance,
@@ -93,6 +97,43 @@ BROKEN_NONEMPTY_ROUTES = {
 }
 
 
+# Route name in `pinwheel.verify` -> (corruption of its result for one
+# argument tuple at (2, 2), the violation the equivariance suite must then
+# report).  The suite's base point is ((1, 0), (2, 0)).
+ONE = identity(2, 2)
+BASE = YPoint(2, ((1, 0), (2, 0)))
+BROKEN_EQUIVARIANCE_ROUTES = {
+    "act_on_tuple": (
+        lambda args, y: YPoint(2, ((1, 1), (2, 0))) if args == (BASE, ONE) else y,
+        r"vertex-orbit reinterpretation broke",
+    ),
+    "act_on_chain": (
+        lambda args, c: OTHER if args == (TARGET, ONE) else c,
+        r"face action broke",
+    ),
+    "act_on_coset": (
+        lambda args, h: chain_to_coset(OTHER) if args == (chain_to_coset(TARGET), ONE) else h,
+        r"coset action missed the image coset",
+    ),
+    "multiply": (
+        lambda args, g: multiply(g, generator(2, 2, 0)) if args == (ONE, ONE) else g,
+        r"coset element action broke",
+    ),
+    "coset_elements": (
+        lambda args, els: _drop_one(els, GenPerm.sort_key) if args == (chain_to_coset(TARGET),) else els,
+        r"coset element action broke",
+    ),
+    "chain_to_face_vertices": (
+        lambda args, vs: _drop_one(vs, lambda v: v.coords) if args == (TARGET,) else vs,
+        r"face action broke",
+    ),
+    "act_on_zero_dim_stratum": (
+        lambda args, s: chain_to_stratum(OTHER_MAXIMAL) if args == (chain_to_stratum(MAXIMAL), ONE) else s,
+        r"vertex stratum action broke",
+    ),
+}
+
+
 class TestThreeway:
     def test_octagon_counts(self):
         report = verify_threeway(2, 2)
@@ -136,6 +177,14 @@ class TestEquivariance:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             verify_equivariance(3, 5)
+
+    @pytest.mark.parametrize("route", sorted(BROKEN_EQUIVARIANCE_ROUTES))
+    def test_a_broken_route_is_reported(self, monkeypatch, route):
+        corrupt, violation = BROKEN_EQUIVARIANCE_ROUTES[route]
+        real = getattr(verify, route)
+        monkeypatch.setattr(verify, route, lambda *args: corrupt(args, real(*args)))
+        report = verify_equivariance(2, 2)
+        assert any(re.search(violation, v) for v in report.violations), report.violations
 
 
 class TestProducts:
