@@ -21,7 +21,7 @@ from operator import index
 from typing import Sequence
 
 from .chains import Chain, _maximal_orders, act_on_chain, enumerate_chains
-from .cyclo import YPoint, delta, on_hyperplane
+from .cyclo import YPoint, _check_exact, delta, on_hyperplane
 from .group import GenPerm, act_on_tuple, group_order
 
 __all__ = [
@@ -143,7 +143,7 @@ def point_in_complex(x: YPoint) -> bool:
     The binding subset of each size is the one with the largest magnitudes,
     so checking descending prefix sums covers all subsets.
     """
-    total = Fraction(0)
+    total = 0
     for size, mag in enumerate(sorted(x.magnitudes(), reverse=True), start=1):
         total += mag
         if total > delta(x.n, size):
@@ -172,15 +172,17 @@ def face_membership(x: YPoint, c: Chain) -> bool:
 
 
 def shifted_permutohedron_contains(xs: Sequence[Fraction], gamma) -> bool:
-    """Whether a real point lies in the permutohedron shifted by gamma.
+    """Whether an exact (int or Fraction) point lies in the permutohedron shifted by gamma.
 
     Proper subsets are bounded, the full sum is pinned; as in
     `point_in_complex`, descending prefixes stand in for all subsets.
     """
     m = len(xs)
-    gamma = Fraction(gamma)
-    ordered = sorted((Fraction(v) for v in xs), reverse=True)
-    total = Fraction(0)
+    _check_exact(gamma, "gamma")
+    for v in xs:
+        _check_exact(v, "coordinate")
+    ordered = sorted(xs, reverse=True)
+    total = 0
     for size, v in enumerate(ordered, start=1):
         total += v
         if size < m and total > delta(m, size) + size * gamma:
@@ -248,6 +250,8 @@ def face_nonempty_oracle(
     r: int, n: int, subsets: Sequence[DecoratedSubset], max_vertices: int = 2000
 ) -> bool:
     """Whether some vertex of the complex satisfies every listed hyperplane."""
+    if max_vertices < 0:
+        raise ValueError(f"max_vertices must be >= 0, got {max_vertices}")
     order = group_order(r, n)
     if order > max_vertices:
         raise ValueError(

@@ -36,6 +36,7 @@ STDOUT_SHA256 = {
     "act --matrix MATRIX --chain CHAIN": "65a519bd67546ff8bf2032f457954b60d9431b20a55a0076c09adcb9c5bf9151",
     "act --matrix MATRIX --vertex VERTEX": "ddcdac9461768f8628a6b4fc0641799e99febf46de5e652409fe81efeefe95bf",
     "verify --r 2 --n 2 --suite all": "3ca91032a02de9a98d6f9daca59600d6ce9192c921cf6c81fa1e8b3196a1970d",
+    "verify --suite equivariance --r 2 --n 3": "aa122fa62f620027824eb516b897d78037d207e2f4454bbd733a39b2a5eb3260",
 }
 
 

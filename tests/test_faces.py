@@ -186,6 +186,20 @@ class TestShiftedPermutohedron:
     def test_interior_point(self):
         assert shifted_permutohedron_contains([Fraction(3)] * 3, 1)
 
+    @pytest.mark.parametrize(
+        "xs,gamma,what",
+        [
+            ([2.0, 1.0], 0, "coordinate"),
+            ([3, 2], 1.0, "gamma"),
+            ([True], 0, "coordinate"),
+            (["3"], 0, "coordinate"),
+        ],
+        ids=["float-coordinate", "float-gamma", "bool-coordinate", "str-coordinate"],
+    )
+    def test_inexact_values_are_refused(self, xs, gamma, what):
+        with pytest.raises(ValueError, match=f"^{what} must be an int or a Fraction"):
+            shifted_permutohedron_contains(xs, gamma)
+
 
 class TestHyperplanesToChain:
     def test_worked_example_layers_reassemble(self):
@@ -226,6 +240,10 @@ class TestNonemptyOracle:
     def test_cap(self):
         with pytest.raises(ValueError, match="max_vertices"):
             face_nonempty_oracle(3, 4, [], max_vertices=100)
+
+    def test_negative_cap_is_refused(self):
+        with pytest.raises(ValueError, match="^max_vertices must be >= 0, got -1$"):
+            face_nonempty_oracle(2, 2, [], max_vertices=-1)
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
     def test_agrees_with_sortability(self, r, n):

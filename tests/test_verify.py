@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 
@@ -94,6 +95,12 @@ BROKEN_NONEMPTY_ROUTES = {
         lambda args, chain: OTHER if tuple(args[2]) == (ON_SET_ONE,) else chain,
         r"hyperplane intersection is not the face's vertex set",
     ),
+    "chain_to_face_vertices": (
+        verify,
+        "chain_to_face_vertices",
+        lambda args, vs: vs | {YPoint(2, ((1, 0), (1, 0)))} if args == (MAXIMAL,) else vs,
+        r"hyperplane intersection is not the face's vertex set",
+    ),
 }
 
 
@@ -185,6 +192,33 @@ class TestEquivariance:
         monkeypatch.setattr(verify, route, lambda *args: corrupt(args, real(*args)))
         report = verify_equivariance(2, 2)
         assert any(re.search(violation, v) for v in report.violations), report.violations
+
+    def test_one_pass_builds_each_entry_once(self, monkeypatch):
+        # (2, 2) has 17 chains and 8 group elements: one coset enumeration
+        # per chain, one image per (chain, element) pair, and one orbit of
+        # the base point, the only point the suite builds itself.
+        calls = Counter()
+        points = []
+        real_point, real_act = verify.YPoint, verify.act_on_tuple
+
+        def point(*args):
+            points.append(real_point(*args))
+            return points[-1]
+
+        def act(y, a):
+            if y is points[0]:
+                calls["act_on_tuple(base)"] += 1
+            return real_act(y, a)
+
+        monkeypatch.setattr(verify, "YPoint", point)
+        monkeypatch.setattr(verify, "act_on_tuple", act)
+        for name in ("coset_elements", "act_on_chain"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args)
+            )
+        assert verify_equivariance(2, 2).ok
+        assert calls == {"coset_elements": 17, "act_on_chain": 136, "act_on_tuple(base)": 8}
 
 
 class TestProducts:
