@@ -222,13 +222,23 @@ def maximal_refinements(c: Chain) -> tuple[Chain, ...]:
     )
 
 
-def coarsenings(c: Chain) -> Iterator[Chain]:
-    """All chains obtained by deleting a subset of c's sets (including c itself).
+def _coarsening_keys(c: Chain) -> Iterator[tuple[tuple, tuple]]:
+    """The canonical (sets, decoration) of each coarsening, in `coarsenings`' order.
 
-    These are exactly the chains that c refines.
+    Both parts equal the fields of the `Chain` that `coarsenings` builds
+    from them, so they serve as lookup keys without building one.
     """
     dec = c.decoration_map()
     for keep_mask in itertools.product((True, False), repeat=c.length):
         kept = tuple(s for s, keep in zip(c.sets, keep_mask) if keep)
         top = kept[-1] if kept else ()
-        yield Chain(c.r, c.n, kept, tuple((i, dec[i]) for i in top))
+        yield kept, tuple((i, dec[i]) for i in top)
+
+
+def coarsenings(c: Chain) -> Iterator[Chain]:
+    """All chains obtained by deleting a subset of c's sets (including c itself).
+
+    These are exactly the chains that c refines.
+    """
+    for sets, decoration in _coarsening_keys(c):
+        yield Chain(c.r, c.n, sets, decoration)

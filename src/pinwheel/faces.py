@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -264,19 +265,26 @@ def face_nonempty_oracle(
 
 
 def _affine_rank(vectors: Sequence[tuple[int, ...]]) -> int:
+    """Affine rank of integer vectors by fraction-free elimination.
+
+    A row is cleared at a pivot's lead by `p*row - q*pivot`, and each new
+    basis row is divided by the gcd of its entries, so the entries stay
+    small integers (Bareiss-style integer-preserving elimination).
+    """
     if not vectors:
         return 0
     base = vectors[0]
-    basis: list[list[Fraction]] = []
+    basis: list[tuple[int, list[int]]] = []
     for vec in vectors[1:]:
-        row = [Fraction(a - b) for a, b in zip(vec, base)]
-        for piv in basis:
-            lead = next(i for i, v in enumerate(piv) if v)
-            if row[lead]:
-                factor = row[lead] / piv[lead]
-                row = [a - factor * b for a, b in zip(row, piv)]
+        row = [a - b for a, b in zip(vec, base)]
+        for lead, piv in basis:
+            q = row[lead]
+            if q:
+                p = piv[lead]
+                row = [p * a - q * b for a, b in zip(row, piv)]
         if any(row):
-            basis.append(row)
+            g = math.gcd(*row)
+            basis.append((next(i for i, v in enumerate(row) if v), [a // g for a in row]))
     return len(basis)
 
 
@@ -368,7 +376,7 @@ def hasse_dot(r: int, n: int) -> str:
     obtained by deleting one of its sets (one dimension up).
     """
     chains = enumerate_chains(r, n)
-    index = {c: i for i, c in enumerate(chains)}
+    index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
     lines = ["digraph refinement {"]
     for i, c in enumerate(chains):
         label = json.dumps(c.to_json(), separators=(",", ":")).replace('"', '\\"')
@@ -378,7 +386,7 @@ def hasse_dot(r: int, n: int) -> str:
         for drop in range(c.length):
             kept = tuple(s for j, s in enumerate(c.sets) if j != drop)
             top = kept[-1] if kept else ()
-            parent = Chain(c.r, c.n, kept, tuple((e, dec[e]) for e in top))
-            lines.append(f"  c{i} -> c{index[parent]};")
+            parent = index[kept, tuple((e, dec[e]) for e in top)]
+            lines.append(f"  c{i} -> c{parent};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .chains import Chain, refines
 from .cyclo import json_int
@@ -118,6 +118,26 @@ def stratum_to_chain(s: PinwheelStratum) -> Chain:
     return Chain(s.r, s.n, tuple(sets), tuple(dec.items()))
 
 
+_Spoke = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _contract(spoke: _Spoke, edges: Container[int]) -> _Spoke:
+    """The canonical spoke left by contracting the listed edges of a valid spoke.
+
+    Each merged component is sorted, as `PinwheelStratum` stores it.
+    """
+    merged: list[tuple[tuple[int, int], ...]] = []
+    carry: list[tuple[int, int]] = []
+    for j, comp in enumerate(spoke, start=1):
+        carry.extend(comp)
+        if j not in edges:
+            merged.append(tuple(sorted(carry)))
+            carry = []
+        # when j is contracted the points ride inward; past the last
+        # component they dissolve into the center
+    return tuple(merged)
+
+
 def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelStratum:
     """Contract the listed spoke edge orbits, simultaneously on all r spokes.
 
@@ -129,23 +149,18 @@ def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelSt
     for e in edge_set:
         if not 1 <= e <= s.k:
             raise ValueError(f"edge index {e} out of range 1..{s.k}")
-    merged: list[list[tuple[int, int]]] = []
-    carry: list[tuple[int, int]] = []
-    for j, comp in enumerate(s.spoke, start=1):
-        carry.extend(comp)
-        if j not in edge_set:
-            merged.append(carry)
-            carry = []
-        # when j is contracted the points ride inward; past the last
-        # component they dissolve into the center
-    return PinwheelStratum(s.r, s.n, tuple(tuple(comp) for comp in merged))
+    return PinwheelStratum(s.r, s.n, _contract(s.spoke, edge_set))
 
 
-def spoke_contractions(s: PinwheelStratum) -> Iterator[PinwheelStratum]:
-    """The strata reached by contracting each subset of s's spoke edges (s itself first)."""
+def spoke_contractions(s: PinwheelStratum) -> Iterator[_Spoke]:
+    """The canonical spokes reached by contracting each subset of s's spoke edges.
+
+    s's own spoke comes first; each entry equals the `spoke` of the stratum
+    `contract_spoke_edges` builds for the same edges.
+    """
     for size in range(s.k + 1):
         for edges in itertools.combinations(range(1, s.k + 1), size):
-            yield contract_spoke_edges(s, edges)
+            yield _contract(s.spoke, edges)
 
 
 def stratum_includes(s: PinwheelStratum, t: PinwheelStratum) -> bool:
@@ -156,7 +171,7 @@ def stratum_includes(s: PinwheelStratum, t: PinwheelStratum) -> bool:
     """
     if (s.r, s.n) != (t.r, t.n):
         raise ValueError("strata live over different (r, n)")
-    by_contraction = t in spoke_contractions(s)
+    by_contraction = t.spoke in spoke_contractions(s)
     by_chains = refines(stratum_to_chain(s), stratum_to_chain(t))
     if by_contraction != by_chains:
         raise RuntimeError(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .chains import Chain, act_on_chain, chain_dimension, coarsenings, enumerate_chains
+from .chains import Chain, _coarsening_keys, act_on_chain, chain_dimension, enumerate_chains
 from .cosets import (
     act_on_coset,
     chain_to_coset,
@@ -141,7 +141,9 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     """Roundtrips, dimension agreement, and the four-way inclusion equivalence."""
     _check_order_cap(r, n, config)
     chains = enumerate_chains(r, n)
-    index = {c: i for i, c in enumerate(chains)}
+    # Coarsenings and contractions are looked up by their canonical fields,
+    # so no Chain or PinwheelStratum is built just to find its id.
+    index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
     report = Report("threeway", r, n, _counts_by_dim(chains, n))
     fail = report.violations.append
 
@@ -171,11 +173,11 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
         strata[i] = s
         elements[i] = _numbered(coset_elements(h), element_ids)
         vertices[i] = _numbered(chain_to_face_vertices(c), vertex_ids)
-        refine_pairs.update((i, index[coarse]) for coarse in coarsenings(c))
+        refine_pairs.update((i, index[key]) for key in _coarsening_keys(c))
     if len(seen_vertices) != group_order(r, n):
         fail(f"vertex census {len(seen_vertices)} != {group_order(r, n)}")
 
-    stratum_index = {s: i for i, s in strata.items()}
+    stratum_index = {s.spoke: i for i, s in strata.items()}
     relations = {
         "refinement": frozenset(refine_pairs),
         "coset": _relation_via_memberships(elements),
@@ -215,6 +217,9 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
         s = chain_to_stratum(c) if c.length == n else None
         for a in group:
             image = act_on_chain(c, a)
+            if image not in handles:
+                fail(f"image is not a chain of the complex on {c.to_json()} by {a.to_json()}")
+                continue
             if frozenset(act_on_tuple(v, a) for v in vertices[c]) != vertices[image]:
                 fail(f"face action broke on {c.to_json()} by {a.to_json()}")
             if act_on_coset(handles[c], a) != handles[image]:

@@ -21,7 +21,7 @@ from pinwheel import (
     multiply,
     refines,
 )
-from pinwheel.chains import coarsenings
+from pinwheel.chains import _coarsening_keys, coarsenings
 
 from conftest import chains_over, genperms
 
@@ -200,6 +200,11 @@ class TestRefinement:
             ancestors = set(coarsenings(fine))
             for coarse in chains:
                 assert refines(fine, coarse) == (coarse in ancestors)
+
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+    def test_coarsening_keys_are_the_coarsenings_fields_in_order(self, r, n):
+        for c in enumerate_chains(r, n):
+            assert list(_coarsening_keys(c)) == [(x.sets, x.decoration) for x in coarsenings(c)]
 
 
 class TestDimension:

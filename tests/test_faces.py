@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from pinwheel import (
     shifted_permutohedron_contains,
     vertex_of_maximal_chain,
 )
-from pinwheel.faces import chain_layers
+from pinwheel.faces import _affine_rank, chain_layers
 
 from conftest import brute_force_in_complex, random_ypoints
 
@@ -50,6 +51,24 @@ def signed(x: YPoint) -> tuple[Fraction, ...]:
 def identity_maximal_chain(r: int, n: int) -> Chain:
     sets = tuple(tuple(range(n + 1 - j, n + 1)) for j in range(1, n + 1))
     return Chain(r, n, sets, tuple((i, 0) for i in range(1, n + 1)))
+
+
+def reference_affine_rank(vectors) -> int:
+    """Affine rank by Gaussian elimination over the rationals."""
+    if not vectors:
+        return 0
+    base = vectors[0]
+    basis: list[list[Fraction]] = []
+    for vec in vectors[1:]:
+        row = [Fraction(a - b) for a, b in zip(vec, base)]
+        for piv in basis:
+            lead = next(i for i, v in enumerate(piv) if v)
+            if row[lead]:
+                factor = row[lead] / piv[lead]
+                row = [a - factor * b for a, b in zip(row, piv)]
+        if any(row):
+            basis.append(row)
+    return len(basis)
 
 
 class TestVertices:
@@ -275,10 +294,29 @@ class TestDimension:
         c = make_chain(3, 2, [[1]], {1: 2})
         assert face_dimension_bruteforce(c) == 1
 
-    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
     def test_equals_colength(self, r, n):
         for c in enumerate_chains(r, n):
             assert face_dimension_bruteforce(c) == n - c.length
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_affine_rank_matches_rational_elimination(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            dim = rng.randint(1, 6)
+            bound = rng.choice([1, 4, 10**6])
+            vecs = [
+                tuple(rng.randint(-bound, bound) for _ in range(dim))
+                for _ in range(rng.randint(0, 6))
+            ]
+            if vecs:
+                # a duplicate, the origin and an integer affine combination
+                # of two rows keep most families rank-deficient
+                a, b = rng.choice(vecs), rng.choice(vecs)
+                k = rng.randint(-3, 3)
+                vecs += [rng.choice(vecs), (0,) * dim, tuple(x + k * (y - x) for x, y in zip(a, b))]
+                rng.shuffle(vecs)
+            assert _affine_rank(vecs) == reference_affine_rank(vecs), vecs
 
 
 class TestProductDecomposition:

@@ -23,6 +23,7 @@ from pinwheel import (
     stratum_product_factors,
     stratum_to_chain,
 )
+from pinwheel.strata import spoke_contractions
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 EXAMPLE_STRATUM = PinwheelStratum(3, 4, (((3, 0),), ((2, 1), (4, 2))))
@@ -96,6 +97,19 @@ class TestContraction:
                 for edges in itertools.combinations(range(1, s.k + 1), size)
             }
             assert contracted == {chain_to_stratum(x) for x in coarsenings(c)}
+
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+    def test_spoke_contractions_are_the_contracted_spokes_in_order(self, r, n):
+        for c in enumerate_chains(r, n):
+            s = chain_to_stratum(c)
+            edge_sets = [
+                edges
+                for size in range(s.k + 1)
+                for edges in itertools.combinations(range(1, s.k + 1), size)
+            ]
+            assert list(spoke_contractions(s)) == [
+                contract_spoke_edges(s, edges).spoke for edges in edge_sets
+            ]
 
 
 class TestInclusion:

@@ -66,6 +66,10 @@ BROKEN_ROUTES = {
         lambda s, out: list(out)[:-1] if s == chain_to_stratum(TARGET) else out,
         r"inclusion mismatch \(stratum\)",
     ),
+    "_coarsening_keys": (
+        lambda c, keys: list(keys)[:-1] if c == TARGET else keys,
+        r"inclusion mismatch \((coset|face|stratum)\)",
+    ),
 }
 
 
@@ -192,6 +196,17 @@ class TestEquivariance:
         monkeypatch.setattr(verify, route, lambda *args: corrupt(args, real(*args)))
         report = verify_equivariance(2, 2)
         assert any(re.search(violation, v) for v in report.violations), report.violations
+
+    def test_an_image_outside_the_complex_is_reported(self, monkeypatch):
+        stray = make_chain(2, 3, [[3]], {3: 0})
+        real = verify.act_on_chain
+        monkeypatch.setattr(
+            verify, "act_on_chain", lambda c, a: stray if (c, a) == (TARGET, ONE) else real(c, a)
+        )
+        report = verify_equivariance(2, 2)
+        assert report.violations == [
+            f"image is not a chain of the complex on {TARGET.to_json()} by {ONE.to_json()}"
+        ]
 
     def test_one_pass_builds_each_entry_once(self, monkeypatch):
         # (2, 2) has 17 chains and 8 group elements: one coset enumeration
