@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .cyclo import json_int
+from .cyclo import _check_rn, _check_same_space, json_int
 from .group import GenPerm
 
 __all__ = [
@@ -37,10 +37,7 @@ class Chain:
     decoration: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"r must be >= 2, got {self.r!r}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n!r}")
+        r, n = _check_rn(self.r, self.n, self)
         sets = tuple(tuple(sorted(map(index, s))) for s in self.sets)
         prev: frozenset[int] = frozenset()
         for s in sets:
@@ -52,11 +49,11 @@ class Chain:
             if not cur > prev:
                 raise ValueError(f"sets must be strictly nested, got {sets}")
             for i in s:
-                if not 1 <= i <= self.n:
-                    raise ValueError(f"element {i} out of range 1..{self.n}")
+                if not 1 <= i <= n:
+                    raise ValueError(f"element {i} out of range 1..{n}")
             prev = cur
         top = sets[-1] if sets else ()
-        dec = tuple(sorted((index(i), index(e) % self.r) for i, e in self.decoration))
+        dec = tuple(sorted((index(i), index(e) % r) for i, e in self.decoration))
         if tuple(i for i, _ in dec) != top:
             raise ValueError(
                 f"decoration domain {tuple(i for i, _ in dec)} must equal the largest set {top}"
@@ -144,15 +141,14 @@ def _set_chains(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def enumerate_chains(r: int, n: int) -> tuple[Chain, ...]:
     """Every chain for the given (r, n), deduplicated, in deterministic order.
 
     Ordered by length ascending, then lexicographically on the set list and
     the decoration.
     """
-    if r < 2 or n < 0:
-        raise ValueError(f"need r >= 2 and n >= 0, got r={r!r}, n={n!r}")
+    r, n = _check_rn(r, n)
     chains = []
     for sets in _set_chains(n):
         top = sets[-1] if sets else ()
@@ -164,8 +160,7 @@ def enumerate_chains(r: int, n: int) -> tuple[Chain, ...]:
 
 def refines(fine: Chain, coarse: Chain) -> bool:
     """Whether every set of `coarse` occurs in `fine` with matching decoration."""
-    if (fine.r, fine.n) != (coarse.r, coarse.n):
-        raise ValueError("chains live over different (r, n)")
+    _check_same_space(fine, coarse)
     if not set(coarse.sets) <= set(fine.sets):
         return False
     dec = fine.decoration_map()
@@ -182,8 +177,7 @@ def act_on_chain(c: Chain, a: GenPerm) -> Chain:
     Sets map through the support of the matrix rows; the decoration of an
     image element drops the exponent of the matrix entry that carried it.
     """
-    if (c.r, c.n) != (a.r, a.n):
-        raise ValueError("chain and matrix live over different (r, n)")
+    _check_same_space(c, a)
     sets = tuple(tuple(a.col_of_row(i) for i in s) for s in c.sets)
     dec = []
     for i, e in c.decoration:

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from .chains import Chain, chain_dimension, enumerate_chains
 from .cosets import chain_to_coset, coset_elements
-from .cyclo import YPoint
+from .cyclo import YPoint, _check_nonnegative
 from .faces import DeltaFace, act_on_face, face_product_decomposition, hasse_dot
 from .group import GenPerm, act_on_tuple
 from .strata import chain_to_stratum, dual_graph_dot
@@ -109,8 +109,7 @@ def _cmd_act(args) -> int:
 
 def _cmd_verify(args) -> int:
     for flag, cap in (("--max-group-order", args.max_group_order), ("--max-families", args.max_families)):
-        if cap < 0:
-            raise SystemExit(f"error: {flag} must be >= 0, got {cap}")
+        _check_nonnegative(flag, cap)
     config = VerifyConfig(max_group_order=args.max_group_order, max_families=args.max_families)
     try:
         if args.suite == "all":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .chains import Chain, refines
-from .cyclo import json_int
+from .cyclo import _check_same_space, json_int
 from .group import GenPerm, enumerate_group, generate_subgroup, multiply
 
 __all__ = [
@@ -131,8 +131,7 @@ def coset_subset(a: TCosetHandle, b: TCosetHandle) -> bool:
     Chain refinement is compared against brute-force element inclusion; a
     disagreement would be a bug and raises.
     """
-    if (a.r, a.n) != (b.r, b.n):
-        raise ValueError("cosets live in different groups")
+    _check_same_space(a, b)
     by_chains = refines(coset_to_chain(a), coset_to_chain(b))
     by_elements = coset_elements(a) <= coset_elements(b)
     if by_chains != by_elements:
@@ -212,8 +211,7 @@ def block_product_elements(c: Chain) -> frozenset[GenPerm]:
 
 def act_on_coset(h: TCosetHandle, b: GenPerm) -> TCosetHandle:
     """Right action: same generators, representative multiplied by b."""
-    if (h.r, h.n) != (b.r, b.n):
-        raise ValueError("coset and matrix live in different groups")
+    _check_same_space(h, b)
     return t_coset(h.gens, multiply(h.rep, b))
 
 

@@ -19,6 +19,7 @@ from operator import index
 from typing import Iterable, Mapping
 
 __all__ = [
+    "CapExceeded",
     "CycloNum",
     "YPoint",
     "cyclotomic_polynomial",
@@ -67,7 +68,7 @@ def _degree(r: int) -> int:
     return len(cyclotomic_polynomial(r)) - 1
 
 
-def _reduce(coeffs: list[Fraction], r: int) -> tuple[Fraction, ...]:
+def _reduce(coeffs: list[int | Fraction], r: int) -> tuple[int | Fraction, ...]:
     mod = cyclotomic_polynomial(r)
     deg = len(mod) - 1
     work = list(coeffs)
@@ -77,8 +78,49 @@ def _reduce(coeffs: list[Fraction], r: int) -> tuple[Fraction, ...]:
             for j, m in enumerate(mod):
                 work[i - deg + j] -= c * m
     work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
+    work += [0] * (deg - len(work))
     return tuple(work)
+
+
+class CapExceeded(ValueError):
+    """An instance is larger than a configured size cap allows."""
+
+
+def _check_rn(r: int, n: int, owner: object = None) -> tuple[int, int]:
+    """The pair (r, n) an object lives over, as ints; refused unless r >= 2 and n >= 0.
+
+    A constructor passes itself as `owner` to store the ints (index() hands
+    an int back as itself, so an int is never re-stored).  Caches keyed on
+    (r, n) are typed, or 2.0 would hit the entry for 2.
+    """
+    try:
+        r_int, n_int = index(r), index(n)
+    except TypeError:
+        r_int = n_int = -1
+    if r_int < 2 or n_int < 0:
+        raise ValueError(f"need r >= 2 and n >= 0, got r={r!r}, n={n!r}")
+    if owner is not None:
+        if r_int is not r:
+            object.__setattr__(owner, "r", r_int)
+        if n_int is not n:
+            object.__setattr__(owner, "n", n_int)
+    return r_int, n_int
+
+
+def _check_same_space(a, b) -> None:
+    """Refuse two objects (anything with `r` and `n`) that live over different (r, n)."""
+    if a.r != b.r or a.n != b.n:
+        raise ValueError(f"objects live over different (r, n): ({a.r}, {a.n}) vs ({b.r}, {b.n})")
+
+
+def _check_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _check_cap(what: str, size: int, r: int, n: int, name: str, cap: int) -> None:
+    if size > cap:
+        raise CapExceeded(f"{what} {size} for (r={r}, n={n}) exceeds {name}={cap}")
 
 
 def _check_exact(value: object, what: str) -> None:
@@ -127,40 +169,38 @@ class CycloNum:
     coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"r must be >= 2, got {self.r!r}")
-        want = _degree(self.r)
         coeffs = tuple(self.coeffs)
+        r, _ = _check_rn(self.r, len(coeffs), self)
         for c in coeffs:
             _check_exact(c, "coefficient")
-        if len(coeffs) != want:
-            raise ValueError(f"need {want} coefficients for r={self.r}, got {len(coeffs)}")
+        if len(coeffs) != _degree(r):
+            raise ValueError(f"need {_degree(r)} coefficients for r={r}, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def n(self) -> int:
+        """The coordinate count in the power basis, phi(r)."""
+        return len(self.coeffs)
 
     @staticmethod
     def zero(r: int) -> "CycloNum":
-        return CycloNum(r, (Fraction(0),) * _degree(r))
+        return CycloNum(r, (0,) * _degree(r))
 
     @staticmethod
     def from_rational(value, r: int) -> "CycloNum":
         _check_exact(value, "value")
-        coeffs = [Fraction(value)] + [Fraction(0)] * (_degree(r) - 1)
-        return CycloNum(r, tuple(coeffs))
+        return CycloNum(r, (value,) + (0,) * (_degree(r) - 1))
 
     @staticmethod
     def from_term(magnitude, exp: int, r: int) -> "CycloNum":
         """Canonical form of magnitude * zeta^exp (exp may be any integer)."""
         _check_exact(magnitude, "magnitude")
-        e = exp % r
-        raw = [Fraction(0)] * (e + 1)
-        raw[e] = Fraction(magnitude)
-        return CycloNum(r, _reduce(raw, r))
+        return CycloNum(r, _reduce([0] * (exp % r) + [magnitude], r))
 
     def _check_same_field(self, other: "CycloNum") -> None:
         if not isinstance(other, CycloNum):
             raise TypeError(f"expected CycloNum, got {type(other).__name__}")
-        if self.r != other.r:
-            raise ValueError(f"mismatched roots of unity: r={self.r} vs r={other.r}")
+        _check_same_space(self, other)
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         self._check_same_field(other)
@@ -175,7 +215,7 @@ class CycloNum:
 
     def __mul__(self, other: "CycloNum") -> "CycloNum":
         self._check_same_field(other)
-        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
+        prod = [0] * (2 * len(self.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -212,14 +252,14 @@ class YPoint:
     coords: tuple[tuple[int | Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"r must be >= 2, got {self.r!r}")
+        coords = tuple(self.coords)
+        r, _ = _check_rn(self.r, len(coords), self)
         norm = []
-        for mag, branch in self.coords:
+        for mag, branch in coords:
             _check_exact(mag, "magnitude")
             if mag < 0:
                 raise ValueError(f"magnitude must be nonnegative, got {mag}")
-            norm.append((mag, index(branch) % self.r if mag else 0))
+            norm.append((mag, index(branch) % r if mag else 0))
         object.__setattr__(self, "coords", tuple(norm))
 
     @property
@@ -274,7 +314,7 @@ def _checked_elements(point: YPoint, elements: Iterable[int]) -> tuple[int, ...]
 @lru_cache(maxsize=64)
 def _zeta_powers(r: int) -> tuple[tuple[int, ...], ...]:
     """Coefficients of zeta^k modulo Phi_r for k = 0..r-1; integers, as Phi_r is monic."""
-    return tuple(tuple(int(c) for c in _reduce([0] * k + [1], r)) for k in range(r))
+    return tuple(_reduce([0] * k + [1], r) for k in range(r))
 
 
 def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> CycloNum:

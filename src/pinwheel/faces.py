@@ -22,7 +22,8 @@ from operator import index
 from typing import Sequence
 
 from .chains import Chain, _maximal_orders, act_on_chain, enumerate_chains
-from .cyclo import YPoint, _check_exact, delta, on_hyperplane
+from .cyclo import YPoint, _check_cap, _check_exact, _check_nonnegative, _check_rn, _check_same_space
+from .cyclo import delta, on_hyperplane
 from .group import GenPerm, act_on_tuple, group_order
 
 __all__ = [
@@ -128,14 +129,11 @@ class DeltaFace:
         }
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def enumerate_vertices(r: int, n: int) -> tuple[YPoint, ...]:
     """All vertices of the complex, ordered by their maximal chains."""
-    return tuple(
-        vertex_of_maximal_chain(c)
-        for c in enumerate_chains(r, n)
-        if c.length == n
-    )
+    r, n = _check_rn(r, n)
+    return tuple(vertex_of_maximal_chain(c) for c in enumerate_chains(r, n) if c.length == n)
 
 
 def point_in_complex(x: YPoint) -> bool:
@@ -152,14 +150,9 @@ def point_in_complex(x: YPoint) -> bool:
     return True
 
 
-def _check_point_chain(x: YPoint, c: Chain) -> None:
-    if x.r != c.r or x.n != c.n:
-        raise ValueError("point and chain live over different (r, n)")
-
-
 def face_membership(x: YPoint, c: Chain) -> bool:
     """Membership in the face: complex membership, pinned branches, tight sums."""
-    _check_point_chain(x, c)
+    _check_same_space(x, c)
     if not point_in_complex(x):
         return False
     for i, a in c.decoration:
@@ -172,7 +165,7 @@ def face_membership(x: YPoint, c: Chain) -> bool:
     return True
 
 
-def shifted_permutohedron_contains(xs: Sequence[Fraction], gamma) -> bool:
+def shifted_permutohedron_contains(xs: Sequence[int | Fraction], gamma) -> bool:
     """Whether an exact (int or Fraction) point lies in the permutohedron shifted by gamma.
 
     Proper subsets are bounded, the full sum is pinned; as in
@@ -198,7 +191,7 @@ def face_membership_product_form(x: YPoint, c: Chain) -> bool:
     coordinates keep their pinned branches, and each nesting gap's magnitudes
     must lie in a shifted permutohedron.
     """
-    _check_point_chain(x, c)
+    _check_same_space(x, c)
     tail = c.complement()
     sub = YPoint(c.r, tuple(x.coords[i - 1] for i in tail))
     if not point_in_complex(sub):
@@ -251,13 +244,9 @@ def face_nonempty_oracle(
     r: int, n: int, subsets: Sequence[DecoratedSubset], max_vertices: int = 2000
 ) -> bool:
     """Whether some vertex of the complex satisfies every listed hyperplane."""
-    if max_vertices < 0:
-        raise ValueError(f"max_vertices must be >= 0, got {max_vertices}")
+    _check_nonnegative("max_vertices", max_vertices)
     order = group_order(r, n)
-    if order > max_vertices:
-        raise ValueError(
-            f"instance has {order} vertices, above the max_vertices cap of {max_vertices}"
-        )
+    _check_cap("vertex count", order, r, n, "max_vertices", max_vertices)
     hit = frozenset(range(order))
     for s in subsets:
         hit &= hyperplane_vertex_ids(r, n, s)

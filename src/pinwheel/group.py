@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterable, Mapping
 
-from .cyclo import YPoint, json_int
+from .cyclo import YPoint, _check_rn, _check_same_space, json_int
 
 __all__ = [
     "GenPerm",
@@ -40,16 +40,13 @@ class GenPerm:
     exp_of_col: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"r must be >= 2, got {self.r!r}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n!r}")
+        r, n = _check_rn(self.r, self.n, self)
         rows = tuple(map(index, self.row_of_col))
-        exps = tuple(index(e) % self.r for e in self.exp_of_col)
-        if len(rows) != self.n or len(exps) != self.n:
-            raise ValueError(f"need {self.n} columns, got {len(rows)} rows / {len(exps)} exponents")
-        if sorted(rows) != list(range(1, self.n + 1)):
-            raise ValueError(f"row_of_col is not a permutation of 1..{self.n}: {rows}")
+        exps = tuple([index(e) % r for e in self.exp_of_col])
+        if len(rows) != n or len(exps) != n:
+            raise ValueError(f"need {n} columns, got {len(rows)} rows / {len(exps)} exponents")
+        if sorted(rows) != list(range(1, n + 1)):
+            raise ValueError(f"row_of_col is not a permutation of 1..{n}: {rows}")
         object.__setattr__(self, "row_of_col", rows)
         object.__setattr__(self, "exp_of_col", exps)
 
@@ -99,11 +96,6 @@ class GenPerm:
         return GenPerm(r, n, tuple(rows), tuple(exps))
 
 
-def _check_compatible(a: GenPerm, b: GenPerm) -> None:
-    if a.r != b.r or a.n != b.n:
-        raise ValueError(f"mismatched groups: S({a.r},{a.n}) vs S({b.r},{b.n})")
-
-
 def identity(r: int, n: int) -> GenPerm:
     return GenPerm(r, n, tuple(range(1, n + 1)), (0,) * n)
 
@@ -121,7 +113,7 @@ def generator(r: int, n: int, i: int) -> GenPerm:
 
 def multiply(a: GenPerm, b: GenPerm) -> GenPerm:
     """Matrix product a * b."""
-    _check_compatible(a, b)
+    _check_same_space(a, b)
     a_rows, a_exps = a.row_of_col, a.exp_of_col
     # List comprehensions: at these lengths a generator expression costs more.
     rows = tuple([a_rows[row - 1] for row in b.row_of_col])
@@ -141,10 +133,7 @@ def act_on_tuple(x: YPoint, a: GenPerm) -> YPoint:
     Coordinate b of the result is x_{row_of_col[b]} with its branch advanced
     by exp_of_col[b]; magnitudes are permuted, branches shifted.
     """
-    if x.r != a.r:
-        raise ValueError(f"mismatched r: point has {x.r}, matrix has {a.r}")
-    if x.n != a.n:
-        raise ValueError(f"dimension mismatch: point has {x.n} coordinates, matrix is {a.n} x {a.n}")
+    _check_same_space(x, a)
     coords = []
     for row, e in zip(a.row_of_col, a.exp_of_col):
         mag, branch = x.coords[row - 1]
@@ -153,13 +142,12 @@ def act_on_tuple(x: YPoint, a: GenPerm) -> YPoint:
 
 
 def group_order(r: int, n: int) -> int:
-    if r < 2 or n < 0:
-        raise ValueError(f"need r >= 2 and n >= 0, got r={r!r}, n={n!r}")
+    r, n = _check_rn(r, n)
     return r**n * math.factorial(n)
 
 
 # Keyed by generator set: one stream of the json-queries benchmark closes 56.
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _subgroup_closure(r: int, n: int, gens: frozenset[int]) -> frozenset[GenPerm]:
     seeds = [generator(r, n, i) for i in sorted(gens)]
     elements = {identity(r, n)}
@@ -177,17 +165,14 @@ def _subgroup_closure(r: int, n: int, gens: frozenset[int]) -> frozenset[GenPerm
 
 
 def generate_subgroup(r: int, n: int, gens: Iterable[int]) -> frozenset[GenPerm]:
-    """Closure of the listed standard generators under multiplication."""
-    gens = frozenset(gens)
-    for i in gens:
-        if not 0 <= i <= n - 1:
-            raise ValueError(f"generator index must lie in 0..{n - 1}, got {i!r}")
-    return _subgroup_closure(r, n, gens)
+    """Closure of the listed standard generators (`generator` refuses an index outside 0..n-1)."""
+    return _subgroup_closure(r, n, frozenset(gens))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def enumerate_group(r: int, n: int) -> tuple[GenPerm, ...]:
     """All elements of S(r, n), lexicographic on (row word, exponent word)."""
+    r, n = _check_rn(r, n)
     out = []
     for rows in itertools.permutations(range(1, n + 1)):
         for exps in itertools.product(range(r), repeat=n):

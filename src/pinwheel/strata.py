@@ -15,7 +15,7 @@ from operator import index
 from typing import Container, Iterable, Iterator, Mapping
 
 from .chains import Chain, refines
-from .cyclo import json_int
+from .cyclo import _check_rn, _check_same_space, json_int
 from .group import GenPerm
 
 __all__ = [
@@ -47,19 +47,16 @@ class PinwheelStratum:
     spoke: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"r must be >= 2, got {self.r!r}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n!r}")
+        r, n = _check_rn(self.r, self.n, self)
         seen: set[int] = set()
         norm = []
         for comp in self.spoke:
-            comp = tuple(sorted((index(i), index(e) % self.r) for i, e in comp))
+            comp = tuple(sorted((index(i), index(e) % r) for i, e in comp))
             if not comp:
                 raise ValueError("every spoke component must carry a light point")
             for i, _ in comp:
-                if not 1 <= i <= self.n:
-                    raise ValueError(f"orbit index {i} out of range 1..{self.n}")
+                if not 1 <= i <= n:
+                    raise ValueError(f"orbit index {i} out of range 1..{n}")
                 if i in seen:
                     raise ValueError(f"orbit {i} assigned to more than one component")
                 seen.add(i)
@@ -169,8 +166,7 @@ def stratum_includes(s: PinwheelStratum, t: PinwheelStratum) -> bool:
     Searched over all edge subsets and cross-checked against chain
     refinement; a disagreement would be a bug and raises.
     """
-    if (s.r, s.n) != (t.r, t.n):
-        raise ValueError("strata live over different (r, n)")
+    _check_same_space(s, t)
     by_contraction = t.spoke in spoke_contractions(s)
     by_chains = refines(stratum_to_chain(s), stratum_to_chain(t))
     if by_contraction != by_chains:
@@ -215,8 +211,7 @@ def act_on_zero_dim_stratum(s: PinwheelStratum, a: GenPerm) -> PinwheelStratum:
     takes over the spoke position of orbit row_of_col[b], with its exponent
     reduced by the matrix exponent.
     """
-    if (s.r, s.n) != (a.r, a.n):
-        raise ValueError("stratum and matrix live over different (r, n)")
+    _check_same_space(s, a)
     if s.k != s.n:
         raise ValueError(f"need a zero-dimensional stratum, got spoke length {s.k} < {s.n}")
     position: dict[int, int] = {}

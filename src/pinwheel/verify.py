@@ -22,7 +22,7 @@ from .cosets import (
     coset_size,
     coset_to_chain,
 )
-from .cyclo import YPoint
+from .cyclo import CapExceeded, YPoint, _check_cap, _check_nonnegative
 from .faces import (
     DecoratedSubset,
     chain_to_face_vertices,
@@ -54,9 +54,6 @@ __all__ = [
     "SUITES",
 ]
 
-class CapExceeded(ValueError):
-    """An instance is larger than a configured size cap allows."""
-
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -67,8 +64,7 @@ class VerifyConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_group_order", "max_families"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            _check_nonnegative(name, getattr(self, name))
 
 
 DEFAULT_CONFIG = VerifyConfig()
@@ -97,11 +93,7 @@ class Report:
 
 
 def _check_order_cap(r: int, n: int, config: VerifyConfig) -> None:
-    order = group_order(r, n)
-    if order > config.max_group_order:
-        raise CapExceeded(
-            f"group order {order} for (r={r}, n={n}) exceeds max_group_order={config.max_group_order}"
-        )
+    _check_cap("group order", group_order(r, n), r, n, "max_group_order", config.max_group_order)
 
 
 def _counts_by_dim(chains: Sequence[Chain], n: int) -> list[int]:
@@ -147,6 +139,13 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     report = Report("threeway", r, n, _counts_by_dim(chains, n))
     fail = report.violations.append
 
+    def pairs(i: int, keys, ids: dict, route: str):
+        for key in keys:
+            if key in ids:
+                yield i, ids[key]
+            else:
+                fail(f"{route} is not in the complex on {chains[i].to_json()}")
+
     strata, elements, vertices, element_ids, vertex_ids = {}, {}, {}, {}, {}
     refine_pairs = set()
     seen_vertices: dict[YPoint, Chain] = {}
@@ -173,7 +172,7 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
         strata[i] = s
         elements[i] = _numbered(coset_elements(h), element_ids)
         vertices[i] = _numbered(chain_to_face_vertices(c), vertex_ids)
-        refine_pairs.update((i, index[key]) for key in _coarsening_keys(c))
+        refine_pairs.update(pairs(i, _coarsening_keys(c), index, "coarsening"))
     if len(seen_vertices) != group_order(r, n):
         fail(f"vertex census {len(seen_vertices)} != {group_order(r, n)}")
 
@@ -183,7 +182,7 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
         "coset": _relation_via_memberships(elements),
         "face": _relation_via_memberships(vertices),
         "stratum": frozenset(
-            (i, stratum_index[t]) for i, s in strata.items() for t in spoke_contractions(s)
+            p for i, s in strata.items() for p in pairs(i, spoke_contractions(s), stratum_index, "contraction")
         ),
     }
 
@@ -270,11 +269,7 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
                 subsets.append(DecoratedSubset(elems, exps))
 
     family_count = sum(math.comb(len(subsets), size) for size in range(1, n + 1))
-    if family_count > config.max_families:
-        raise CapExceeded(
-            f"{family_count} hyperplane families for (r={r}, n={n}) "
-            f"exceed max_families={config.max_families}"
-        )
+    _check_cap("hyperplane family count", family_count, r, n, "max_families", config.max_families)
 
     vertices = enumerate_vertices(r, n)
     on_ids = {s: hyperplane_vertex_ids(r, n, s) for s in subsets}
@@ -292,6 +287,8 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
                     break
             if (chain is not None) != bool(hit):
                 fail(f"sortability and vertex scan disagree on {[f.mapping() for f in family]}")
+            elif chain is not None and chain not in face_ids:
+                fail(f"assembled chain is not in the complex on {[f.mapping() for f in family]}")
             elif chain is not None and hit != face_ids[chain]:
                 fail(f"hyperplane intersection is not the face's vertex set on {chain.to_json()}")
     return report

@@ -1,7 +1,10 @@
-"""Every lru_cache in the library is bounded, so long-lived use cannot grow without limit."""
+"""Every lru_cache in the library is bounded, so long-lived use cannot grow without limit,
+and an enumerator's cache never answers a float r or n with an int entry."""
 
 import importlib
 import pkgutil
+
+import pytest
 
 import pinwheel
 
@@ -25,3 +28,17 @@ def test_every_lru_cache_has_a_finite_maxsize():
         "pinwheel.group._subgroup_closure",
     } <= set(sizes)
     assert [name for name, size in sizes.items() if size is None] == []
+
+
+@pytest.mark.parametrize(
+    "enumerate_", [pinwheel.enumerate_chains, pinwheel.enumerate_group, pinwheel.enumerate_vertices]
+)
+def test_cached_enumerators_refuse_a_float_on_a_cold_and_a_warm_cache(enumerate_):
+    # A float equal to an int hashes like it, so an untyped cache would
+    # hand back the int entry once that entry is warm.
+    enumerate_.cache_clear()
+    for _ in ("cold", "warm"):
+        for r, n in ((2.0, 1), (2, 1.0)):
+            with pytest.raises(ValueError, match=rf"^need r >= 2 and n >= 0, got r={r}, n={n}$"):
+                enumerate_(r, n)
+        enumerate_(2, 1)

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from pinwheel import (
     Chain,
+    CycloNum,
     DecoratedSubset,
     GenPerm,
     PinwheelStratum,
@@ -92,17 +93,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             Chain(2, 2, ((3,),), ((3, 0),))
 
+    # A float field element fails operator.index (TypeError); a float r or n
+    # is refused by the (r, n) gate with its one ValueError.
     @pytest.mark.parametrize(
-        "build",
+        "build, error",
         [
-            lambda: Chain(2, 1, ((1,),), ((1, 2.9),)),
-            lambda: GenPerm(2, 1, (1,), (1.5,)),
-            lambda: PinwheelStratum(2, 1, (((1, 0.5),),)),
-            lambda: DecoratedSubset((1,), (1.5,)),
-            lambda: YPoint(2, ((1, 1.5),)),
-            lambda: Chain(2, 1, ((1.0,),), ((1, 0),)),
-            lambda: GenPerm(2, 1, (1.0,), (0,)),
-            lambda: DecoratedSubset((1.0,), (0,)),
+            (lambda: Chain(2, 1, ((1,),), ((1, 2.9),)), TypeError),
+            (lambda: GenPerm(2, 1, (1,), (1.5,)), TypeError),
+            (lambda: PinwheelStratum(2, 1, (((1, 0.5),),)), TypeError),
+            (lambda: DecoratedSubset((1,), (1.5,)), TypeError),
+            (lambda: YPoint(2, ((1, 1.5),)), TypeError),
+            (lambda: Chain(2, 1, ((1.0,),), ((1, 0),)), TypeError),
+            (lambda: GenPerm(2, 1, (1.0,), (0,)), TypeError),
+            (lambda: DecoratedSubset((1.0,), (0,)), TypeError),
+            (lambda: Chain(2.0, 1, ((1,),), ((1, 0),)), ValueError),
+            (lambda: Chain(2, 1.5, ((1,),), ((1, 0),)), ValueError),
+            (lambda: GenPerm(2.0, 1, (1,), (1,)), ValueError),
+            (lambda: GenPerm(2, 1.0, (1,), (1,)), ValueError),
+            (lambda: PinwheelStratum(2.5, 1, (((1, 0),),)), ValueError),
+            (lambda: PinwheelStratum(2, 1.0, (((1, 0),),)), ValueError),
+            (lambda: CycloNum(2.0, (1,)), ValueError),
+            (lambda: YPoint(2.0, ((1, 0),)), ValueError),
         ],
         ids=[
             "Chain",
@@ -113,11 +124,21 @@ class TestValidation:
             "Chain-set-element",
             "GenPerm-row",
             "DecoratedSubset-element",
+            "Chain-r",
+            "Chain-n",
+            "GenPerm-r",
+            "GenPerm-n",
+            "PinwheelStratum-r",
+            "PinwheelStratum-n",
+            "CycloNum-r",
+            "YPoint-r",
         ],
     )
-    def test_float_integer_fields_are_refused(self, build):
-        with pytest.raises(TypeError):
+    def test_float_integer_fields_are_refused(self, build, error):
+        with pytest.raises(error) as err:
             build()
+        if error is ValueError:
+            assert str(err.value).startswith("need r >= 2 and n >= 0, got r=")
 
 
 class TestEnumeration:

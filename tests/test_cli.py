@@ -282,6 +282,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--r", "2", "--n", "-1", "--suite", "nonempty"])
         assert str(err.value) == "error: need r >= 2 and n >= 0, got r=2, n=-1"
+        for argv, pair in (
+            (["chains", "--r", "1", "--n", "2"], "r=1, n=2"),
+            (["hasse", "--r", "2", "--n", "-1", "--dot"], "r=2, n=-1"),
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert str(err.value) == f"error: need r >= 2 and n >= 0, got {pair}"
 
     @pytest.mark.parametrize("flag", ["--max-group-order", "--max-families"])
     def test_negative_cap_is_named(self, capsys, flag):

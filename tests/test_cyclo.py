@@ -133,6 +133,17 @@ class TestCycloNum:
         assert type(value.coeffs[0]) is int
         assert value == twin and hash(value) == hash(twin)
         assert value.to_json() == twin.to_json()
+        built = (
+            CycloNum.zero(3),
+            CycloNum.from_rational(1, 3),
+            CycloNum.from_term(1, 0, 3),
+            CycloNum.from_term(2, 2, 3),
+            CycloNum.from_term(1, 1, 3) * CycloNum.from_term(3, 1, 3),
+        )
+        assert [c.coeffs for c in built] == [(0, 0), (1, 0), (1, 0), (-2, -2), (-3, -3)]
+        assert all(type(x) is int for c in built for x in c.coeffs)
+        half = CycloNum.from_term(Fraction(1, 2), 2, 3)
+        assert half.coeffs == (Fraction(-1, 2), Fraction(-1, 2)) and type(half.coeffs[0]) is Fraction
 
     @pytest.mark.parametrize("coeff", [0.5, False, "1"])
     def test_inexact_coefficient_refused(self, coeff):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pinwheel import (
+    CapExceeded,
     Chain,
     DecoratedSubset,
     DeltaFace,
@@ -258,6 +259,8 @@ class TestNonemptyOracle:
 
     def test_cap(self):
         with pytest.raises(ValueError, match="max_vertices"):
+            face_nonempty_oracle(3, 4, [], max_vertices=100)
+        with pytest.raises(CapExceeded, match=r"^vertex count 1944 for \(r=3, n=4\) exceeds max_vertices=100$"):
             face_nonempty_oracle(3, 4, [], max_vertices=100)
 
     def test_negative_cap_is_refused(self):

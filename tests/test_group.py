@@ -8,16 +8,27 @@ import pytest
 from hypothesis import given, settings
 
 from pinwheel import (
+    Chain,
     GenPerm,
     YPoint,
+    act_on_chain,
+    act_on_coset,
     act_on_tuple,
+    act_on_zero_dim_stratum,
+    base_stratum,
+    chain_to_coset,
+    coset_subset,
     enumerate_group,
+    face_membership,
+    face_membership_product_form,
     generate_subgroup,
     generator,
     group_order,
     identity,
     inverse,
     multiply,
+    refines,
+    stratum_includes,
 )
 
 from conftest import SMALL_RN, DenseMatrix, genperms, random_genperm
@@ -25,6 +36,34 @@ from conftest import SMALL_RN, DenseMatrix, genperms, random_genperm
 
 def dense(g: GenPerm) -> DenseMatrix:
     return DenseMatrix.from_genperm(g)
+
+
+def one_of_each(r: int, n: int) -> dict:
+    """One object of each kind that lives over (r, n)."""
+    chain = Chain(r, n, (), ())
+    return {
+        "matrix": identity(r, n),
+        "point": YPoint(r, ((0, 0),) * n),
+        "chain": chain,
+        "coset": chain_to_coset(chain),
+        "stratum": base_stratum(r, n),
+    }
+
+
+# Every function that takes two objects which must share one (r, n), with
+# the kinds of its two arguments.
+SAME_SPACE_SITES = {
+    "multiply": (multiply, "matrix", "matrix"),
+    "act_on_tuple": (act_on_tuple, "point", "matrix"),
+    "refines": (refines, "chain", "chain"),
+    "act_on_chain": (act_on_chain, "chain", "matrix"),
+    "coset_subset": (coset_subset, "coset", "coset"),
+    "act_on_coset": (act_on_coset, "coset", "matrix"),
+    "stratum_includes": (stratum_includes, "stratum", "stratum"),
+    "act_on_zero_dim_stratum": (act_on_zero_dim_stratum, "stratum", "matrix"),
+    "face_membership": (face_membership, "point", "chain"),
+    "face_membership_product_form": (face_membership_product_form, "point", "chain"),
+}
 
 
 class TestGenerators:
@@ -85,11 +124,15 @@ class TestProduct:
     def test_associativity(self, a, b, c):
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            multiply(identity(2, 2), identity(2, 3))
-        with pytest.raises(ValueError):
-            multiply(identity(2, 2), identity(3, 2))
+    @pytest.mark.parametrize("site", sorted(SAME_SPACE_SITES))
+    def test_dimension_mismatch(self, site):
+        fn, left, right = SAME_SPACE_SITES[site]
+        here = one_of_each(2, 2)
+        for r, n in ((2, 3), (3, 2)):
+            with pytest.raises(ValueError, match=r"live over different \(r, n\): \(2, 2\) vs "):
+                fn(here[left], one_of_each(r, n)[right])
+            with pytest.raises(ValueError, match=r"live over different \(r, n\): \(\d, \d\) vs \(2, 2\)"):
+                fn(one_of_each(r, n)[left], here[right])
 
 
 class TestAction:

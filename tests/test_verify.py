@@ -35,8 +35,10 @@ def _drop_one(items, key):
     return items - {min(items, key=key)}
 
 
-# Route name in `pinwheel.verify` -> (corruption of its result for one
-# argument, the violation the threeway suite must then report).
+# Route name in `pinwheel.verify`, with a "-<case>" suffix when one route
+# has two cases -> (corruption of its result for one argument, the violation
+# the threeway suite must then report).  A "-foreign" case names a chain or
+# stratum outside the complex.
 BROKEN_ROUTES = {
     "coset_to_chain": (
         lambda h, c: OTHER if c == TARGET else c,
@@ -69,6 +71,14 @@ BROKEN_ROUTES = {
     "_coarsening_keys": (
         lambda c, keys: list(keys)[:-1] if c == TARGET else keys,
         r"inclusion mismatch \((coset|face|stratum)\)",
+    ),
+    "_coarsening_keys-foreign": (
+        lambda c, keys: [*keys, (((3,),), ((3, 0),))] if c == TARGET else keys,
+        r"coarsening is not in the complex",
+    ),
+    "spoke_contractions-foreign": (
+        lambda s, out: [*out, (((3, 0),),)] if s == chain_to_stratum(TARGET) else out,
+        r"contraction is not in the complex",
     ),
 }
 
@@ -104,6 +114,12 @@ BROKEN_NONEMPTY_ROUTES = {
         "chain_to_face_vertices",
         lambda args, vs: vs | {YPoint(2, ((1, 0), (1, 0)))} if args == (MAXIMAL,) else vs,
         r"hyperplane intersection is not the face's vertex set",
+    ),
+    "hyperplanes_to_chain-foreign": (
+        verify,
+        "hyperplanes_to_chain",
+        lambda args, chain: make_chain(2, 3, [[1]], {1: 0}) if tuple(args[2]) == (ON_SET_ONE,) else chain,
+        r"assembled chain is not in the complex",
     ),
 }
 
@@ -171,8 +187,9 @@ class TestThreeway:
     @pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
     def test_a_broken_route_is_reported(self, monkeypatch, route):
         corrupt, violation = BROKEN_ROUTES[route]
-        real = getattr(verify, route)
-        monkeypatch.setattr(verify, route, lambda arg: corrupt(arg, real(arg)))
+        name = route.partition("-")[0]
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda arg: corrupt(arg, real(arg)))
         report = verify_threeway(2, 2)
         assert any(re.search(violation, v) for v in report.violations), report.violations
 
