@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .cyclo import _check_rn, _check_same_space, json_int
+from .cyclo import _check_indices, _check_rn, _check_same_space, json_int
 from .group import GenPerm
 
 __all__ = [
@@ -38,26 +38,19 @@ class Chain:
 
     def __post_init__(self) -> None:
         r, n = _check_rn(self.r, self.n, self)
-        sets = tuple(tuple(sorted(map(index, s))) for s in self.sets)
+        sets = tuple([_check_indices(s, 1, n, "element") for s in self.sets])
         prev: frozenset[int] = frozenset()
-        for s in sets:
-            cur = frozenset(s)
-            if len(cur) != len(s):
-                raise ValueError(f"repeated element in subset {s}")
+        for cur in map(frozenset, sets):
             if not cur:
                 raise ValueError("chain sets must be nonempty")
             if not cur > prev:
                 raise ValueError(f"sets must be strictly nested, got {sets}")
-            for i in s:
-                if not 1 <= i <= n:
-                    raise ValueError(f"element {i} out of range 1..{n}")
             prev = cur
         top = sets[-1] if sets else ()
-        dec = tuple(sorted((index(i), index(e) % r) for i, e in self.decoration))
-        if tuple(i for i, _ in dec) != top:
-            raise ValueError(
-                f"decoration domain {tuple(i for i, _ in dec)} must equal the largest set {top}"
-            )
+        dec = tuple(sorted([(index(i), index(e) % r) for i, e in self.decoration]))
+        domain = tuple([i for i, _ in dec])
+        if domain != top:
+            raise ValueError(f"decoration domain {domain} must equal the largest set {top}")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "decoration", dec)
 

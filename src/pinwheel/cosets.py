@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .chains import Chain, refines
-from .cyclo import _check_same_space, json_int
+from .cyclo import _check_indices, _check_same_space, json_int
 from .group import GenPerm, enumerate_group, generate_subgroup, multiply
 
 __all__ = [
@@ -44,10 +44,7 @@ class TCosetHandle:
     rep: GenPerm
 
     def __post_init__(self) -> None:
-        gens = frozenset(self.gens)
-        for i in gens:
-            if not 0 <= i <= self.rep.n - 1:
-                raise ValueError(f"generator index {i} out of range 0..{self.rep.n - 1}")
+        gens = frozenset(_check_indices(self.gens, 0, self.rep.n - 1, "generator"))
         object.__setattr__(self, "gens", gens)
 
     @property
@@ -117,7 +114,7 @@ def t_coset(gens: Iterable[int], rep: GenPerm) -> TCosetHandle:
 
     Any representative works; it is replaced by the canonical one.
     """
-    gens = frozenset(gens)
+    gens = frozenset(_check_indices(gens, 0, rep.n - 1, "generator"))
     return TCosetHandle(gens, _canonical_rep(_chain_from_parts(gens, rep)))
 
 

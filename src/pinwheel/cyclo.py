@@ -48,13 +48,14 @@ def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     """Coefficients (ascending degree) of the r-th cyclotomic polynomial.
 
     Computed by exact division of x^r - 1 by the product of the cyclotomic
     polynomials of the proper divisors of r.  Monic with integer coefficients.
     """
+    r = index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r!r}")
     poly = [-1] + [0] * (r - 1) + [1]
@@ -105,6 +106,19 @@ def _check_rn(r: int, n: int, owner: object = None) -> tuple[int, int]:
         if n_int is not n:
             object.__setattr__(owner, "n", n_int)
     return r_int, n_int
+
+
+def _check_indices(values: Iterable[int], lo: int, hi: int, what: str) -> tuple[int, ...]:
+    """The indices as a sorted tuple of ints; refused unless each lies in lo..hi, once.
+
+    index() refuses a float with TypeError, so no float is stored.
+    """
+    out = tuple(sorted(map(index, values)))
+    if out and (out[0] < lo or out[-1] > hi):
+        raise ValueError(f"{what} {out[0] if out[0] < lo else out[-1]} out of range {lo}..{hi}")
+    if len(set(out)) != len(out):
+        raise ValueError(f"repeated {what} in {out}")
+    return out
 
 
 def _check_same_space(a, b) -> None:
@@ -182,20 +196,24 @@ class CycloNum:
         """The coordinate count in the power basis, phi(r)."""
         return len(self.coeffs)
 
+    # Each static constructor checks r before _degree(r) reads it.
     @staticmethod
     def zero(r: int) -> "CycloNum":
+        r, _ = _check_rn(r, 0)
         return CycloNum(r, (0,) * _degree(r))
 
     @staticmethod
     def from_rational(value, r: int) -> "CycloNum":
+        r, _ = _check_rn(r, 0)
         _check_exact(value, "value")
         return CycloNum(r, (value,) + (0,) * (_degree(r) - 1))
 
     @staticmethod
     def from_term(magnitude, exp: int, r: int) -> "CycloNum":
         """Canonical form of magnitude * zeta^exp (exp may be any integer)."""
+        r, _ = _check_rn(r, 0)
         _check_exact(magnitude, "magnitude")
-        return CycloNum(r, _reduce([0] * (exp % r) + [magnitude], r))
+        return CycloNum(r, _reduce([0] * (index(exp) % r) + [magnitude], r))
 
     def _check_same_field(self, other: "CycloNum") -> None:
         if not isinstance(other, CycloNum):
@@ -294,21 +312,12 @@ class YPoint:
 
 def delta(n: int, k: int) -> int:
     """The descending partial sum n + (n-1) + ... + (n-k+1)."""
+    n, k = index(n), index(k)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     if k < 0 or k > n:
         raise ValueError(f"k must lie in [0, {n}], got {k!r}")
     return k * n - k * (k - 1) // 2
-
-
-def _checked_elements(point: YPoint, elements: Iterable[int]) -> tuple[int, ...]:
-    elems = tuple(sorted(elements))
-    if len(set(elems)) != len(elems):
-        raise ValueError(f"repeated elements in subset {elems}")
-    for i in elems:
-        if not 1 <= i <= point.n:
-            raise ValueError(f"element {i} out of range 1..{point.n}")
-    return elems
 
 
 @lru_cache(maxsize=64)
@@ -324,7 +333,7 @@ def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[
     combined through the reduced zeta^k table, so one CycloNum is built per
     call.
     """
-    elems = _checked_elements(point, elements)
+    elems = _check_indices(elements, 1, point.n, "element")
     r = point.r
     by_power = [0] * r
     for i in elems:

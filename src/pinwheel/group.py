@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterable, Mapping
 
-from .cyclo import YPoint, _check_rn, _check_same_space, json_int
+from .cyclo import YPoint, _check_indices, _check_rn, _check_same_space, json_int
 
 __all__ = [
     "GenPerm",
@@ -45,8 +45,7 @@ class GenPerm:
         exps = tuple([index(e) % r for e in self.exp_of_col])
         if len(rows) != n or len(exps) != n:
             raise ValueError(f"need {n} columns, got {len(rows)} rows / {len(exps)} exponents")
-        if sorted(rows) != list(range(1, n + 1)):
-            raise ValueError(f"row_of_col is not a permutation of 1..{n}: {rows}")
+        _check_indices(rows, 1, n, "row")
         object.__setattr__(self, "row_of_col", rows)
         object.__setattr__(self, "exp_of_col", exps)
 
@@ -84,26 +83,24 @@ class GenPerm:
         r, n, cols = json_int(data["r"]), json_int(data["n"]), data["cols"]
         if len(cols) != n:
             raise ValueError(f"expected {n} columns, got {len(cols)}")
-        rows, exps = [0] * n, [0] * n
-        seen = set()
-        for entry in cols:
-            c = json_int(entry["col"])
-            if not 1 <= c <= n or c in seen:
-                raise ValueError(f"bad or repeated column index {c}")
-            seen.add(c)
-            rows[c - 1] = json_int(entry["row"])
-            exps[c - 1] = json_int(entry["exp"])
-        return GenPerm(r, n, tuple(rows), tuple(exps))
+        entries = sorted(
+            (json_int(entry["col"]), json_int(entry["row"]), json_int(entry["exp"]))
+            for entry in cols
+        )
+        _check_indices([col for col, _, _ in entries], 1, n, "column")
+        rows = tuple(row for _, row, _ in entries)
+        return GenPerm(r, n, rows, tuple(exp for _, _, exp in entries))
 
 
 def identity(r: int, n: int) -> GenPerm:
+    r, n = _check_rn(r, n)
     return GenPerm(r, n, tuple(range(1, n + 1)), (0,) * n)
 
 
 def generator(r: int, n: int, i: int) -> GenPerm:
     """Standard generator s_i: s_0 scales column 1 by zeta, s_i swaps columns i, i+1."""
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"generator index must lie in 0..{n - 1}, got {i!r}")
+    r, n = _check_rn(r, n)
+    (i,) = _check_indices((i,), 0, n - 1, "generator")
     if i == 0:
         return GenPerm(r, n, tuple(range(1, n + 1)), (1,) + (0,) * (n - 1))
     rows = list(range(1, n + 1))
@@ -165,8 +162,8 @@ def _subgroup_closure(r: int, n: int, gens: frozenset[int]) -> frozenset[GenPerm
 
 
 def generate_subgroup(r: int, n: int, gens: Iterable[int]) -> frozenset[GenPerm]:
-    """Closure of the listed standard generators (`generator` refuses an index outside 0..n-1)."""
-    return _subgroup_closure(r, n, frozenset(gens))
+    """Closure of the listed standard generators, distinct indices in 0..n-1."""
+    return _subgroup_closure(r, n, frozenset(_check_indices(gens, 0, n - 1, "generator")))
 
 
 @lru_cache(maxsize=32, typed=True)

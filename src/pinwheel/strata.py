@@ -15,7 +15,7 @@ from operator import index
 from typing import Container, Iterable, Iterator, Mapping
 
 from .chains import Chain, refines
-from .cyclo import _check_rn, _check_same_space, json_int
+from .cyclo import _check_indices, _check_rn, _check_same_space, json_int
 from .group import GenPerm
 
 __all__ = [
@@ -48,20 +48,13 @@ class PinwheelStratum:
 
     def __post_init__(self) -> None:
         r, n = _check_rn(self.r, self.n, self)
-        seen: set[int] = set()
-        norm = []
-        for comp in self.spoke:
-            comp = tuple(sorted((index(i), index(e) % r) for i, e in comp))
-            if not comp:
-                raise ValueError("every spoke component must carry a light point")
-            for i, _ in comp:
-                if not 1 <= i <= n:
-                    raise ValueError(f"orbit index {i} out of range 1..{n}")
-                if i in seen:
-                    raise ValueError(f"orbit {i} assigned to more than one component")
-                seen.add(i)
-            norm.append(comp)
-        object.__setattr__(self, "spoke", tuple(norm))
+        spoke = tuple(
+            [tuple(sorted([(index(i), index(e) % r) for i, e in comp])) for comp in self.spoke]
+        )
+        if not all(spoke):
+            raise ValueError("every spoke component must carry a light point")
+        _check_indices([i for comp in spoke for i, _ in comp], 1, n, "orbit")
+        object.__setattr__(self, "spoke", spoke)
 
     @property
     def k(self) -> int:
@@ -142,11 +135,7 @@ def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelSt
     center; contracting edge j merges component j's light points inward, and
     contracting edge k returns its orbits (as full orbits) to the center.
     """
-    edge_set = set(edges)
-    for e in edge_set:
-        if not 1 <= e <= s.k:
-            raise ValueError(f"edge index {e} out of range 1..{s.k}")
-    return PinwheelStratum(s.r, s.n, _contract(s.spoke, edge_set))
+    return PinwheelStratum(s.r, s.n, _contract(s.spoke, _check_indices(edges, 1, s.k, "edge")))
 
 
 def spoke_contractions(s: PinwheelStratum) -> Iterator[_Spoke]:
@@ -200,6 +189,7 @@ def stratum_product_factors(c: Chain) -> tuple[StratumFactor, ...]:
 
 def base_stratum(r: int, n: int) -> PinwheelStratum:
     """The distinguished vertex stratum: orbit j sits on component n + 1 - j."""
+    r, n = _check_rn(r, n)
     spoke = tuple(((n + 1 - j, 0),) for j in range(1, n + 1))
     return PinwheelStratum(r, n, spoke)
 

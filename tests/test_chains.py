@@ -12,8 +12,11 @@ from pinwheel import (
     PinwheelStratum,
     YPoint,
     act_on_chain,
+    base_stratum,
     chain_dimension,
+    delta,
     enumerate_chains,
+    generator,
     group_order,
     identity,
     inverse,
@@ -114,6 +117,14 @@ class TestValidation:
             (lambda: PinwheelStratum(2, 1.0, (((1, 0),),)), ValueError),
             (lambda: CycloNum(2.0, (1,)), ValueError),
             (lambda: YPoint(2.0, ((1, 0),)), ValueError),
+            (lambda: CycloNum.zero(2.0), ValueError),
+            (lambda: CycloNum.from_rational(1, 2.0), ValueError),
+            (lambda: CycloNum.from_term(1, 0, 2.5), ValueError),
+            (lambda: identity(2, 2.0), ValueError),
+            (lambda: generator(2, 2.0, 0), ValueError),
+            (lambda: base_stratum(2, 2.0), ValueError),
+            (lambda: delta(2.0, 1), TypeError),
+            (lambda: delta(2, 1.5), TypeError),
         ],
         ids=[
             "Chain",
@@ -132,6 +143,14 @@ class TestValidation:
             "PinwheelStratum-n",
             "CycloNum-r",
             "YPoint-r",
+            "CycloNum.zero-r",
+            "CycloNum.from_rational-r",
+            "CycloNum.from_term-r",
+            "identity-n",
+            "generator-n",
+            "base_stratum-n",
+            "delta-n",
+            "delta-k",
         ],
     )
     def test_float_integer_fields_are_refused(self, build, error):
