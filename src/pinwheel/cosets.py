@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .chains import Chain, refines
-from .cyclo import _check_indices, _check_same_space, json_int
+from .cyclo import _check_indices, json_int
 from .group import GenPerm, enumerate_group, generate_subgroup, multiply
 
 __all__ = [
@@ -36,16 +36,31 @@ __all__ = [
 class TCosetHandle:
     """(generators, canonical representative) naming one right coset.
 
-    Build handles through `t_coset`, `chain_to_coset` or `from_json`; those
-    canonicalize the representative, so equal cosets compare equal.
+    Any representative is made canonical, so equal cosets compare equal.
+    Rows i and i+1 share a block when s_i is a generator; each block's columns
+    take its rows top-down in increasing column order; s_0's block has exponent 0.
     """
 
     gens: frozenset[int]
     rep: GenPerm
 
     def __post_init__(self) -> None:
-        gens = frozenset(_check_indices(self.gens, 0, self.rep.n - 1, "generator"))
+        rep, n = self.rep, self.rep.n
+        gens = frozenset(_check_indices(self.gens, 0, n - 1, "generator"))
         object.__setattr__(self, "gens", gens)
+        top = list(range(n + 1))  # top[row]: the highest row of row's block
+        for row in sorted(gens - {0}, reverse=True):  # s_row joins rows row and row + 1
+            top[row] = top[row + 1]
+        low = top[1] if 0 in gens else 0
+        free = top[:]  # free[t]: the next row the block topped by t hands out
+        rows = []
+        for row in rep.row_of_col:
+            rows.append(free[top[row]])
+            free[top[row]] -= 1
+        rows = tuple(rows)
+        exps = tuple([e if row > low else 0 for row, e in zip(rep.row_of_col, rep.exp_of_col)])
+        if rows != rep.row_of_col or exps != rep.exp_of_col:
+            object.__setattr__(self, "rep", GenPerm(rep.r, n, rows, exps))
 
     @property
     def r(self) -> int:
@@ -67,55 +82,35 @@ class TCosetHandle:
         return t_coset((json_int(g) for g in data["gens"]), GenPerm.from_json(data["rep"]))
 
 
-def _block_sizes(gens: frozenset[int], n: int) -> tuple[int, ...]:
-    # |I_1| < |I_2| < ... read off the missing generators.
-    return tuple(sorted(n - j for j in range(n) if j not in gens))
-
-
-def _chain_from_parts(gens: frozenset[int], rep: GenPerm) -> Chain:
-    sizes = _block_sizes(gens, rep.n)
-    sets = tuple(
-        tuple(c for c in range(1, rep.n + 1) if rep.row_of(c) > rep.n - size) for size in sizes
-    )
-    top = sets[-1] if sets else ()
-    dec = tuple((i, -rep.exp_of(i)) for i in top)
-    return Chain(rep.r, rep.n, sets, dec)
-
-
-def _canonical_rep(c: Chain) -> GenPerm:
-    rows = [0] * c.n
-    exps = [0] * c.n
-    dec = c.decoration_map()
-    blocks = list(c.segments()) + [c.complement()]
-    row = c.n
-    for block in blocks:
-        # Bottom-up within the block, columns in increasing order.
-        for col in block:
-            rows[col - 1] = row
-            row -= 1
-            exps[col - 1] = -dec.get(col, 0)
-    return GenPerm(c.r, c.n, tuple(rows), tuple(exps))
-
-
 def chain_to_coset(c: Chain) -> TCosetHandle:
     """The coset whose row blocks and column exponents realize the chain."""
-    sizes = {len(s) for s in c.sets}
-    gens = frozenset(i for i in range(c.n) if c.n - i not in sizes)
-    return TCosetHandle(gens, _canonical_rep(c))
+    n = row = c.n
+    rows, exps = [0] * n, [0] * n
+    # I_1 takes the top rows, then each later set its new columns, then the rest.
+    for s in c.sets + (range(1, n + 1),):
+        for col in s:
+            if not rows[col - 1]:
+                rows[col - 1] = row
+                row -= 1
+    for col, e in c.decoration:
+        exps[col - 1] = -e
+    gens = frozenset(range(n)).difference([n - len(s) for s in c.sets])
+    return TCosetHandle(gens, GenPerm(c.r, n, tuple(rows), tuple(exps)))
 
 
 def coset_to_chain(h: TCosetHandle) -> Chain:
     """Read the chain back off a handle; inverse of `chain_to_coset`."""
-    return _chain_from_parts(h.gens, h.rep)
+    n, rows, exps = h.n, h.rep.row_of_col, h.rep.exp_of_col
+    # Each missing generator j cuts off the columns in rows above j as one set.
+    cuts = sorted((j for j in range(n) if j not in h.gens), reverse=True)
+    sets = tuple(tuple(c for c in range(1, n + 1) if rows[c - 1] > j) for j in cuts)
+    dec = tuple((c, -exps[c - 1]) for c in sets[-1]) if sets else ()
+    return Chain(h.r, n, sets, dec)
 
 
 def t_coset(gens: Iterable[int], rep: GenPerm) -> TCosetHandle:
-    """Handle for the coset of the given generators through `rep`.
-
-    Any representative works; it is replaced by the canonical one.
-    """
-    gens = frozenset(_check_indices(gens, 0, rep.n - 1, "generator"))
-    return TCosetHandle(gens, _canonical_rep(_chain_from_parts(gens, rep)))
+    """Handle for the coset of the given generators through any representative."""
+    return TCosetHandle(frozenset(_check_indices(gens, 0, rep.n - 1, "generator")), rep)
 
 
 def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
@@ -128,7 +123,6 @@ def coset_subset(a: TCosetHandle, b: TCosetHandle) -> bool:
     Chain refinement is compared against brute-force element inclusion; a
     disagreement would be a bug and raises.
     """
-    _check_same_space(a, b)
     by_chains = refines(coset_to_chain(a), coset_to_chain(b))
     by_elements = coset_elements(a) <= coset_elements(b)
     if by_chains != by_elements:
@@ -208,8 +202,7 @@ def block_product_elements(c: Chain) -> frozenset[GenPerm]:
 
 def act_on_coset(h: TCosetHandle, b: GenPerm) -> TCosetHandle:
     """Right action: same generators, representative multiplied by b."""
-    _check_same_space(h, b)
-    return t_coset(h.gens, multiply(h.rep, b))
+    return TCosetHandle(h.gens, multiply(h.rep, b))
 
 
 def coset_size(c: Chain) -> int:

@@ -87,23 +87,25 @@ class CapExceeded(ValueError):
     """An instance is larger than a configured size cap allows."""
 
 
-def _check_rn(r: int, n: int, owner: object = None) -> tuple[int, int]:
+def _check_rn(r: int, n: int | None = None, owner: object = None) -> tuple[int, int]:
     """The pair (r, n) an object lives over, as ints; refused unless r >= 2 and n >= 0.
 
-    A constructor passes itself as `owner` to store the ints (index() hands
-    an int back as itself, so an int is never re-stored).  Caches keyed on
-    (r, n) are typed, or 2.0 would hit the entry for 2.
+    A `CycloNum` lives over r alone and passes no n.  A constructor passes itself as
+    `owner` to store the ints (index() hands an int back as itself, so an int is never
+    re-stored).  Caches keyed on (r, n) are typed, or 2.0 would hit the entry for 2.
     """
     try:
-        r_int, n_int = index(r), index(n)
+        r_int, n_int = index(r), 0 if n is None else index(n)
     except TypeError:
         r_int = n_int = -1
     if r_int < 2 or n_int < 0:
+        if n is None:
+            raise ValueError(f"need r >= 2, got r={r!r}")
         raise ValueError(f"need r >= 2 and n >= 0, got r={r!r}, n={n!r}")
     if owner is not None:
         if r_int is not r:
             object.__setattr__(owner, "r", r_int)
-        if n_int is not n:
+        if n is not None and n_int is not n:
             object.__setattr__(owner, "n", n_int)
     return r_int, n_int
 
@@ -184,7 +186,7 @@ class CycloNum:
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
-        r, _ = _check_rn(self.r, len(coeffs), self)
+        r, _ = _check_rn(self.r, owner=self)
         for c in coeffs:
             _check_exact(c, "coefficient")
         if len(coeffs) != _degree(r):
@@ -199,19 +201,19 @@ class CycloNum:
     # Each static constructor checks r before _degree(r) reads it.
     @staticmethod
     def zero(r: int) -> "CycloNum":
-        r, _ = _check_rn(r, 0)
+        r, _ = _check_rn(r)
         return CycloNum(r, (0,) * _degree(r))
 
     @staticmethod
     def from_rational(value, r: int) -> "CycloNum":
-        r, _ = _check_rn(r, 0)
+        r, _ = _check_rn(r)
         _check_exact(value, "value")
         return CycloNum(r, (value,) + (0,) * (_degree(r) - 1))
 
     @staticmethod
     def from_term(magnitude, exp: int, r: int) -> "CycloNum":
         """Canonical form of magnitude * zeta^exp (exp may be any integer)."""
-        r, _ = _check_rn(r, 0)
+        r, _ = _check_rn(r)
         _check_exact(magnitude, "magnitude")
         return CycloNum(r, _reduce([0] * (index(exp) % r) + [magnitude], r))
 

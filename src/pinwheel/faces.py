@@ -212,11 +212,15 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
 
     Succeeds exactly when the sets are totally ordered by strict inclusion
     and all decorations agree where they overlap; the chain keeps the largest
-    set's decoration.
+    set's decoration.  Naming one hyperplane twice (exponents mod r) raises.
     """
-    if len(set(subsets)) != len(subsets):
-        raise ValueError("duplicate decorated subsets")
-    ordered = sorted(subsets, key=lambda s: (len(s.elements), s.elements, s.exps))
+    if len({s.elements for s in subsets}) != len(subsets):
+        # Equal sets never nest; with exponents equal mod r they are one hyperplane.
+        r, n = _check_rn(r, n)
+        if len({(s.elements, tuple([e % r for e in s.exps])) for s in subsets}) != len(subsets):
+            raise ValueError("duplicate decorated subsets")
+        return None
+    ordered = sorted(subsets, key=lambda s: (len(s.elements), s.elements))
     for prev, cur in zip(ordered, ordered[1:]):
         if not set(prev.elements) < set(cur.elements):
             return None

@@ -8,6 +8,7 @@ from pinwheel import (
     Chain,
     GenPerm,
     TCosetHandle,
+    act_on_chain,
     act_on_coset,
     block_product_elements,
     chain_to_coset,
@@ -25,6 +26,7 @@ from pinwheel import (
     multiply,
     t_coset,
 )
+from pinwheel import cosets
 from pinwheel.cosets import coset_size
 
 from conftest import genperms, random_genperm
@@ -121,6 +123,35 @@ class TestCanonicalization:
         rep = random_genperm(3, 3, rng)
         handles = {t_coset(gens, multiply(g, rep)) for g in generate_subgroup(3, 3, gens)}
         assert len(handles) == 1
+
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
+    def test_the_constructor_canonicalizes_every_representative(self, r, n):
+        for c in enumerate_chains(r, n):
+            h = chain_to_coset(c)
+            for g in coset_elements(h):
+                built = TCosetHandle(h.gens, g)
+                assert built == h
+                assert built.to_json() == h.to_json()
+
+    def test_an_exponent_in_the_reflection_block_is_dropped(self):
+        rep = GenPerm(2, 1, (1,), (1,))
+        assert TCosetHandle(frozenset({0}), rep) == t_coset([0], rep)
+        assert TCosetHandle(frozenset({0}), rep).rep == identity(2, 1)
+
+    def test_t_coset_and_act_on_coset_build_no_chain(self, monkeypatch):
+        cases = []
+        for c in enumerate_chains(2, 2):
+            h = chain_to_coset(c)
+            for a in enumerate_group(2, 2):
+                cases.append((h, a, chain_to_coset(act_on_chain(c, a))))
+
+        def refuse(*args):
+            raise AssertionError("a Chain was built")
+
+        monkeypatch.setattr(cosets, "Chain", refuse)
+        for h, a, image in cases:
+            assert act_on_coset(h, a) == image
+            assert t_coset(sorted(image.gens), multiply(h.rep, a)) == image
 
 
 class TestCosetSizes:

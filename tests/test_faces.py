@@ -245,6 +245,14 @@ class TestHyperplanesToChain:
         with pytest.raises(ValueError):
             hyperplanes_to_chain(2, 2, [s, s])
 
+    def test_duplicates_modulo_r_rejected(self):
+        # Exponents 0 and 2 name one branch at r = 2: the oracle sees one
+        # hyperplane twice, and the assembly refuses it as a repeat.
+        family = [DecoratedSubset((1,), (0,)), DecoratedSubset((1,), (2,))]
+        assert face_nonempty_oracle(2, 2, family)
+        with pytest.raises(ValueError, match="^duplicate decorated subsets$"):
+            hyperplanes_to_chain(2, 2, family)
+
 
 class TestNonemptyOracle:
     def test_chain_layers_are_nonempty(self):
