@@ -31,7 +31,6 @@ from .cosets import (
     coset_elements,
     coset_subset,
     coset_to_chain,
-    t_coset,
 )
 from .cyclo import CycloNum, YPoint, cyclotomic_polynomial, delta, hyperplane_eval, on_hyperplane
 from .faces import (

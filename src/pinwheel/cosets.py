@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .chains import Chain, refines
 from .cyclo import _check_indices, json_int
@@ -20,7 +20,6 @@ from .group import GenPerm, enumerate_group, generate_subgroup, multiply
 
 __all__ = [
     "TCosetHandle",
-    "t_coset",
     "chain_to_coset",
     "coset_to_chain",
     "coset_elements",
@@ -79,7 +78,7 @@ class TCosetHandle:
 
     @staticmethod
     def from_json(data: Mapping) -> "TCosetHandle":
-        return t_coset((json_int(g) for g in data["gens"]), GenPerm.from_json(data["rep"]))
+        return TCosetHandle((json_int(g) for g in data["gens"]), GenPerm.from_json(data["rep"]))
 
 
 def chain_to_coset(c: Chain) -> TCosetHandle:
@@ -106,11 +105,6 @@ def coset_to_chain(h: TCosetHandle) -> Chain:
     sets = tuple(tuple(c for c in range(1, n + 1) if rows[c - 1] > j) for j in cuts)
     dec = tuple((c, -exps[c - 1]) for c in sets[-1]) if sets else ()
     return Chain(h.r, n, sets, dec)
-
-
-def t_coset(gens: Iterable[int], rep: GenPerm) -> TCosetHandle:
-    """Handle for the coset of the given generators through any representative."""
-    return TCosetHandle(frozenset(_check_indices(gens, 0, rep.n - 1, "generator")), rep)
 
 
 def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
@@ -178,24 +172,22 @@ def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:
 def block_product_elements(c: Chain) -> frozenset[GenPerm]:
     """Reassemble the coset from its factors through the block embedding."""
     factors = coset_block_decomposition(c)
+    # Each factor offers (row word, exponent word) pairs; no coset product is taken.
     choices = []
     for f in factors:
         if f.kind == "reflection":
-            choices.append(tuple(enumerate_group(c.r, f.size)))
+            choices.append([(g.row_of_col, g.exp_of_col) for g in enumerate_group(c.r, f.size)])
         else:
-            perms = []
-            for rows in itertools.permutations(range(1, f.size + 1)):
-                p = GenPerm(c.r, f.size, rows, (0,) * f.size)
-                perms.append(multiply(p, f.translation))
-            choices.append(tuple(perms))
+            exps = f.translation.exp_of_col
+            choices.append([(rows, exps) for rows in itertools.permutations(range(1, f.size + 1))])
     out = set()
     for picks in itertools.product(*choices):
         rows = [0] * c.n
         exps = [0] * c.n
-        for f, local in zip(factors, picks):
-            for idx, col in enumerate(f.columns, start=1):
-                rows[col - 1] = f.rows[0] - 1 + local.row_of(idx)
-                exps[col - 1] = local.exp_of(idx)
+        for f, (local_rows, local_exps) in zip(factors, picks):
+            for col, row, e in zip(f.columns, local_rows, local_exps):
+                rows[col - 1] = f.rows[0] - 1 + row
+                exps[col - 1] = e
         out.add(GenPerm(c.r, c.n, tuple(rows), tuple(exps)))
     return frozenset(out)
 

@@ -193,11 +193,6 @@ class CycloNum:
             raise ValueError(f"need {_degree(r)} coefficients for r={r}, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def n(self) -> int:
-        """The coordinate count in the power basis, phi(r)."""
-        return len(self.coeffs)
-
     # Each static constructor checks r before _degree(r) reads it.
     @staticmethod
     def zero(r: int) -> "CycloNum":
@@ -220,7 +215,8 @@ class CycloNum:
     def _check_same_field(self, other: "CycloNum") -> None:
         if not isinstance(other, CycloNum):
             raise TypeError(f"expected CycloNum, got {type(other).__name__}")
-        _check_same_space(self, other)
+        if self.r != other.r:
+            raise ValueError(f"objects live over different r: {self.r} vs {other.r}")
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         self._check_same_field(other)

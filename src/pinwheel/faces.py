@@ -214,9 +214,9 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
     and all decorations agree where they overlap; the chain keeps the largest
     set's decoration.  Naming one hyperplane twice (exponents mod r) raises.
     """
+    r, n = _check_rn(r, n)
     if len({s.elements for s in subsets}) != len(subsets):
         # Equal sets never nest; with exponents equal mod r they are one hyperplane.
-        r, n = _check_rn(r, n)
         if len({(s.elements, tuple([e % r for e in s.exps])) for s in subsets}) != len(subsets):
             raise ValueError("duplicate decorated subsets")
         return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .chains import Chain, _coarsening_keys, act_on_chain, chain_dimension, enumerate_chains
 from .cosets import (
@@ -92,15 +92,14 @@ class Report:
         }
 
 
-def _check_order_cap(r: int, n: int, config: VerifyConfig) -> None:
+def _start(suite: str, r: int, n: int, config: VerifyConfig) -> tuple[tuple[Chain, ...], Report]:
+    """Every suite's prologue: the group-order cap, the chains, and an empty report."""
     _check_cap("group order", group_order(r, n), r, n, "max_group_order", config.max_group_order)
-
-
-def _counts_by_dim(chains: Sequence[Chain], n: int) -> list[int]:
+    chains = enumerate_chains(r, n)
     counts = [0] * (n + 1)
     for c in chains:
         counts[chain_dimension(c)] += 1
-    return counts
+    return chains, Report(suite, r, n, counts)
 
 
 def _relation_via_memberships(owned: dict[int, frozenset]) -> frozenset[tuple[int, int]]:
@@ -131,13 +130,11 @@ def _numbered(items, ids: dict) -> frozenset[int]:
 
 def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
     """Roundtrips, dimension agreement, and the four-way inclusion equivalence."""
-    _check_order_cap(r, n, config)
-    chains = enumerate_chains(r, n)
+    chains, report = _start("threeway", r, n, config)
+    fail = report.violations.append
     # Coarsenings and contractions are looked up by their canonical fields,
     # so no Chain or PinwheelStratum is built just to find its id.
     index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
-    report = Report("threeway", r, n, _counts_by_dim(chains, n))
-    fail = report.violations.append
 
     def pairs(i: int, keys, ids: dict, route: str):
         for key in keys:
@@ -198,11 +195,9 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
 
 def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
     """Group action compatibility across chains, cosets, faces and vertex strata."""
-    _check_order_cap(r, n, config)
-    chains = enumerate_chains(r, n)
-    group = enumerate_group(r, n)
-    report = Report("equivariance", r, n, _counts_by_dim(chains, n))
+    chains, report = _start("equivariance", r, n, config)
     fail = report.violations.append
+    group = enumerate_group(r, n)
 
     vertices = {c: chain_to_face_vertices(c) for c in chains}
     handles = {c: chain_to_coset(c) for c in chains}
@@ -232,9 +227,7 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
 
 def verify_products(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
     """Factor lists agree across the three families and match the cardinalities."""
-    _check_order_cap(r, n, config)
-    chains = enumerate_chains(r, n)
-    report = Report("products", r, n, _counts_by_dim(chains, n))
+    chains, report = _start("products", r, n, config)
     fail = report.violations.append
 
     for c in chains:
@@ -257,9 +250,7 @@ def verify_products(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
 
 def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
     """Nesting-sortability against the exhaustive vertex scan, per hyperplane family."""
-    _check_order_cap(r, n, config)
-    chains = enumerate_chains(r, n)
-    report = Report("nonempty", r, n, _counts_by_dim(chains, n))
+    chains, report = _start("nonempty", r, n, config)
     fail = report.violations.append
 
     subsets: list[DecoratedSubset] = []

@@ -24,7 +24,6 @@ from pinwheel import (
     inverse,
     make_chain,
     multiply,
-    t_coset,
 )
 from pinwheel import cosets
 from pinwheel.cosets import coset_size
@@ -83,7 +82,7 @@ class TestCosetToChain:
         assert coset_to_chain(chain_to_coset(EXAMPLE)) == EXAMPLE
 
     def test_whole_group_reads_back_empty_chain(self):
-        handle = t_coset(range(2), identity(3, 2))
+        handle = TCosetHandle(range(2), identity(3, 2))
         assert coset_to_chain(handle) == Chain(3, 2, (), ())
 
     def test_singleton_of_random_element(self, rng):
@@ -93,7 +92,7 @@ class TestCosetToChain:
 
         for _ in range(25):
             a = random_genperm(3, 3, rng)
-            chain = coset_to_chain(t_coset((), a))
+            chain = coset_to_chain(TCosetHandle((), a))
             assert chain.length == 3
             base = YPoint(3, tuple((Fraction(i), 0) for i in (1, 2, 3)))
             assert vertex_of_maximal_chain(chain) == act_on_tuple(base, a)
@@ -112,7 +111,7 @@ class TestCanonicalization:
     @given(genperms(r=3, n=3))
     def test_any_representative_gives_the_same_handle(self, rep):
         gens = frozenset({0, 2})
-        handle = t_coset(gens, rep)
+        handle = TCosetHandle(gens, rep)
         assert coset_elements(handle) == frozenset(
             multiply(g, rep) for g in generate_subgroup(3, 3, gens)
         )
@@ -121,7 +120,7 @@ class TestCanonicalization:
     def test_representatives_in_one_coset_collapse(self, rng):
         gens = frozenset({0, 1})
         rep = random_genperm(3, 3, rng)
-        handles = {t_coset(gens, multiply(g, rep)) for g in generate_subgroup(3, 3, gens)}
+        handles = {TCosetHandle(gens, multiply(g, rep)) for g in generate_subgroup(3, 3, gens)}
         assert len(handles) == 1
 
     @pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
@@ -135,10 +134,10 @@ class TestCanonicalization:
 
     def test_an_exponent_in_the_reflection_block_is_dropped(self):
         rep = GenPerm(2, 1, (1,), (1,))
-        assert TCosetHandle(frozenset({0}), rep) == t_coset([0], rep)
+        assert TCosetHandle(frozenset({0}), rep) == TCosetHandle([0], rep)
         assert TCosetHandle(frozenset({0}), rep).rep == identity(2, 1)
 
-    def test_t_coset_and_act_on_coset_build_no_chain(self, monkeypatch):
+    def test_the_constructor_and_act_on_coset_build_no_chain(self, monkeypatch):
         cases = []
         for c in enumerate_chains(2, 2):
             h = chain_to_coset(c)
@@ -151,7 +150,7 @@ class TestCanonicalization:
         monkeypatch.setattr(cosets, "Chain", refuse)
         for h, a, image in cases:
             assert act_on_coset(h, a) == image
-            assert t_coset(sorted(image.gens), multiply(h.rep, a)) == image
+            assert TCosetHandle(sorted(image.gens), multiply(h.rep, a)) == image
 
 
 class TestCosetSizes:
@@ -164,8 +163,8 @@ class TestCosetSizes:
     def test_one_dimensional_cosets(self, r):
         # A single swap generator gives two elements, the scaling generator r.
         a = identity(r, 3)
-        assert len(coset_elements(t_coset({1}, a))) == 2
-        assert len(coset_elements(t_coset({0}, a))) == r
+        assert len(coset_elements(TCosetHandle({1}, a))) == 2
+        assert len(coset_elements(TCosetHandle({0}, a))) == r
 
 
 class TestSubset:
@@ -174,14 +173,14 @@ class TestSubset:
         assert coset_subset(chain_to_coset(EXAMPLE), whole)
 
     def test_distinct_singletons(self):
-        a = t_coset((), identity(2, 2))
-        b = t_coset((), generator(2, 2, 1))
+        a = TCosetHandle((), identity(2, 2))
+        b = TCosetHandle((), generator(2, 2, 1))
         assert not coset_subset(a, b)
         assert coset_subset(a, a)
 
     def test_same_rep_different_subgroup_incomparable(self):
         rep = chain_to_coset(EXAMPLE).rep
-        smaller = t_coset({0}, rep)
+        smaller = TCosetHandle({0}, rep)
         assert not coset_subset(chain_to_coset(EXAMPLE), smaller)
         assert coset_subset(smaller, chain_to_coset(EXAMPLE))
 
@@ -227,10 +226,22 @@ class TestBlockDecomposition:
             ("symmetric", 1),
         ]
 
-    @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_reassembled_product_equals_coset(self, r, n):
         for c in enumerate_chains(r, n):
             assert block_product_elements(c) == coset_elements(chain_to_coset(c))
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
+    def test_reassembly_takes_no_coset_product(self, r, n, monkeypatch):
+        # The two routes are compared, so the reassembly must not share multiply.
+        expected = {c: coset_elements(chain_to_coset(c)) for c in enumerate_chains(r, n)}
+
+        def refuse(*args):
+            raise AssertionError("multiply was called")
+
+        monkeypatch.setattr(cosets, "multiply", refuse)
+        for c, elements in expected.items():
+            assert block_product_elements(c) == elements
 
 
 class TestAction:
@@ -241,7 +252,7 @@ class TestAction:
     def test_singleton_translation(self, rng):
         a = random_genperm(3, 3, rng)
         b = random_genperm(3, 3, rng)
-        moved = act_on_coset(t_coset((), a), b)
+        moved = act_on_coset(TCosetHandle((), a), b)
         assert coset_elements(moved) == frozenset({multiply(a, b)})
 
     def test_action_roundtrip(self, rng):

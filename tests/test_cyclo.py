@@ -106,6 +106,12 @@ class TestCycloNum:
         with pytest.raises(ValueError):
             CycloNum.zero(3) + CycloNum.zero(4)
 
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+    def test_mismatched_fields_name_both_r(self, op):
+        # A CycloNum lives over r alone, so the text names no n.
+        with pytest.raises(ValueError, match="^objects live over different r: 3 vs 4$"):
+            getattr(CycloNum.zero(3), op)(CycloNum.zero(4))
+
     @given(
         st.integers(2, 9),
         st.lists(st.fractions(max_denominator=6), min_size=1, max_size=6),

@@ -221,9 +221,35 @@ class TestShiftedPermutohedron:
             shifted_permutohedron_contains(xs, gamma)
 
 
+class TestDecoratedSubset:
+    @pytest.mark.parametrize(
+        "elements,exps,text",
+        [
+            ((), (), "decorated subset must be nonempty"),
+            ((2, 1), (0, 0), "elements must be sorted and distinct, got (2, 1)"),
+            ((1, 1), (0, 0), "elements must be sorted and distinct, got (1, 1)"),
+            ((1, 2), (0,), "decoration must cover exactly the elements"),
+            ((1,), (0, 0), "decoration must cover exactly the elements"),
+        ],
+    )
+    def test_a_malformed_subset_is_refused_with_one_text(self, elements, exps, text):
+        with pytest.raises(ValueError) as err:
+            DecoratedSubset(elements, exps)
+        assert str(err.value) == text
+
+
 class TestHyperplanesToChain:
     def test_worked_example_layers_reassemble(self):
         assert hyperplanes_to_chain(3, 4, chain_layers(EXAMPLE)) == EXAMPLE
+
+    @pytest.mark.parametrize("nesting", [True, False])
+    @pytest.mark.parametrize("r,n", [(0, 2), (2.0, 2), (2, -1)])
+    def test_a_bad_pair_is_refused_before_any_arithmetic(self, r, n, nesting):
+        # The nesting family reaches the mod-r decoration test; the other fails to nest.
+        top = DecoratedSubset((1, 2), (0, 0)) if nesting else DecoratedSubset((2,), (0,))
+        with pytest.raises(ValueError) as err:
+            hyperplanes_to_chain(r, n, [DecoratedSubset((1,), (0,)), top])
+        assert str(err.value) == f"need r >= 2 and n >= 0, got r={r!r}, n={n!r}"
 
     def test_incomparable_sets(self):
         subsets = [DecoratedSubset((1,), (0,)), DecoratedSubset((2,), (0,))]

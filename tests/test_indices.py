@@ -16,7 +16,6 @@ from pinwheel import (
     generator,
     hyperplane_eval,
     identity,
-    t_coset,
 )
 
 
@@ -56,10 +55,6 @@ SITES = {
     ),
     "TCosetHandle": (
         lambda v: TCosetHandle(v, identity(2, 2)),
-        (5,), "generator 5 out of range 0..1", (1, 1), "repeated generator in (1, 1)", (1.0,),
-    ),
-    "t_coset": (
-        lambda v: t_coset(v, identity(2, 2)),
         (5,), "generator 5 out of range 0..1", (1, 1), "repeated generator in (1, 1)", (1.0,),
     ),
     "generate_subgroup": (
@@ -117,8 +112,8 @@ def test_generator_and_coset_handle_name_a_bad_generator_alike():
 
 def test_a_float_generator_never_reaches_the_output():
     with pytest.raises(TypeError):
-        t_coset([1.0], identity(2, 2)).to_json()
-    assert t_coset([1], identity(2, 2)).to_json()["gens"] == [1]
+        TCosetHandle([1.0], identity(2, 2)).to_json()
+    assert TCosetHandle([1], identity(2, 2)).to_json()["gens"] == [1]
 
 
 def test_a_float_generator_misses_a_warm_subgroup_cache():
