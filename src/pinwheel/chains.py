@@ -216,10 +216,11 @@ def _coarsening_keys(c: Chain) -> Iterator[tuple[tuple, tuple]]:
     from them, so they serve as lookup keys without building one.
     """
     dec = c.decoration_map()
+    # A coarsening's decoration is c's restricted to its largest set: one per set.
+    top_decoration = {s: tuple([(i, dec[i]) for i in s]) for s in c.sets}
     for keep_mask in itertools.product((True, False), repeat=c.length):
-        kept = tuple(s for s, keep in zip(c.sets, keep_mask) if keep)
-        top = kept[-1] if kept else ()
-        yield kept, tuple((i, dec[i]) for i in top)
+        kept = tuple(itertools.compress(c.sets, keep_mask))
+        yield kept, top_decoration[kept[-1]] if kept else ()
 
 
 def coarsenings(c: Chain) -> Iterator[Chain]:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .chains import Chain, refines
 from .cyclo import _check_indices, json_int
-from .group import GenPerm, enumerate_group, generate_subgroup, multiply
+from .group import GenPerm, _product, enumerate_group, generate_subgroup, multiply
 
 __all__ = [
     "TCosetHandle",
@@ -97,18 +97,34 @@ def chain_to_coset(c: Chain) -> TCosetHandle:
     return TCosetHandle(gens, GenPerm(c.r, n, tuple(rows), tuple(exps)))
 
 
-def coset_to_chain(h: TCosetHandle) -> Chain:
-    """Read the chain back off a handle; inverse of `chain_to_coset`."""
-    n, rows, exps = h.n, h.rep.row_of_col, h.rep.exp_of_col
+def _coset_chain_key(h: TCosetHandle) -> tuple[tuple, tuple]:
+    """The canonical (sets, decoration) of `coset_to_chain(h)`, with no `Chain` built."""
+    n, r, rows, exps = h.n, h.r, h.rep.row_of_col, h.rep.exp_of_col
     # Each missing generator j cuts off the columns in rows above j as one set.
     cuts = sorted((j for j in range(n) if j not in h.gens), reverse=True)
     sets = tuple(tuple(c for c in range(1, n + 1) if rows[c - 1] > j) for j in cuts)
-    dec = tuple((c, -exps[c - 1]) for c in sets[-1]) if sets else ()
-    return Chain(h.r, n, sets, dec)
+    dec = tuple((c, -exps[c - 1] % r) for c in sets[-1]) if sets else ()
+    return sets, dec
+
+
+def coset_to_chain(h: TCosetHandle) -> Chain:
+    """Read the chain back off a handle; inverse of `chain_to_coset`."""
+    return Chain(h.r, h.n, *_coset_chain_key(h))
+
+
+def _coset_words(h: TCosetHandle) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The canonical (row_of_col, exp_of_col) of each element g * rep of the coset.
+
+    Each pair equals the fields of the `GenPerm` that `coset_elements` builds
+    from it, so the pairs serve as keys without building one.
+    """
+    rep = h.rep
+    return [_product(g, rep) for g in generate_subgroup(h.r, h.n, h.gens)]
 
 
 def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
-    return frozenset(multiply(g, h.rep) for g in generate_subgroup(h.r, h.n, h.gens))
+    r, n = h.r, h.n
+    return frozenset([GenPerm(r, n, rows, exps) for rows, exps in _coset_words(h)])
 
 
 def coset_subset(a: TCosetHandle, b: TCosetHandle) -> bool:

@@ -6,8 +6,10 @@ with decorated-subset hyperplanes and are indexed by chains.  A vertex is the
 face of a maximal chain: the element the chain adds at step j has magnitude
 n + 1 - j on the branch opposite to its decoration.  A face's vertices are
 built straight from the orders of its chain's maximal refinements, with no
-`Chain` built per vertex.  All tests here are exact rational or cyclotomic
-comparisons.
+`Chain` built per vertex; `_face_coords` yields their canonical coordinate
+tuples, which the threeway suite numbers as they are, and
+`chain_to_face_vertices` wraps each in a `YPoint`.  All tests here are exact
+rational or cyclotomic comparisons.
 """
 
 from __future__ import annotations
@@ -78,37 +80,51 @@ def chain_layers(c: Chain) -> tuple[DecoratedSubset, ...]:
     )
 
 
-def _vertex(r: int, n: int, order: Sequence[int], exps: Sequence[int]) -> YPoint:
-    """The vertex of the maximal chain that adds order[0], order[1], ... in turn.
+def _vertex_coords(
+    r: int, n: int, order: Sequence[int], exps: Sequence[int]
+) -> tuple[tuple[int, int], ...]:
+    """Canonical coords of the vertex of the maximal chain adding order[0], order[1], ... in turn.
 
     The element added at step j carries magnitude n + 1 - j on the branch
-    opposite to its decoration exps[j - 1].
+    opposite to its decoration exps[j - 1], reduced mod r, so the tuple
+    equals the `coords` of the `YPoint` built from it.
     """
     coords = [(0, 0)] * n
     for j, (i, e) in enumerate(zip(order, exps)):
-        coords[i - 1] = (n - j, -e)
-    return YPoint(r, tuple(coords))
+        coords[i - 1] = (n - j, -e % r)
+    return tuple(coords)
 
 
 def vertex_of_maximal_chain(c: Chain) -> YPoint:
-    """The one point of a maximal chain's face (see `_vertex`)."""
+    """The one point of a maximal chain's face (see `_vertex_coords`)."""
     if c.length != c.n:
         raise ValueError(f"chain has length {c.length}, need a maximal chain of length {c.n}")
     order = tuple(i for (i,) in c.segments())
     dec = c.decoration_map()
-    return _vertex(c.r, c.n, order, tuple(dec[i] for i in order))
+    return YPoint(c.r, _vertex_coords(c.r, c.n, order, tuple(dec[i] for i in order)))
+
+
+def _face_coords(c: Chain) -> list[tuple[tuple[int, int], ...]]:
+    """The canonical coords of each vertex of c's face, one per maximal refinement.
+
+    Listed in `_maximal_orders` order; each entry equals the `coords` of the
+    matching `YPoint` of `chain_to_face_vertices`, so the entries serve as
+    keys without building one.
+    """
+    r, n = c.r, c.n
+    return [_vertex_coords(r, n, order, exps) for order, exps in _maximal_orders(c)]
 
 
 def chain_to_face_vertices(c: Chain) -> frozenset[YPoint]:
     """Vertices of the face: one per maximal refinement of the chain.
 
     Each vertex is built straight from the refinement's order and
-    decoration: the element added at step j gets magnitude n + 1 - j on
-    the branch opposite to its decoration.  No `Chain` is built per vertex,
-    and no group element either, so this route shares no work with the
-    coset route (`coset_elements`) it is compared against.
+    decoration (`_face_coords`): the element added at step j gets magnitude
+    n + 1 - j on the branch opposite to its decoration.  No `Chain` is built
+    per vertex, and no group element either, so this route shares no work
+    with the coset route (`coset_elements`) it is compared against.
     """
-    return frozenset(_vertex(c.r, c.n, order, exps) for order, exps in _maximal_orders(c))
+    return frozenset(YPoint(c.r, coords) for coords in _face_coords(c))
 
 
 @dataclass(frozen=True)
@@ -212,17 +228,27 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
 
     Succeeds exactly when the sets are totally ordered by strict inclusion
     and all decorations agree where they overlap; the chain keeps the largest
-    set's decoration.  Naming one hyperplane twice (exponents mod r) raises.
+    set's decoration.  An element outside 1..n, or naming one hyperplane
+    twice (exponents mod r), raises.
     """
     r, n = _check_rn(r, n)
-    if len({s.elements for s in subsets}) != len(subsets):
+    # Elements are sorted, so the first and last bound each set; one pass also collects the sets.
+    distinct = set()
+    for s in subsets:
+        elems = s.elements
+        if elems[0] < 1 or elems[-1] > n:
+            bad = elems[0] if elems[0] < 1 else elems[-1]
+            raise ValueError(f"element {bad} out of range 1..{n}")
+        distinct.add(elems)
+    if len(distinct) != len(subsets):
         # Equal sets never nest; with exponents equal mod r they are one hyperplane.
         if len({(s.elements, tuple([e % r for e in s.exps])) for s in subsets}) != len(subsets):
             raise ValueError("duplicate decorated subsets")
         return None
     ordered = sorted(subsets, key=lambda s: (len(s.elements), s.elements))
     for prev, cur in zip(ordered, ordered[1:]):
-        if not set(prev.elements) < set(cur.elements):
+        # The sets are distinct, so inclusion is strict inclusion.
+        if not set(cur.elements).issuperset(prev.elements):
             return None
     top = ordered[-1].mapping() if ordered else {}
     for s in ordered[:-1]:

@@ -108,13 +108,19 @@ def generator(r: int, n: int, i: int) -> GenPerm:
     return GenPerm(r, n, tuple(rows), (0,) * n)
 
 
+def _product(a: GenPerm, b: GenPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical (row_of_col, exp_of_col) of a * b, exponents reduced mod r."""
+    a_rows, a_exps, b_rows, r = a.row_of_col, a.exp_of_col, b.row_of_col, a.r
+    # List comprehensions: at these lengths a generator expression costs more.
+    rows = tuple([a_rows[row - 1] for row in b_rows])
+    exps = tuple([(a_exps[row - 1] + e) % r for row, e in zip(b_rows, b.exp_of_col)])
+    return rows, exps
+
+
 def multiply(a: GenPerm, b: GenPerm) -> GenPerm:
     """Matrix product a * b."""
     _check_same_space(a, b)
-    a_rows, a_exps = a.row_of_col, a.exp_of_col
-    # List comprehensions: at these lengths a generator expression costs more.
-    rows = tuple([a_rows[row - 1] for row in b.row_of_col])
-    exps = tuple([a_exps[row - 1] + e for row, e in zip(b.row_of_col, b.exp_of_col)])
+    rows, exps = _product(a, b)
     return GenPerm(a.r, a.n, rows, exps)
 
 

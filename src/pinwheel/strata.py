@@ -95,17 +95,21 @@ def chain_to_stratum(c: Chain) -> PinwheelStratum:
     return PinwheelStratum(c.r, c.n, spoke)
 
 
-def stratum_to_chain(s: PinwheelStratum) -> Chain:
-    """Read the chain back: set j indexes the orbits on the outermost j components."""
+def _stratum_chain_key(s: PinwheelStratum) -> tuple[tuple, tuple]:
+    """The canonical (sets, decoration) of `stratum_to_chain(s)`, with no `Chain` built."""
     sets = []
     acc: list[int] = []
-    dec: dict[int, int] = {}
+    dec: list[tuple[int, int]] = []
     for comp in s.spoke:
-        for i, e in comp:
-            acc.append(i)
-            dec[i] = e
-        sets.append(tuple(acc))
-    return Chain(s.r, s.n, tuple(sets), tuple(dec.items()))
+        acc.extend(i for i, _ in comp)
+        dec.extend(comp)
+        sets.append(tuple(sorted(acc)))
+    return tuple(sets), tuple(sorted(dec))
+
+
+def stratum_to_chain(s: PinwheelStratum) -> Chain:
+    """Read the chain back: set j indexes the orbits on the outermost j components."""
+    return Chain(s.r, s.n, *_stratum_chain_key(s))
 
 
 _Spoke = tuple[tuple[tuple[int, int], ...], ...]
@@ -144,9 +148,26 @@ def spoke_contractions(s: PinwheelStratum) -> Iterator[_Spoke]:
     s's own spoke comes first; each entry equals the `spoke` of the stratum
     `contract_spoke_edges` builds for the same edges.
     """
-    for size in range(s.k + 1):
-        for edges in itertools.combinations(range(1, s.k + 1), size):
-            yield _contract(s.spoke, edges)
+    spoke, k = s.spoke, s.k
+    # runs[a][b - a]: components a..b (0-based) merged and sorted, built once
+    # per interval; contracting edges a+1..b merges exactly that run.
+    runs = []
+    for a in range(k):
+        carry: list[tuple[int, int]] = []
+        row = []
+        for comp in spoke[a:]:
+            carry.extend(comp)
+            row.append(tuple(sorted(carry)))
+        runs.append(row)
+    for size in range(k + 1):
+        for edges in itertools.combinations(range(1, k + 1), size):
+            merged = []
+            start = 0
+            for j in range(k):
+                if j + 1 not in edges:
+                    merged.append(runs[start][j - start])
+                    start = j + 1
+            yield tuple(merged)
 
 
 def stratum_includes(s: PinwheelStratum, t: PinwheelStratum) -> bool:

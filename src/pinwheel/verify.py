@@ -15,16 +15,18 @@ from typing import Callable
 
 from .chains import Chain, _coarsening_keys, act_on_chain, chain_dimension, enumerate_chains
 from .cosets import (
+    _coset_chain_key,
+    _coset_words,
     act_on_coset,
     chain_to_coset,
     coset_block_decomposition,
     coset_elements,
     coset_size,
-    coset_to_chain,
 )
 from .cyclo import CapExceeded, YPoint, _check_cap, _check_nonnegative
 from .faces import (
     DecoratedSubset,
+    _face_coords,
     chain_to_face_vertices,
     enumerate_vertices,
     face_dimension_bruteforce,
@@ -35,11 +37,11 @@ from .faces import (
 )
 from .group import act_on_tuple, enumerate_group, group_order, multiply
 from .strata import (
+    _stratum_chain_key,
     act_on_zero_dim_stratum,
     chain_to_stratum,
     spoke_contractions,
     stratum_product_factors,
-    stratum_to_chain,
 )
 
 __all__ = [
@@ -132,26 +134,24 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     """Roundtrips, dimension agreement, and the four-way inclusion equivalence."""
     chains, report = _start("threeway", r, n, config)
     fail = report.violations.append
-    # Coarsenings and contractions are looked up by their canonical fields,
-    # so no Chain or PinwheelStratum is built just to find its id.
+    # Wherever an object would serve only as a key, the suite compares its
+    # canonical fields instead: roundtrips by (sets, decoration), coarsenings
+    # and contractions by their keys, and coset elements and face vertices
+    # as numbered (rows, exps) words and coordinate tuples.  Each key builder
+    # is the one its object builder wraps, so no GenPerm, YPoint, Chain or
+    # PinwheelStratum is built just to be compared.
     index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
-
-    def pairs(i: int, keys, ids: dict, route: str):
-        for key in keys:
-            if key in ids:
-                yield i, ids[key]
-            else:
-                fail(f"{route} is not in the complex on {chains[i].to_json()}")
 
     strata, elements, vertices, element_ids, vertex_ids = {}, {}, {}, {}, {}
     refine_pairs = set()
     seen_vertices: dict[YPoint, Chain] = {}
     for i, c in enumerate(chains):
+        key = (c.sets, c.decoration)
         h = chain_to_coset(c)
-        if coset_to_chain(h) != c:
+        if _coset_chain_key(h) != key:
             fail(f"coset roundtrip broke on {c.to_json()}")
         s = chain_to_stratum(c)
-        if stratum_to_chain(s) != c:
+        if _stratum_chain_key(s) != key:
             fail(f"stratum roundtrip broke on {c.to_json()}")
         dims = {
             "chain": chain_dimension(c),
@@ -167,21 +167,32 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
                 fail(f"vertex collision between {seen_vertices[v].to_json()} and {c.to_json()}")
             seen_vertices[v] = c
         strata[i] = s
-        elements[i] = _numbered(coset_elements(h), element_ids)
-        vertices[i] = _numbered(chain_to_face_vertices(c), vertex_ids)
-        refine_pairs.update(pairs(i, _coarsening_keys(c), index, "coarsening"))
+        elements[i] = _numbered(_coset_words(h), element_ids)
+        vertices[i] = _numbered(_face_coords(c), vertex_ids)
+        for coarse in _coarsening_keys(c):
+            j = index.get(coarse)
+            if j is None:
+                fail(f"coarsening is not in the complex on {c.to_json()}")
+            else:
+                refine_pairs.add((i, j))
     if len(seen_vertices) != group_order(r, n):
         fail(f"vertex census {len(seen_vertices)} != {group_order(r, n)}")
 
-    stratum_index = {s.spoke: i for i, s in strata.items()}
     relations = {
-        "refinement": frozenset(refine_pairs),
+        "refinement": refine_pairs,
         "coset": _relation_via_memberships(elements),
         "face": _relation_via_memberships(vertices),
-        "stratum": frozenset(
-            p for i, s in strata.items() for p in pairs(i, spoke_contractions(s), stratum_index, "contraction")
-        ),
     }
+    # Built last, so its pairs are not held while the membership relations peak.
+    contract_pairs = relations["stratum"] = set()
+    stratum_index = {s.spoke: i for i, s in strata.items()}
+    for i, s in strata.items():
+        for spoke in spoke_contractions(s):
+            j = stratum_index.get(spoke)
+            if j is None:
+                fail(f"contraction is not in the complex on {chains[i].to_json()}")
+            else:
+                contract_pairs.add((i, j))
 
     base = relations["refinement"]
     for name in ("coset", "face", "stratum"):

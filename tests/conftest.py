@@ -14,6 +14,9 @@ from pinwheel import Chain, GenPerm, YPoint
 
 SMALL_RN = [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)]
 
+# Every point on which a key builder is checked against the object builder it wraps.
+KEY_RN = [(r, n) for r in (2, 3, 4) for n in range(4)] + [(2, 4), (3, 4)]
+
 
 def random_genperm(r: int, n: int, rng: random.Random) -> GenPerm:
     rows = list(range(1, n + 1))

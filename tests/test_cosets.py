@@ -26,9 +26,9 @@ from pinwheel import (
     multiply,
 )
 from pinwheel import cosets
-from pinwheel.cosets import coset_size
+from pinwheel.cosets import _coset_chain_key, _coset_words, coset_size
 
-from conftest import genperms, random_genperm
+from conftest import KEY_RN, genperms, random_genperm
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 
@@ -105,6 +105,28 @@ class TestCosetToChain:
     def test_gens_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             TCosetHandle(frozenset({3}), identity(2, 3))
+
+
+class TestKeyBuilders:
+    """Each key builder yields exactly the fields of the objects its wrapper builds."""
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_coset_words_are_the_elements_fields_in_order(self, r, n):
+        for c in enumerate_chains(r, n):
+            h = chain_to_coset(c)
+            words = _coset_words(h)
+            subgroup = generate_subgroup(r, n, h.gens)
+            assert words == [multiply(g, h.rep).sort_key() for g in subgroup]
+            assert [GenPerm(r, n, *w).sort_key() for w in words] == words
+            assert len(set(words)) == len(words) == len(coset_elements(h))
+            assert frozenset(GenPerm(r, n, *w) for w in words) == coset_elements(h)
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_coset_chain_key_is_the_roundtrip_chains_fields(self, r, n):
+        for c in enumerate_chains(r, n):
+            h = chain_to_coset(c)
+            back = coset_to_chain(h)
+            assert _coset_chain_key(h) == (back.sets, back.decoration) == (c.sets, c.decoration)
 
 
 class TestCanonicalization:

@@ -14,7 +14,9 @@ from pinwheel import (
     act_on_face,
     act_on_tuple,
     chain_dimension,
+    chain_to_coset,
     chain_to_face_vertices,
+    coset_elements,
     enumerate_chains,
     enumerate_vertices,
     face_dimension_bruteforce,
@@ -32,9 +34,11 @@ from pinwheel import (
     shifted_permutohedron_contains,
     vertex_of_maximal_chain,
 )
-from pinwheel.faces import _affine_rank, chain_layers
+from pinwheel import cosets, group
+from pinwheel.chains import _maximal_orders
+from pinwheel.faces import _affine_rank, _face_coords, _vertex_coords, chain_layers
 
-from conftest import brute_force_in_complex, random_ypoints
+from conftest import KEY_RN, brute_force_in_complex, random_ypoints
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 EXAMPLE_COARSE = make_chain(3, 4, [[2, 3, 4]], {2: 1, 3: 0, 4: 2})
@@ -132,6 +136,35 @@ class TestFaceVertices:
         for c in enumerate_chains(r, n):
             expected = {vertex_of_maximal_chain(m) for m in maximal_refinements(c)}
             assert chain_to_face_vertices(c) == expected
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_vertex_coords_are_the_vertices_fields_in_order(self, r, n):
+        for c in enumerate_chains(r, n):
+            coords = _face_coords(c)
+            orders = _maximal_orders(c)
+            assert coords == [_vertex_coords(r, n, order, exps) for order, exps in orders]
+            assert [YPoint(r, x).coords for x in coords] == coords
+            assert len(set(coords)) == len(coords) == len(chain_to_face_vertices(c))
+            assert frozenset(YPoint(r, x) for x in coords) == chain_to_face_vertices(c)
+
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
+    def test_face_vertices_take_no_group_product(self, r, n, monkeypatch):
+        # The face route is compared against the coset route, so it must not share the product.
+        chains = enumerate_chains(r, n)
+        expected = {c: _face_coords(c) for c in chains}
+
+        def refuse(*args):
+            raise AssertionError("the group product was called")
+
+        monkeypatch.setattr(group, "_product", refuse)
+        monkeypatch.setattr(cosets, "_product", refuse)
+        with pytest.raises(AssertionError, match="group product"):
+            coset_elements(chain_to_coset(chains[0]))
+        for c, coords in expected.items():
+            assert _face_coords(c) == coords
+            assert chain_to_face_vertices(c) == {YPoint(r, x) for x in coords}
+            if c.length == n:
+                assert vertex_of_maximal_chain(c).coords in coords
 
     def test_delta_face_wrapper(self):
         face = DeltaFace.from_chain(EXAMPLE)
@@ -250,6 +283,20 @@ class TestHyperplanesToChain:
         with pytest.raises(ValueError) as err:
             hyperplanes_to_chain(r, n, [DecoratedSubset((1,), (0,)), top])
         assert str(err.value) == f"need r >= 2 and n >= 0, got r={r!r}, n={n!r}"
+
+    @pytest.mark.parametrize(
+        "family,text",
+        [
+            # a family that does not nest, one that repeats a set, and an element 0
+            ([DecoratedSubset((5,), (0,)), DecoratedSubset((6,), (0,))], "element 5"),
+            ([DecoratedSubset((1, 5), (0, 0)), DecoratedSubset((1, 5), (1, 0))], "element 5"),
+            ([DecoratedSubset((0, 1), (0, 0))], "element 0"),
+        ],
+    )
+    def test_an_element_out_of_range_is_refused(self, family, text):
+        with pytest.raises(ValueError) as err:
+            hyperplanes_to_chain(2, 2, family)
+        assert str(err.value) == f"{text} out of range 1..2"
 
     def test_incomparable_sets(self):
         subsets = [DecoratedSubset((1,), (0,)), DecoratedSubset((2,), (0,))]

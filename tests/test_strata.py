@@ -23,7 +23,9 @@ from pinwheel import (
     stratum_product_factors,
     stratum_to_chain,
 )
-from pinwheel.strata import spoke_contractions
+from pinwheel.strata import _stratum_chain_key, spoke_contractions
+
+from conftest import KEY_RN
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 EXAMPLE_STRATUM = PinwheelStratum(3, 4, (((3, 0),), ((2, 1), (4, 2))))
@@ -51,6 +53,13 @@ class TestChainStratumDictionary:
     def test_roundtrip_everywhere(self, r, n):
         for c in enumerate_chains(r, n):
             assert stratum_to_chain(chain_to_stratum(c)) == c
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_stratum_chain_key_is_the_roundtrip_chains_fields(self, r, n):
+        for c in enumerate_chains(r, n):
+            s = chain_to_stratum(c)
+            back = stratum_to_chain(s)
+            assert _stratum_chain_key(s) == (back.sets, back.decoration) == (c.sets, c.decoration)
 
     def test_empty_spoke_component_rejected(self):
         with pytest.raises(ValueError):

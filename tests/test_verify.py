@@ -37,15 +37,22 @@ def _drop_one(items, key):
 
 # Route name in `pinwheel.verify`, with a "-<case>" suffix when one route
 # has two cases -> (corruption of its result for one argument, the violation
-# the threeway suite must then report).  A "-foreign" case names a chain or
-# stratum outside the complex.
+# the threeway suite must then report).  The suite compares canonical keys,
+# so each route is the key builder it calls.  A "-foreign" case names a chain
+# or stratum outside the complex; a "-noncanonical" case emits an exponent
+# e + r, which names the same object but not its canonical key.
+TARGET_KEY = (TARGET.sets, TARGET.decoration)
 BROKEN_ROUTES = {
-    "coset_to_chain": (
-        lambda h, c: OTHER if c == TARGET else c,
+    "_coset_chain_key": (
+        lambda h, key: (OTHER.sets, OTHER.decoration) if key == TARGET_KEY else key,
         r"coset roundtrip broke",
     ),
-    "stratum_to_chain": (
-        lambda s, c: OTHER if c == TARGET else c,
+    "_coset_chain_key-noncanonical": (
+        lambda h, key: (key[0], tuple((i, e + 2) for i, e in key[1])) if key == TARGET_KEY else key,
+        r"coset roundtrip broke",
+    ),
+    "_stratum_chain_key": (
+        lambda s, key: (OTHER.sets, OTHER.decoration) if key == TARGET_KEY else key,
         r"stratum roundtrip broke",
     ),
     "face_dimension_bruteforce": (
@@ -56,12 +63,18 @@ BROKEN_ROUTES = {
         lambda c, v: vertex_of_maximal_chain(OTHER_MAXIMAL) if c == MAXIMAL else v,
         r"vertex (census|collision)",
     ),
-    "coset_elements": (
-        lambda h, els: _drop_one(els, GenPerm.sort_key) if h == chain_to_coset(TARGET) else els,
+    "_coset_words": (
+        lambda h, words: sorted(words)[1:] if h == chain_to_coset(TARGET) else words,
         r"inclusion mismatch \(coset\)",
     ),
-    "chain_to_face_vertices": (
-        lambda c, vs: _drop_one(vs, lambda v: v.coords) if c == TARGET else vs,
+    "_coset_words-noncanonical": (
+        lambda h, words: [(rows, (exps[0] + 2, *exps[1:])) for rows, exps in words]
+        if h == chain_to_coset(TARGET)
+        else words,
+        r"inclusion mismatch \(coset\)",
+    ),
+    "_face_coords": (
+        lambda c, coords: sorted(coords)[1:] if c == TARGET else coords,
         r"inclusion mismatch \(face\)",
     ),
     "spoke_contractions": (
