@@ -67,13 +67,8 @@ class Chain:
 
     def segments(self) -> tuple[tuple[int, ...], ...]:
         """The successive differences I_1, I_2 - I_1, ..., each sorted."""
-        out = []
-        prev: frozenset[int] = frozenset()
-        for s in self.sets:
-            cur = frozenset(s)
-            out.append(tuple(sorted(cur - prev)))
-            prev = cur
-        return tuple(out)
+        pairs = itertools.pairwise(((),) + self.sets)
+        return tuple(tuple([i for i in cur if i not in prev]) for prev, cur in pairs)
 
     def complement(self) -> tuple[int, ...]:
         """Elements of {1,..,n} not in the largest set, sorted."""
@@ -96,7 +91,7 @@ class Chain:
         decoration = data["decoration"]
         if not isinstance(decoration, Mapping):
             raise ValueError(f"decoration must be an object, got {decoration!r}")
-        dec = {json_int(i, decimal=True): json_int(e) for i, e in decoration.items()}
+        dec = [(json_int(i, decimal=True), json_int(e)) for i, e in decoration.items()]
         sets = [[json_int(i) for i in s] for s in data["sets"]]
         return make_chain(json_int(data["r"]), json_int(data["n"]), sets, dec)
 
@@ -119,16 +114,16 @@ def make_chain(
 def _set_chains(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     subsets = []
     for size in range(1, n + 1):
-        subsets.extend(itertools.combinations(range(1, n + 1), size))
+        subsets.extend((s, frozenset(s)) for s in itertools.combinations(range(1, n + 1), size))
 
     out: list[tuple[tuple[int, ...], ...]] = [()]
 
     def extend(prefix: tuple[tuple[int, ...], ...], last: frozenset[int]) -> None:
-        for s in subsets:
-            if len(s) > len(last) and last < frozenset(s):
+        for s, members in subsets:
+            if last < members:
                 longer = prefix + (s,)
                 out.append(longer)
-                extend(longer, frozenset(s))
+                extend(longer, members)
 
     extend((), frozenset())
     return tuple(out)

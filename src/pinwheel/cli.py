@@ -26,12 +26,22 @@ def _emit(data) -> None:
     print(json.dumps(data, separators=(",", ":"), sort_keys=False))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object hook that refuses a repeated key instead of keeping the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load(path: str, what: str, parse: Callable):
     """Read a JSON file and parse it; any failure becomes a one-line exit message."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, RecursionError, ValueError) as exc:
         raise SystemExit(f"cannot read JSON from {path}: {exc}")
     try:
         return parse(data)
@@ -128,10 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact chain / coset / face / stratum combinatorics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rn = argparse.ArgumentParser(add_help=False)
+    rn.add_argument("--r", type=int, required=True)
+    rn.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("chains", help="enumerate decorated nested chains")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("chains", parents=[rn], help="enumerate decorated nested chains")
     p.add_argument("--dim", type=int, default=None, help="keep only this dimension")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True)
@@ -154,9 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit the dual graph as DOT")
     p.set_defaults(func=_cmd_stratum)
 
-    p = sub.add_parser("hasse", help="refinement poset covering relations")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("hasse", parents=[rn], help="refinement poset covering relations")
     p.add_argument("--dot", action="store_true", required=True)
     p.set_defaults(func=_cmd_hasse)
 
@@ -167,9 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--vertex", metavar="FILE")
     p.set_defaults(func=_cmd_act)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("verify", parents=[rn], help="run a verification suite")
     p.add_argument(
         "--suite",
         required=True,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .chains import Chain, refines
 from .cyclo import _check_indices, json_int
@@ -162,26 +162,18 @@ class CosetFactor:
 
 def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:
     """Factors of the coset, top row block first, then lower blocks downward."""
-    segments = c.segments()
     dec = c.decoration_map()
-    tail = c.complement()
     factors = []
     row_hi = 0
-
-    def add(kind: str, block: int, cols: Sequence[int]) -> None:
-        nonlocal row_hi
-        rows = tuple(range(row_hi + 1, row_hi + 1 + len(cols)))
-        row_hi += len(cols)
-        translation = None
-        if kind == "symmetric":
-            m = len(cols)
-            exps = tuple(-dec[col] for col in cols)
-            translation = GenPerm(c.r, m, tuple(range(1, m + 1)), exps)
-        factors.append(CosetFactor(kind, block, rows, tuple(cols), len(cols), translation))
-
-    add("reflection", 0, tail)
-    for j in range(c.length, 0, -1):
-        add("symmetric", j, segments[j - 1])
+    for block, cols in [(0, c.complement()), *reversed(list(enumerate(c.segments(), start=1)))]:
+        m = len(cols)
+        rows = tuple(range(row_hi + 1, row_hi + 1 + m))
+        row_hi += m
+        if block == 0:
+            factors.append(CosetFactor("reflection", 0, rows, cols, m, None))
+        else:
+            translation = GenPerm(c.r, m, tuple(range(1, m + 1)), tuple(-dec[col] for col in cols))
+            factors.append(CosetFactor("symmetric", block, rows, cols, m, translation))
     return tuple(factors)
 
 

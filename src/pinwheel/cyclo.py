@@ -129,9 +129,11 @@ def _check_same_space(a, b) -> None:
         raise ValueError(f"objects live over different (r, n): ({a.r}, {a.n}) vs ({b.r}, {b.n})")
 
 
-def _check_nonnegative(name: str, value: int) -> None:
+def _check_nonnegative(name: str, value: int) -> int:
+    value = index(value)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def _check_cap(what: str, size: int, r: int, n: int, name: str, cap: int) -> None:
@@ -196,8 +198,7 @@ class CycloNum:
     # Each static constructor checks r before _degree(r) reads it.
     @staticmethod
     def zero(r: int) -> "CycloNum":
-        r, _ = _check_rn(r)
-        return CycloNum(r, (0,) * _degree(r))
+        return CycloNum.from_rational(0, r)
 
     @staticmethod
     def from_rational(value, r: int) -> "CycloNum":

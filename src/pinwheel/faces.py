@@ -274,7 +274,7 @@ def face_nonempty_oracle(
     r: int, n: int, subsets: Sequence[DecoratedSubset], max_vertices: int = 2000
 ) -> bool:
     """Whether some vertex of the complex satisfies every listed hyperplane."""
-    _check_nonnegative("max_vertices", max_vertices)
+    max_vertices = _check_nonnegative("max_vertices", max_vertices)
     order = group_order(r, n)
     _check_cap("vertex count", order, r, n, "max_vertices", max_vertices)
     hit = frozenset(range(order))

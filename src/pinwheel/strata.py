@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import index
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .chains import Chain, refines
 from .cyclo import _check_indices, _check_rn, _check_same_space, json_int
@@ -112,26 +112,6 @@ def stratum_to_chain(s: PinwheelStratum) -> Chain:
     return Chain(s.r, s.n, *_stratum_chain_key(s))
 
 
-_Spoke = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _contract(spoke: _Spoke, edges: Container[int]) -> _Spoke:
-    """The canonical spoke left by contracting the listed edges of a valid spoke.
-
-    Each merged component is sorted, as `PinwheelStratum` stores it.
-    """
-    merged: list[tuple[tuple[int, int], ...]] = []
-    carry: list[tuple[int, int]] = []
-    for j, comp in enumerate(spoke, start=1):
-        carry.extend(comp)
-        if j not in edges:
-            merged.append(tuple(sorted(carry)))
-            carry = []
-        # when j is contracted the points ride inward; past the last
-        # component they dissolve into the center
-    return tuple(merged)
-
-
 def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelStratum:
     """Contract the listed spoke edge orbits, simultaneously on all r spokes.
 
@@ -139,10 +119,20 @@ def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelSt
     center; contracting edge j merges component j's light points inward, and
     contracting edge k returns its orbits (as full orbits) to the center.
     """
-    return PinwheelStratum(s.r, s.n, _contract(s.spoke, _check_indices(edges, 1, s.k, "edge")))
+    edges = _check_indices(edges, 1, s.k, "edge")
+    merged: list[tuple[tuple[int, int], ...]] = []
+    carry: list[tuple[int, int]] = []
+    for j, comp in enumerate(s.spoke, start=1):
+        carry.extend(comp)
+        if j not in edges:
+            merged.append(tuple(sorted(carry)))
+            carry = []
+        # when j is contracted the points ride inward; past the last
+        # component they dissolve into the center
+    return PinwheelStratum(s.r, s.n, tuple(merged))
 
 
-def spoke_contractions(s: PinwheelStratum) -> Iterator[_Spoke]:
+def spoke_contractions(s: PinwheelStratum) -> Iterator[tuple[tuple[tuple[int, int], ...], ...]]:
     """The canonical spokes reached by contracting each subset of s's spoke edges.
 
     s's own spoke comes first; each entry equals the `spoke` of the stratum
@@ -225,16 +215,11 @@ def act_on_zero_dim_stratum(s: PinwheelStratum, a: GenPerm) -> PinwheelStratum:
     _check_same_space(s, a)
     if s.k != s.n:
         raise ValueError(f"need a zero-dimensional stratum, got spoke length {s.k} < {s.n}")
-    position: dict[int, int] = {}
-    exponent: dict[int, int] = {}
-    for j, comp in enumerate(s.spoke, start=1):
-        ((i, e),) = comp
-        position[i] = j
-        exponent[i] = e
+    place = {i: (j, e) for j, ((i, e),) in enumerate(s.spoke)}
     spoke: list[tuple[tuple[int, int], ...]] = [()] * s.n
-    for b in range(1, s.n + 1):
-        i = a.row_of(b)
-        spoke[position[i] - 1] = ((b, exponent[i] - a.exp_of(b)),)
+    for b, (i, x) in enumerate(zip(a.row_of_col, a.exp_of_col), start=1):
+        j, e = place[i]
+        spoke[j] = ((b, e - x),)
     return PinwheelStratum(s.r, s.n, tuple(spoke))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .chains import Chain, _coarsening_keys, act_on_chain, chain_dimension, enumerate_chains
@@ -66,7 +66,7 @@ class VerifyConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_group_order", "max_families"):
-            _check_nonnegative(name, getattr(self, name))
+            object.__setattr__(self, name, _check_nonnegative(name, getattr(self, name)))
 
 
 DEFAULT_CONFIG = VerifyConfig()
@@ -85,13 +85,7 @@ class Report:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "r": self.r,
-            "n": self.n,
-            "counts_by_dim": self.counts_by_dim,
-            "violations": list(self.violations),
-        }
+        return asdict(self)
 
 
 def _start(suite: str, r: int, n: int, config: VerifyConfig) -> tuple[tuple[Chain, ...], Report]:

@@ -331,3 +331,8 @@ class TestJson:
     @given(chains_over())
     def test_roundtrip(self, c):
         assert Chain.from_json(c.to_json()) == c
+
+    def test_two_keys_naming_one_element_are_refused(self):
+        data = {"r": 2, "n": 1, "sets": [[1]], "decoration": {"1": 0, "01": 1}}
+        with pytest.raises(ValueError, match=r"^decoration domain \(1, 1\) must equal the largest set \(1,\)$"):
+            Chain.from_json(data)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -274,6 +275,26 @@ class TestErrors:
             main(argv)
         assert f"malformed {what} in {path}" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "what,text,key",
+        [
+            ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":{"1":0,"1":1}}', "1"),
+            ("matrix", '{"r":2,"n":1,"cols":[{"col":1,"row":1,"exp":0,"exp":1}]}', "exp"),
+        ],
+        ids=["chain", "matrix"],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, capsys, chain_file, what, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        argv = {
+            "chain": ["stratum", "--chain", str(path)],
+            "matrix": ["act", "--matrix", str(path), "--chain", chain_file],
+        }[what]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert str(err.value) == f"cannot read JSON from {path}: repeated key {key!r}"
+        assert capsys.readouterr().out == ""
+
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit):
             main(["coset", "--chain", "/nonexistent/file.json"])
@@ -295,6 +316,30 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--r", "2", "--n", "2", "--suite", "nonempty", flag, "-5"])
         assert str(err.value) == f"error: {flag} must be >= 0, got -5"
+
+
+class TestSharedOptions:
+    SUBCOMMANDS = {
+        "chains": ["chains", "--r", "2"],
+        "hasse": ["hasse", "--r", "2", "--dot"],
+        "verify": ["verify", "--r", "2", "--suite", "nonempty"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_missing_n_is_named(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main(self.SUBCOMMANDS[command])
+        assert err.value.code == 2
+        assert "the following arguments are required: --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_help_lists_r_and_n_first(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "-h"])
+        assert err.value.code == 0
+        options = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.MULTILINE)
+        assert options[:2] == ["--r", "--n"]
+        assert len(options) > 2
 
 
 # Small arbitrary JSON: integers, short strings, null, and lists and objects

@@ -348,6 +348,10 @@ class TestNonemptyOracle:
         with pytest.raises(ValueError, match="^max_vertices must be >= 0, got -1$"):
             face_nonempty_oracle(2, 2, [], max_vertices=-1)
 
+    def test_float_cap_is_refused(self):
+        with pytest.raises(TypeError):
+            face_nonempty_oracle(2, 2, [], max_vertices=2000.0)
+
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
     def test_agrees_with_sortability(self, r, n):
         subsets = [

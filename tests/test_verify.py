@@ -287,6 +287,13 @@ class TestNonemptiness:
             VerifyConfig(**{field: -5})
         assert not isinstance(err.value, CapExceeded)
 
+    @pytest.mark.parametrize("field", ["max_group_order", "max_families"])
+    def test_non_integer_cap_is_refused_by_the_library(self, field):
+        with pytest.raises(TypeError):
+            VerifyConfig(**{field: 2.5})
+        cap = getattr(VerifyConfig(**{field: True}), field)
+        assert cap == 1 and type(cap) is int
+
     @pytest.mark.parametrize("route", sorted(BROKEN_NONEMPTY_ROUTES))
     def test_a_broken_route_is_reported(self, monkeypatch, route):
         module, name, corrupt, violation = BROKEN_NONEMPTY_ROUTES[route]
