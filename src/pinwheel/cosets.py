@@ -23,6 +23,7 @@ __all__ = [
     "chain_to_coset",
     "coset_to_chain",
     "coset_elements",
+    "coset_size",
     "coset_subset",
     "CosetFactor",
     "coset_block_decomposition",

@@ -129,14 +129,18 @@ def chain_to_face_vertices(c: Chain) -> frozenset[YPoint]:
 
 @dataclass(frozen=True)
 class DeltaFace:
-    """A face of the complex: its chain plus the derived vertex set."""
+    """A face of the complex: its chain, with the vertex set derived from it."""
 
     chain: Chain
-    vertices: frozenset[YPoint]
+
+    @property
+    def vertices(self) -> frozenset[YPoint]:
+        """Built on each access and not kept: a face holds only its chain."""
+        return chain_to_face_vertices(self.chain)
 
     @staticmethod
     def from_chain(c: Chain) -> "DeltaFace":
-        return DeltaFace(c, chain_to_face_vertices(c))
+        return DeltaFace(c)
 
     def to_json(self) -> dict:
         return {

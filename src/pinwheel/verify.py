@@ -246,9 +246,7 @@ def verify_products(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
             )
         if len(coset_elements(chain_to_coset(c))) != coset_size(c):
             fail(f"coset cardinality does not match factor arithmetic on {c.to_json()}")
-        m = stratum_sizes[0]
-        spoke_dims = sum(size - 1 for block, size in stratum_sizes.items() if block)
-        if m + spoke_dims != chain_dimension(c):
+        if sum(size - (block != 0) for block, size in stratum_sizes.items()) != chain_dimension(c):
             fail(f"factor dimensions do not sum to the face dimension on {c.to_json()}")
     return report
 

@@ -1,0 +1,55 @@
+"""One statement of the public API: each module's `__all__`.
+
+A name is public when it has no leading underscore (the rule perfbench's
+tracer follows), when its module's `__all__` lists it, and when
+`import pinwheel` exposes it.  These tests keep the three in agreement.
+"""
+
+import importlib
+import inspect
+import types
+
+import pytest
+
+import pinwheel
+
+LIBRARY = ("cyclo", "group", "chains", "cosets", "faces", "strata", "verify")
+MODULES = {name: importlib.import_module(f"pinwheel.{name}") for name in LIBRARY}
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_every_public_definition_is_in_all(name):
+    mod = MODULES[name]
+    defined = {
+        attr
+        for attr, obj in vars(mod).items()
+        if not attr.startswith("_")
+        and (isinstance(obj, type) or inspect.isfunction(inspect.unwrap(obj)))
+        and obj.__module__ == mod.__name__
+    }
+    assert defined <= set(mod.__all__), sorted(defined - set(mod.__all__))
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_every_all_entry_exists(name):
+    mod = MODULES[name]
+    assert [attr for attr in mod.__all__ if not hasattr(mod, attr)] == []
+
+
+def test_package_exposes_exactly_the_union_of_all():
+    # Skip module objects: `pinwheel.cli` joins the namespace once anything imports it.
+    exposed = {
+        attr
+        for attr, obj in vars(pinwheel).items()
+        if not attr.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert exposed == {attr for mod in MODULES.values() for attr in mod.__all__}
+
+
+def test_names_once_missing_from_the_package_import():
+    from pinwheel import chain_layers, coarsenings, coset_size, spoke_contractions
+
+    assert chain_layers is pinwheel.faces.chain_layers
+    assert coarsenings is pinwheel.chains.coarsenings
+    assert coset_size is pinwheel.cosets.coset_size
+    assert spoke_contractions is pinwheel.strata.spoke_contractions

@@ -173,6 +173,13 @@ class TestFaceVertices:
         data = face.to_json()
         assert len(data["vertices"]) == 6
 
+    def test_delta_face_derives_its_vertices(self):
+        face = DeltaFace(EXAMPLE)
+        assert face == DeltaFace.from_chain(EXAMPLE)
+        assert face.vertices == chain_to_face_vertices(EXAMPLE)
+        with pytest.raises(TypeError):
+            DeltaFace(EXAMPLE, frozenset())
+
 
 class TestPointInComplex:
     def test_staircase_point_is_inside(self):

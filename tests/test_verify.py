@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -173,6 +174,37 @@ BROKEN_EQUIVARIANCE_ROUTES = {
     ),
 }
 
+# Route name in `pinwheel.verify`, with a "-<case>" suffix when one route has
+# two cases -> (corruption of its result for one argument tuple at (2, 2), the
+# violation the products suite must then report).  TARGET has a block-0 and a
+# block-1 factor in each family.
+BROKEN_PRODUCT_ROUTES = {
+    "stratum_product_factors-drop-block-0": (
+        lambda args, fs: fs[1:] if args == (TARGET,) else fs,
+        r"factor lists disagree",
+    ),
+    "stratum_product_factors-resize": (
+        lambda args, fs: (replace(fs[0], size=fs[0].size + 1), *fs[1:]) if args == (TARGET,) else fs,
+        r"factor lists disagree",
+    ),
+    "coset_block_decomposition": (
+        lambda args, fs: fs[:-1] if args == (TARGET,) else fs,
+        r"factor lists disagree",
+    ),
+    "face_product_decomposition": (
+        lambda args, fs: fs[:-1] if args == (TARGET,) else fs,
+        r"factor lists disagree",
+    ),
+    "coset_size": (
+        lambda args, size: size + 1 if args == (TARGET,) else size,
+        r"coset cardinality",
+    ),
+    "coset_elements": (
+        lambda args, els: _drop_one(els, GenPerm.sort_key) if args == (chain_to_coset(TARGET),) else els,
+        r"coset cardinality",
+    ),
+}
+
 
 class TestThreeway:
     def test_octagon_counts(self):
@@ -270,6 +302,15 @@ class TestProducts:
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
     def test_envelope_cases(self, r, n):
         assert verify_products(r, n).ok
+
+    @pytest.mark.parametrize("route", sorted(BROKEN_PRODUCT_ROUTES))
+    def test_a_broken_route_is_reported(self, monkeypatch, route):
+        corrupt, violation = BROKEN_PRODUCT_ROUTES[route]
+        name = route.partition("-")[0]
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args: corrupt(args, real(*args)))
+        report = verify_products(2, 2)
+        assert any(re.search(violation, v) for v in report.violations), report.violations
 
 
 class TestNonemptiness:
