@@ -28,7 +28,7 @@ __all__ = [
     "StratumFactor",
     "stratum_product_factors",
     "base_stratum",
-    "act_on_zero_dim_stratum",
+    "act_on_stratum",
     "dual_graph_dot",
 ]
 
@@ -205,22 +205,25 @@ def base_stratum(r: int, n: int) -> PinwheelStratum:
     return PinwheelStratum(r, n, spoke)
 
 
-def act_on_zero_dim_stratum(s: PinwheelStratum, a: GenPerm) -> PinwheelStratum:
-    """Right action on a vertex stratum by relabeling the light points.
+def _act_on_spoke(s: PinwheelStratum, a: GenPerm) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The canonical `spoke` of `act_on_stratum(s, a)`, with no stratum built."""
+    place = {i: (j, e) for j, comp in enumerate(s.spoke) for i, e in comp}
+    spoke: list[list[tuple[int, int]]] = [[] for _ in s.spoke]
+    for b, (i, x) in enumerate(zip(a.row_of_col, a.exp_of_col), start=1):
+        if i in place:
+            j, e = place[i]
+            spoke[j].append((b, (e - x) % s.r))
+    return tuple(map(tuple, spoke))
 
-    The new first orbit members sit where the acted tuple dictates: orbit b
-    takes over the spoke position of orbit row_of_col[b], with its exponent
-    reduced by the matrix exponent.
+
+def act_on_stratum(s: PinwheelStratum, a: GenPerm) -> PinwheelStratum:
+    """Right action on a stratum by relabeling the light points.
+
+    Orbit b takes over the spoke position of orbit row_of_col[b], with its
+    exponent reduced by the matrix exponent; central orbits stay central.
     """
     _check_same_space(s, a)
-    if s.k != s.n:
-        raise ValueError(f"need a zero-dimensional stratum, got spoke length {s.k} < {s.n}")
-    place = {i: (j, e) for j, ((i, e),) in enumerate(s.spoke)}
-    spoke: list[tuple[tuple[int, int], ...]] = [()] * s.n
-    for b, (i, x) in enumerate(zip(a.row_of_col, a.exp_of_col), start=1):
-        j, e = place[i]
-        spoke[j] = ((b, e - x),)
-    return PinwheelStratum(s.r, s.n, tuple(spoke))
+    return PinwheelStratum(s.r, s.n, _act_on_spoke(s, a))
 
 
 def dual_graph_dot(s: PinwheelStratum) -> str:

@@ -37,8 +37,8 @@ from .faces import (
 )
 from .group import act_on_tuple, enumerate_group, group_order, multiply
 from .strata import (
+    _act_on_spoke,
     _stratum_chain_key,
-    act_on_zero_dim_stratum,
     chain_to_stratum,
     spoke_contractions,
     stratum_product_factors,
@@ -88,9 +88,23 @@ class Report:
         return asdict(self)
 
 
-def _start(suite: str, r: int, n: int, config: VerifyConfig) -> tuple[tuple[Chain, ...], Report]:
-    """Every suite's prologue: the group-order cap, the chains, and an empty report."""
+def _check_caps(r: int, n: int, config: VerifyConfig, families: bool) -> None:
+    """Refuse (r, n) above the group-order cap and, if asked, the family cap.
+
+    Both sizes are arithmetic, so nothing is enumerated before a refusal.
+    The nonempty suite checks every nonempty family of at most n of the
+    (r+1)^n - 1 decorated subsets.
+    """
     _check_cap("group order", group_order(r, n), r, n, "max_group_order", config.max_group_order)
+    if families:
+        subsets = (r + 1) ** n - 1
+        family_count = sum(math.comb(subsets, size) for size in range(1, n + 1))
+        _check_cap("hyperplane family count", family_count, r, n, "max_families", config.max_families)
+
+
+def _start(suite: str, r: int, n: int, config: VerifyConfig) -> tuple[tuple[Chain, ...], Report]:
+    """Every suite's prologue: the caps, the chains, and an empty report."""
+    _check_caps(r, n, config, families=suite == "nonempty")
     chains = enumerate_chains(r, n)
     counts = [0] * (n + 1)
     for c in chains:
@@ -199,7 +213,7 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
 
 
 def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
-    """Group action compatibility across chains, cosets, faces and vertex strata."""
+    """Group action compatibility across chains, cosets, faces and strata."""
     chains, report = _start("equivariance", r, n, config)
     fail = report.violations.append
     group = enumerate_group(r, n)
@@ -207,26 +221,29 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
     vertices = {c: chain_to_face_vertices(c) for c in chains}
     handles = {c: chain_to_coset(c) for c in chains}
     elements = {c: coset_elements(handles[c]) for c in chains}
+    strata = {c: chain_to_stratum(c) for c in chains}
     base = YPoint(r, tuple((i, 0) for i in range(1, n + 1)))
     orbit = [(a, act_on_tuple(base, a)) for a in group]
 
     for c in chains:
-        if frozenset(a for a, v in orbit if v in vertices[c]) != elements[c]:
+        # Each family's entry for c is read once per chain; a Chain key is
+        # rehashed on every lookup.
+        vs, h, els, s = vertices[c], handles[c], elements[c], strata[c]
+        if frozenset(a for a, v in orbit if v in vs) != els:
             fail(f"vertex-orbit reinterpretation broke on {c.to_json()}")
-        s = chain_to_stratum(c) if c.length == n else None
         for a in group:
             image = act_on_chain(c, a)
             if image not in handles:
                 fail(f"image is not a chain of the complex on {c.to_json()} by {a.to_json()}")
                 continue
-            if frozenset(act_on_tuple(v, a) for v in vertices[c]) != vertices[image]:
+            if frozenset(act_on_tuple(v, a) for v in vs) != vertices[image]:
                 fail(f"face action broke on {c.to_json()} by {a.to_json()}")
-            if act_on_coset(handles[c], a) != handles[image]:
+            if act_on_coset(h, a) != handles[image]:
                 fail(f"coset action missed the image coset on {c.to_json()} by {a.to_json()}")
-            if frozenset(multiply(e, a) for e in elements[c]) != elements[image]:
+            if frozenset(multiply(e, a) for e in els) != elements[image]:
                 fail(f"coset element action broke on {c.to_json()} by {a.to_json()}")
-            if s is not None and act_on_zero_dim_stratum(s, a) != chain_to_stratum(image):
-                fail(f"vertex stratum action broke on {c.to_json()} by {a.to_json()}")
+            if _act_on_spoke(s, a) != strata[image].spoke:
+                fail(f"stratum action broke on {c.to_json()} by {a.to_json()}")
     return report
 
 
@@ -262,9 +279,6 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
             for exps in itertools.product(range(r), repeat=size):
                 subsets.append(DecoratedSubset(elems, exps))
 
-    family_count = sum(math.comb(len(subsets), size) for size in range(1, n + 1))
-    _check_cap("hyperplane family count", family_count, r, n, "max_families", config.max_families)
-
     vertices = enumerate_vertices(r, n)
     on_ids = {s: hyperplane_vertex_ids(r, n, s) for s in subsets}
     vertex_ids = {v: i for i, v in enumerate(vertices)}
@@ -297,4 +311,5 @@ SUITES: dict[str, Callable[[int, int, VerifyConfig], Report]] = {
 
 
 def verify_all(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> list[Report]:
+    _check_caps(r, n, config, families=True)
     return [suite(r, n, config) for suite in SUITES.values()]

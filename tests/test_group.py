@@ -14,7 +14,7 @@ from pinwheel import (
     act_on_chain,
     act_on_coset,
     act_on_tuple,
-    act_on_zero_dim_stratum,
+    act_on_stratum,
     base_stratum,
     chain_to_coset,
     coset_subset,
@@ -60,7 +60,7 @@ SAME_SPACE_SITES = {
     "coset_subset": (coset_subset, "coset", "coset"),
     "act_on_coset": (act_on_coset, "coset", "matrix"),
     "stratum_includes": (stratum_includes, "stratum", "stratum"),
-    "act_on_zero_dim_stratum": (act_on_zero_dim_stratum, "stratum", "matrix"),
+    "act_on_stratum": (act_on_stratum, "stratum", "matrix"),
     "face_membership": (face_membership, "point", "chain"),
     "face_membership_product_form": (face_membership_product_form, "point", "chain"),
 }

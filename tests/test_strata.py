@@ -7,7 +7,7 @@ from pinwheel import (
     GenPerm,
     PinwheelStratum,
     act_on_chain,
-    act_on_zero_dim_stratum,
+    act_on_stratum,
     base_stratum,
     chain_to_stratum,
     contract_spoke_edges,
@@ -23,7 +23,7 @@ from pinwheel import (
     stratum_product_factors,
     stratum_to_chain,
 )
-from pinwheel.strata import _stratum_chain_key, spoke_contractions
+from pinwheel.strata import _act_on_spoke, _stratum_chain_key, spoke_contractions
 
 from conftest import KEY_RN
 
@@ -133,7 +133,7 @@ class TestInclusion:
 
     def test_distinct_vertex_strata_incomparable(self):
         a = base_stratum(2, 2)
-        b = act_on_zero_dim_stratum(a, GenPerm(2, 2, (2, 1), (0, 0)))
+        b = act_on_stratum(a, GenPerm(2, 2, (2, 1), (0, 0)))
         assert not stratum_includes(a, b)
         assert stratum_includes(a, a)
 
@@ -171,37 +171,73 @@ class TestProductFactors:
 
 
 class TestZeroDimAction:
+    """The action on vertex strata, where it permutes the group's one orbit."""
+
     def test_identity_fixes_base(self):
         s = base_stratum(3, 4)
-        assert act_on_zero_dim_stratum(s, identity(3, 4)) == s
+        assert act_on_stratum(s, identity(3, 4)) == s
 
     def test_worked_example_relabeling(self):
         a = GenPerm(3, 4, (4, 1, 3, 2), (0, 2, 2, 1))
-        moved = act_on_zero_dim_stratum(base_stratum(3, 4), a)
+        moved = act_on_stratum(base_stratum(3, 4), a)
         assert moved.spoke == (((1, 0),), ((3, 1),), ((4, 2),), ((2, 1),))
 
     def test_inverse_restores(self):
         a = GenPerm(3, 4, (4, 1, 3, 2), (0, 2, 2, 1))
         s = base_stratum(3, 4)
-        assert act_on_zero_dim_stratum(act_on_zero_dim_stratum(s, a), inverse(a)) == s
-
-    def test_rejects_positive_dimension(self):
-        with pytest.raises(ValueError):
-            act_on_zero_dim_stratum(EXAMPLE_STRATUM, identity(3, 4))
-
-    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
-    def test_matches_chain_action_exhaustively(self, r, n):
-        for c in enumerate_chains(r, n):
-            if c.length != n:
-                continue
-            s = chain_to_stratum(c)
-            for a in enumerate_group(r, n):
-                assert act_on_zero_dim_stratum(s, a) == chain_to_stratum(act_on_chain(c, a))
+        assert act_on_stratum(act_on_stratum(s, a), inverse(a)) == s
 
     def test_vertex_strata_biject_with_group(self):
         group = enumerate_group(3, 2)
-        orbit = {act_on_zero_dim_stratum(base_stratum(3, 2), a) for a in group}
+        orbit = {act_on_stratum(base_stratum(3, 2), a) for a in group}
         assert len(orbit) == len(group)
+
+
+class TestStratumAction:
+    def test_identity_fixes_a_positive_dimensional_stratum(self):
+        assert act_on_stratum(EXAMPLE_STRATUM, identity(3, 4)) == EXAMPLE_STRATUM
+
+    def test_inverse_restores_a_positive_dimensional_stratum(self):
+        a = GenPerm(3, 4, (4, 1, 3, 2), (0, 2, 2, 1))
+        moved = act_on_stratum(EXAMPLE_STRATUM, a)
+        assert moved.spoke == (((3, 1),), ((1, 2), (4, 0)))
+        assert act_on_stratum(moved, inverse(a)) == EXAMPLE_STRATUM
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3)])
+    def test_matches_chain_action_exhaustively(self, r, n):
+        for c in enumerate_chains(r, n):
+            s = chain_to_stratum(c)
+            for a in enumerate_group(r, n):
+                assert act_on_stratum(s, a) == chain_to_stratum(act_on_chain(c, a))
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_act_on_spoke_is_the_images_fields(self, r, n):
+        group = enumerate_group(r, n)
+        sample = group[:: max(1, len(group) // 8)]
+        for c in enumerate_chains(r, n):
+            s = chain_to_stratum(c)
+            for a in sample:
+                assert _act_on_spoke(s, a) == act_on_stratum(s, a).spoke
+
+    def test_takes_no_chain(self, monkeypatch):
+        # The stratum side of the equivariance suite reads spoke data only;
+        # it must not share the chain route it is compared with.
+        group = enumerate_group(2, 3)
+        cases = [
+            (chain_to_stratum(c), a, chain_to_stratum(act_on_chain(c, a)))
+            for c in enumerate_chains(2, 3)
+            for a in group
+        ]
+
+        def refuse(*args):
+            raise AssertionError("the stratum action went through a chain")
+
+        monkeypatch.setattr("pinwheel.chains.act_on_chain", refuse)
+        for name in ("act_on_chain", "chain_to_stratum", "stratum_to_chain"):
+            monkeypatch.setattr(f"pinwheel.strata.{name}", refuse, raising=False)
+        monkeypatch.setattr(Chain, "segments", refuse)
+        for s, a, image in cases:
+            assert act_on_stratum(s, a) == image
 
 
 class TestDotExport:

@@ -138,9 +138,11 @@ BROKEN_NONEMPTY_ROUTES = {
 }
 
 
-# Route name in `pinwheel.verify` -> (corruption of its result for one
-# argument tuple at (2, 2), the violation the equivariance suite must then
-# report).  The suite's base point is ((1, 0), (2, 0)).
+# Route name in `pinwheel.verify`, with a "-<case>" suffix when one route has
+# two cases -> (corruption of its result for one argument tuple at (2, 2), the
+# violation the equivariance suite must then report).  The suite's base point
+# is ((1, 0), (2, 0)); a "-positive" case acts on TARGET's stratum, which is
+# not a vertex stratum.
 ONE = identity(2, 2)
 BASE = YPoint(2, ((1, 0), (2, 0)))
 BROKEN_EQUIVARIANCE_ROUTES = {
@@ -168,9 +170,19 @@ BROKEN_EQUIVARIANCE_ROUTES = {
         lambda args, vs: _drop_one(vs, lambda v: v.coords) if args == (TARGET,) else vs,
         r"face action broke",
     ),
-    "act_on_zero_dim_stratum": (
-        lambda args, s: chain_to_stratum(OTHER_MAXIMAL) if args == (chain_to_stratum(MAXIMAL), ONE) else s,
-        r"vertex stratum action broke",
+    "_act_on_spoke": (
+        lambda args, spoke: chain_to_stratum(OTHER_MAXIMAL).spoke
+        if args == (chain_to_stratum(MAXIMAL), ONE)
+        else spoke,
+        r"stratum action broke",
+    ),
+    "_act_on_spoke-positive": (
+        lambda args, spoke: chain_to_stratum(OTHER).spoke if args == (chain_to_stratum(TARGET), ONE) else spoke,
+        r"stratum action broke",
+    ),
+    "chain_to_stratum": (
+        lambda args, s: chain_to_stratum(OTHER) if args == (TARGET,) else s,
+        r"stratum action broke",
     ),
 }
 
@@ -254,8 +266,9 @@ class TestEquivariance:
     @pytest.mark.parametrize("route", sorted(BROKEN_EQUIVARIANCE_ROUTES))
     def test_a_broken_route_is_reported(self, monkeypatch, route):
         corrupt, violation = BROKEN_EQUIVARIANCE_ROUTES[route]
-        real = getattr(verify, route)
-        monkeypatch.setattr(verify, route, lambda *args: corrupt(args, real(*args)))
+        name = route.partition("-")[0]
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args: corrupt(args, real(*args)))
         report = verify_equivariance(2, 2)
         assert any(re.search(violation, v) for v in report.violations), report.violations
 
@@ -272,8 +285,9 @@ class TestEquivariance:
 
     def test_one_pass_builds_each_entry_once(self, monkeypatch):
         # (2, 2) has 17 chains and 8 group elements: one coset enumeration
-        # per chain, one image per (chain, element) pair, and one orbit of
-        # the base point, the only point the suite builds itself.
+        # and one stratum per chain, one image per (chain, element) pair,
+        # and one orbit of the base point, the only point the suite builds
+        # itself.
         calls = Counter()
         points = []
         real_point, real_act = verify.YPoint, verify.act_on_tuple
@@ -289,13 +303,18 @@ class TestEquivariance:
 
         monkeypatch.setattr(verify, "YPoint", point)
         monkeypatch.setattr(verify, "act_on_tuple", act)
-        for name in ("coset_elements", "act_on_chain"):
+        for name in ("coset_elements", "chain_to_stratum", "act_on_chain"):
             real = getattr(verify, name)
             monkeypatch.setattr(
                 verify, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args)
             )
         assert verify_equivariance(2, 2).ok
-        assert calls == {"coset_elements": 17, "act_on_chain": 136, "act_on_tuple(base)": 8}
+        assert calls == {
+            "coset_elements": 17,
+            "chain_to_stratum": 17,
+            "act_on_chain": 136,
+            "act_on_tuple(base)": 8,
+        }
 
 
 class TestProducts:
@@ -321,6 +340,18 @@ class TestNonemptiness:
     def test_family_cap(self):
         with pytest.raises(CapExceeded, match="max_families"):
             verify_nonemptiness(3, 3, VerifyConfig(max_families=100))
+
+    def test_caps_refuse_before_any_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated before the caps were checked")
+
+        monkeypatch.setattr(verify, "enumerate_chains", refuse)
+        monkeypatch.setattr(verify, "DecoratedSubset", refuse)
+        with pytest.raises(CapExceeded, match="max_families"):
+            verify_nonemptiness(2, 6, VerifyConfig(max_group_order=10**8))
+        # Above both caps, the group-order cap is named first.
+        with pytest.raises(CapExceeded, match="max_group_order"):
+            verify_nonemptiness(4, 4)
 
     @pytest.mark.parametrize("field", ["max_group_order", "max_families"])
     def test_negative_cap_is_refused_by_the_library(self, field):
@@ -351,6 +382,17 @@ class TestReports:
         assert sorted(data) == ["counts_by_dim", "n", "r", "suite", "violations"]
         assert data["suite"] == "threeway"
         assert data["violations"] == []
+
+    def test_verify_all_checks_every_cap_before_its_first_suite(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a suite ran before the caps were checked")
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, refuse)
+        with pytest.raises(CapExceeded, match="max_families"):
+            verify_all(3, 4)
+        with pytest.raises(CapExceeded, match="max_group_order"):
+            verify_all(4, 4)
 
     def test_verify_all_runs_each_suite_once(self):
         reports = verify_all(2, 2)
