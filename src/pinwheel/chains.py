@@ -159,6 +159,14 @@ def chain_dimension(c: Chain) -> int:
     return c.n - c.length
 
 
+def _act_on_chain_key(c: Chain, a: GenPerm) -> tuple[tuple, tuple]:
+    """The canonical (sets, decoration) of `act_on_chain(c, a)`, with no chain built."""
+    cols, exps = a._col_of_row, a.exp_of_col
+    sets = tuple([tuple(sorted([cols[i - 1] for i in s])) for s in c.sets])
+    dec = sorted([(col := cols[i - 1], (e - exps[col - 1]) % c.r) for i, e in c.decoration])
+    return sets, tuple(dec)
+
+
 def act_on_chain(c: Chain, a: GenPerm) -> Chain:
     """Image of a chain under the right action of a group element.
 
@@ -166,12 +174,7 @@ def act_on_chain(c: Chain, a: GenPerm) -> Chain:
     image element drops the exponent of the matrix entry that carried it.
     """
     _check_same_space(c, a)
-    sets = tuple(tuple(a.col_of_row(i) for i in s) for s in c.sets)
-    dec = []
-    for i, e in c.decoration:
-        col = a.col_of_row(i)
-        dec.append((col, e - a.exp_of(col)))
-    return Chain(c.r, c.n, sets, tuple(dec))
+    return Chain(c.r, c.n, *_act_on_chain_key(c, a))
 
 
 def _maximal_orders(c: Chain) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -43,6 +43,8 @@ def _load(path: str, what: str, parse: Callable):
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, RecursionError, ValueError) as exc:
         raise SystemExit(f"cannot read JSON from {path}: {exc}")
+    if not isinstance(data, dict):
+        raise SystemExit(f"malformed {what} in {path}: expected a JSON object")
     try:
         return parse(data)
     except (KeyError, TypeError, ValueError) as exc:

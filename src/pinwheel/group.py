@@ -62,9 +62,6 @@ class GenPerm:
             out[row - 1] = col
         return tuple(out)
 
-    def col_of_row(self, row: int) -> int:
-        return self._col_of_row[row - 1]
-
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.row_of_col, self.exp_of_col)
 

@@ -4,6 +4,12 @@ Each suite exhaustively checks one family of claims at desk scale and
 returns a structured report: object counts per dimension plus a list of
 violation strings (expected empty).  Instances above the configured caps
 are refused unless the caps are raised explicitly.
+
+A suite finds a chain's data by its position in `enumerate_chains`, through
+the index of canonical (sets, decoration) keys; it builds a library object
+only as a route's output that it compares, never just to look something up.
+Each key builder is the one its object builder wraps, so a key equals the
+fields of the object it stands for.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .chains import Chain, _coarsening_keys, act_on_chain, chain_dimension, enumerate_chains
+from .chains import Chain, _act_on_chain_key, _coarsening_keys, chain_dimension, enumerate_chains
 from .cosets import (
     _coset_chain_key,
     _coset_words,
@@ -142,12 +148,10 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     """Roundtrips, dimension agreement, and the four-way inclusion equivalence."""
     chains, report = _start("threeway", r, n, config)
     fail = report.violations.append
-    # Wherever an object would serve only as a key, the suite compares its
-    # canonical fields instead: roundtrips by (sets, decoration), coarsenings
-    # and contractions by their keys, and coset elements and face vertices
-    # as numbered (rows, exps) words and coordinate tuples.  Each key builder
-    # is the one its object builder wraps, so no GenPerm, YPoint, Chain or
-    # PinwheelStratum is built just to be compared.
+    # Roundtrips compare (sets, decoration) keys, coarsenings and contractions
+    # are looked up by their keys, and coset elements and face vertices are
+    # numbered as (rows, exps) words and coordinate tuples, so no GenPerm,
+    # YPoint, Chain or PinwheelStratum is built just to be compared.
     index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
 
     strata, elements, vertices, element_ids, vertex_ids = {}, {}, {}, {}, {}
@@ -218,31 +222,29 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
     fail = report.violations.append
     group = enumerate_group(r, n)
 
-    vertices = {c: chain_to_face_vertices(c) for c in chains}
-    handles = {c: chain_to_coset(c) for c in chains}
-    elements = {c: coset_elements(handles[c]) for c in chains}
-    strata = {c: chain_to_stratum(c) for c in chains}
+    index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
+    vertices = [chain_to_face_vertices(c) for c in chains]
+    handles = [chain_to_coset(c) for c in chains]
+    elements = [coset_elements(h) for h in handles]
+    strata = [chain_to_stratum(c) for c in chains]
     base = YPoint(r, tuple((i, 0) for i in range(1, n + 1)))
     orbit = [(a, act_on_tuple(base, a)) for a in group]
 
-    for c in chains:
-        # Each family's entry for c is read once per chain; a Chain key is
-        # rehashed on every lookup.
-        vs, h, els, s = vertices[c], handles[c], elements[c], strata[c]
+    for c, vs, h, els, s in zip(chains, vertices, handles, elements, strata):
         if frozenset(a for a, v in orbit if v in vs) != els:
             fail(f"vertex-orbit reinterpretation broke on {c.to_json()}")
         for a in group:
-            image = act_on_chain(c, a)
-            if image not in handles:
+            j = index.get(_act_on_chain_key(c, a))
+            if j is None:
                 fail(f"image is not a chain of the complex on {c.to_json()} by {a.to_json()}")
                 continue
-            if frozenset(act_on_tuple(v, a) for v in vs) != vertices[image]:
+            if frozenset(act_on_tuple(v, a) for v in vs) != vertices[j]:
                 fail(f"face action broke on {c.to_json()} by {a.to_json()}")
-            if act_on_coset(h, a) != handles[image]:
+            if act_on_coset(h, a) != handles[j]:
                 fail(f"coset action missed the image coset on {c.to_json()} by {a.to_json()}")
-            if frozenset(multiply(e, a) for e in els) != elements[image]:
+            if frozenset(multiply(e, a) for e in els) != elements[j]:
                 fail(f"coset element action broke on {c.to_json()} by {a.to_json()}")
-            if _act_on_spoke(s, a) != strata[image].spoke:
+            if _act_on_spoke(s, a) != strata[j].spoke:
                 fail(f"stratum action broke on {c.to_json()} by {a.to_json()}")
     return report
 
@@ -280,17 +282,18 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
                 subsets.append(DecoratedSubset(elems, exps))
 
     vertices = enumerate_vertices(r, n)
-    on_ids = {s: hyperplane_vertex_ids(r, n, s) for s in subsets}
+    hyperplanes = [(s, hyperplane_vertex_ids(r, n, s)) for s in subsets]
     vertex_ids = {v: i for i, v in enumerate(vertices)}
     face_ids = {c: _numbered(chain_to_face_vertices(c), vertex_ids) for c in chains}
 
     everything = frozenset(range(len(vertices)))
     for size in range(1, n + 1):
-        for family in itertools.combinations(subsets, size):
+        for pairs in itertools.combinations(hyperplanes, size):
+            family, on_ids = zip(*pairs)
             chain = hyperplanes_to_chain(r, n, family)
             hit = everything
-            for s in family:
-                hit &= on_ids[s]
+            for ids in on_ids:
+                hit &= ids
                 if not hit:
                     break
             if (chain is not None) != bool(hit):

@@ -16,6 +16,7 @@ from pinwheel import (
     chain_dimension,
     delta,
     enumerate_chains,
+    enumerate_group,
     generator,
     group_order,
     identity,
@@ -25,9 +26,9 @@ from pinwheel import (
     multiply,
     refines,
 )
-from pinwheel.chains import _coarsening_keys, coarsenings
+from pinwheel.chains import _act_on_chain_key, _coarsening_keys, coarsenings
 
-from conftest import chains_over, genperms
+from conftest import KEY_RN, chains_over, genperms
 
 
 def chain_count_oracle(r: int, n: int) -> int:
@@ -292,6 +293,27 @@ class TestAction:
         for c in enumerate_chains(r, n):
             for a, b in itertools.product(enumerate_group(r, n), repeat=2):
                 assert act_on_chain(act_on_chain(c, a), b) == act_on_chain(c, multiply(a, b))
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_act_on_chain_key_is_the_images_fields(self, r, n):
+        group = enumerate_group(r, n)
+        sample = group[:: max(1, len(group) // 8)]
+        for c in enumerate_chains(r, n):
+            for a in sample:
+                image = act_on_chain(c, a)
+                assert _act_on_chain_key(c, a) == (image.sets, image.decoration)
+
+    def test_act_on_chain_key_builds_no_chain(self, monkeypatch):
+        # The equivariance suite looks images up by key; the key builder must
+        # not validate a chain per (chain, element) pair.
+        chains, group = enumerate_chains(2, 3), enumerate_group(2, 3)
+
+        def refuse(self):
+            raise AssertionError("the image key built a chain")
+
+        monkeypatch.setattr(Chain, "__post_init__", refuse)
+        keys = {_act_on_chain_key(c, a) for c in chains for a in group}
+        assert keys == {(c.sets, c.decoration) for c in chains}
 
 
 class TestRefinements:

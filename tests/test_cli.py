@@ -215,6 +215,15 @@ class TestOutputBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
+def reading(what, path, chain_file, matrix_file):
+    """A command line that reads `path` as a `what` file."""
+    return {
+        "matrix": ["act", "--matrix", str(path), "--chain", chain_file],
+        "chain": ["face", "--chain", str(path)],
+        "vertex": ["act", "--matrix", matrix_file, "--vertex", str(path)],
+    }[what]
+
+
 class TestErrors:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -266,14 +275,19 @@ class TestErrors:
     def test_inexact_input_is_refused(self, tmp_path, capsys, chain_file, matrix_file, what, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        argv = {
-            "matrix": ["act", "--matrix", str(path), "--chain", chain_file],
-            "chain": ["face", "--chain", str(path)],
-            "vertex": ["act", "--matrix", matrix_file, "--vertex", str(path)],
-        }[what]
         with pytest.raises(SystemExit) as err:
-            main(argv)
+            main(reading(what, path, chain_file, matrix_file))
         assert f"malformed {what} in {path}" in str(err.value)
+
+    @pytest.mark.parametrize("what", ["chain", "matrix", "vertex"])
+    @pytest.mark.parametrize("text", ["[1,2]", '"x"', "3"], ids=["list", "string", "number"])
+    def test_top_level_non_object_is_named(self, tmp_path, capsys, chain_file, matrix_file, what, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(reading(what, path, chain_file, matrix_file))
+        assert str(err.value) == f"malformed {what} in {path}: expected a JSON object"
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "what,text,key",

@@ -6,12 +6,14 @@ import pytest
 
 from pinwheel import (
     CapExceeded,
+    Chain,
     DecoratedSubset,
     GenPerm,
     VerifyConfig,
     YPoint,
     chain_to_coset,
     chain_to_stratum,
+    enumerate_chains,
     generator,
     identity,
     make_chain,
@@ -150,8 +152,8 @@ BROKEN_EQUIVARIANCE_ROUTES = {
         lambda args, y: YPoint(2, ((1, 1), (2, 0))) if args == (BASE, ONE) else y,
         r"vertex-orbit reinterpretation broke",
     ),
-    "act_on_chain": (
-        lambda args, c: OTHER if args == (TARGET, ONE) else c,
+    "_act_on_chain_key": (
+        lambda args, key: (OTHER.sets, OTHER.decoration) if args == (TARGET, ONE) else key,
         r"face action broke",
     ),
     "act_on_coset": (
@@ -274,9 +276,11 @@ class TestEquivariance:
 
     def test_an_image_outside_the_complex_is_reported(self, monkeypatch):
         stray = make_chain(2, 3, [[3]], {3: 0})
-        real = verify.act_on_chain
+        real = verify._act_on_chain_key
         monkeypatch.setattr(
-            verify, "act_on_chain", lambda c, a: stray if (c, a) == (TARGET, ONE) else real(c, a)
+            verify,
+            "_act_on_chain_key",
+            lambda c, a: (stray.sets, stray.decoration) if (c, a) == (TARGET, ONE) else real(c, a),
         )
         report = verify_equivariance(2, 2)
         assert report.violations == [
@@ -285,7 +289,7 @@ class TestEquivariance:
 
     def test_one_pass_builds_each_entry_once(self, monkeypatch):
         # (2, 2) has 17 chains and 8 group elements: one coset enumeration
-        # and one stratum per chain, one image per (chain, element) pair,
+        # and one stratum per chain, one image key per (chain, element) pair,
         # and one orbit of the base point, the only point the suite builds
         # itself.
         calls = Counter()
@@ -303,7 +307,7 @@ class TestEquivariance:
 
         monkeypatch.setattr(verify, "YPoint", point)
         monkeypatch.setattr(verify, "act_on_tuple", act)
-        for name in ("coset_elements", "chain_to_stratum", "act_on_chain"):
+        for name in ("coset_elements", "chain_to_stratum", "_act_on_chain_key"):
             real = getattr(verify, name)
             monkeypatch.setattr(
                 verify, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args)
@@ -312,9 +316,19 @@ class TestEquivariance:
         assert calls == {
             "coset_elements": 17,
             "chain_to_stratum": 17,
-            "act_on_chain": 136,
+            "_act_on_chain_key": 136,
             "act_on_tuple(base)": 8,
         }
+
+    def test_builds_no_chain_per_pair(self, monkeypatch):
+        # Images are found by their (sets, decoration) key; the chains
+        # themselves come from the cached enumeration.
+        enumerate_chains(2, 2)
+        built = []
+        real = Chain.__post_init__
+        monkeypatch.setattr(Chain, "__post_init__", lambda c: built.append(c) or real(c))
+        assert verify_equivariance(2, 2).ok
+        assert len(built) == 0
 
 
 class TestProducts:
@@ -352,6 +366,14 @@ class TestNonemptiness:
         # Above both caps, the group-order cap is named first.
         with pytest.raises(CapExceeded, match="max_group_order"):
             verify_nonemptiness(4, 4)
+
+    def test_hashes_no_decorated_subset(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a decorated subset was hashed")
+
+        monkeypatch.setattr(DecoratedSubset, "__hash__", refuse)
+        assert verify_nonemptiness(2, 2).ok
+        assert verify_nonemptiness(3, 2).ok
 
     @pytest.mark.parametrize("field", ["max_group_order", "max_families"])
     def test_negative_cap_is_refused_by_the_library(self, field):
