@@ -7,7 +7,7 @@ face of a maximal chain: the element the chain adds at step j has magnitude
 n + 1 - j on the branch opposite to its decoration.  A face's vertices are
 built straight from the orders of its chain's maximal refinements, with no
 `Chain` built per vertex; `_face_coords` yields their canonical coordinate
-tuples, which the threeway suite numbers as they are, and
+tuples, which every verify suite numbers as they are, and
 `chain_to_face_vertices` wraps each in a `YPoint`.  All tests here are exact
 rational or cyclotomic comparisons.
 """

@@ -9,7 +9,9 @@ A suite finds a chain's data by its position in `enumerate_chains`, through
 the index of canonical (sets, decoration) keys; it builds a library object
 only as a route's output that it compares, never just to look something up.
 Each key builder is the one its object builder wraps, so a key equals the
-fields of the object it stands for.
+fields of the object it stands for.  One numbering rule holds in every
+suite: a vertex is numbered by its coordinate tuple and a coset element by
+its (rows, exps) word, and sets of those ids are what a suite compares.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .cyclo import CapExceeded, YPoint, _check_cap, _check_nonnegative
 from .faces import (
     DecoratedSubset,
     _face_coords,
-    chain_to_face_vertices,
     enumerate_vertices,
     face_dimension_bruteforce,
     face_product_decomposition,
@@ -41,7 +42,7 @@ from .faces import (
     hyperplanes_to_chain,
     vertex_of_maximal_chain,
 )
-from .group import act_on_tuple, enumerate_group, group_order, multiply
+from .group import GenPerm, _product, act_on_tuple, enumerate_group, group_order
 from .strata import (
     _act_on_spoke,
     _stratum_chain_key,
@@ -139,8 +140,9 @@ def _relation_via_memberships(owned: dict[int, frozenset]) -> frozenset[tuple[in
 
 
 def _numbered(items, ids: dict) -> frozenset[int]:
-    # One integer per distinct item, so the sets kept for every chain do not
-    # hold a fresh copy of each coset element or vertex.
+    # One integer per distinct vertex coordinate tuple or (rows, exps) word,
+    # so the sets kept for every chain hold no copy of either; a key not yet
+    # numbered, such as a broken route's stray one, gets a fresh id.
     return frozenset(ids.setdefault(item, len(ids)) for item in items)
 
 
@@ -223,29 +225,38 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
     group = enumerate_group(r, n)
 
     index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
-    vertices = [chain_to_face_vertices(c) for c in chains]
     handles = [chain_to_coset(c) for c in chains]
-    elements = [coset_elements(h) for h in handles]
     strata = [chain_to_stratum(c) for c in chains]
-    base = YPoint(r, tuple((i, 0) for i in range(1, n + 1)))
-    orbit = [(a, act_on_tuple(base, a)) for a in group]
-
-    for c, vs, h, els, s in zip(chains, vertices, handles, elements, strata):
-        if frozenset(a for a, v in orbit if v in vs) != els:
-            fail(f"vertex-orbit reinterpretation broke on {c.to_json()}")
-        for a in group:
+    element_ids = {g.sort_key(): i for i, g in enumerate(group)}
+    vertex_ids: dict[tuple, int] = {}
+    elements = [_numbered(_coset_words(h), element_ids) for h in handles]
+    vertices = [_numbered(_face_coords(c), vertex_ids) for c in chains]
+    base = vertex_ids.setdefault(tuple((i, 0) for i in range(1, n + 1)), len(vertex_ids))
+    # One point and one matrix per id, built once; each element then moves
+    # every id through a table, so no pair builds a point or a matrix.
+    points = [YPoint(r, coords) for coords in vertex_ids]
+    members = [GenPerm(r, n, *word) for word in element_ids]
+    orbit = []
+    for a in group:
+        vmove = [vertex_ids.setdefault(act_on_tuple(p, a).coords, len(vertex_ids)) for p in points]
+        emove = [element_ids.setdefault(_product(g, a), len(element_ids)) for g in members]
+        orbit.append(vmove[base])
+        for c, vs, h, els, s in zip(chains, vertices, handles, elements, strata):
             j = index.get(_act_on_chain_key(c, a))
             if j is None:
                 fail(f"image is not a chain of the complex on {c.to_json()} by {a.to_json()}")
                 continue
-            if frozenset(act_on_tuple(v, a) for v in vs) != vertices[j]:
+            if frozenset([vmove[v] for v in vs]) != vertices[j]:
                 fail(f"face action broke on {c.to_json()} by {a.to_json()}")
             if act_on_coset(h, a) != handles[j]:
                 fail(f"coset action missed the image coset on {c.to_json()} by {a.to_json()}")
-            if frozenset(multiply(e, a) for e in els) != elements[j]:
+            if frozenset([emove[e] for e in els]) != elements[j]:
                 fail(f"coset element action broke on {c.to_json()} by {a.to_json()}")
             if _act_on_spoke(s, a) != strata[j].spoke:
                 fail(f"stratum action broke on {c.to_json()} by {a.to_json()}")
+    for c, vs, els in zip(chains, vertices, elements):
+        if frozenset([i for i, v in enumerate(orbit) if v in vs]) != els:
+            fail(f"vertex-orbit reinterpretation broke on {c.to_json()}")
     return report
 
 
@@ -283,8 +294,8 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
 
     vertices = enumerate_vertices(r, n)
     hyperplanes = [(s, hyperplane_vertex_ids(r, n, s)) for s in subsets]
-    vertex_ids = {v: i for i, v in enumerate(vertices)}
-    face_ids = {c: _numbered(chain_to_face_vertices(c), vertex_ids) for c in chains}
+    vertex_ids = {v.coords: i for i, v in enumerate(vertices)}
+    face_ids = {c: _numbered(_face_coords(c), vertex_ids) for c in chains}
 
     everything = frozenset(range(len(vertices)))
     for size in range(1, n + 1):

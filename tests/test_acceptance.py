@@ -14,6 +14,7 @@ from fractions import Fraction
 from pinwheel import (
     Chain,
     GenPerm,
+    VerifyConfig,
     chain_to_coset,
     chain_to_face_vertices,
     coset_elements,
@@ -38,6 +39,11 @@ THREEWAY_ENVELOPE = [
 ] + [(2, 4), (3, 4)]
 
 SMALL_ENVELOPE = [(r, n) for r in (2, 3) for n in range(4)]
+
+# Scale points above the default group-order cap of 2000; criterion 04 runs
+# with the cap raised to |S(4, 4)| = 6144 explicitly.
+THREEWAY_SCALE = [(2, 5), (4, 4)]
+SCALE_CONFIG = VerifyConfig(max_group_order=6144)
 
 
 @contextmanager
@@ -102,8 +108,8 @@ def test_criterion_03_worked_coset_golden():
 
 def test_criterion_04_threeway_suite():
     with criterion(4, "three-way correspondence suite", limit=60.0):
-        for r, n in THREEWAY_ENVELOPE:
-            report = verify_threeway(r, n)
+        for r, n in THREEWAY_ENVELOPE + THREEWAY_SCALE:
+            report = verify_threeway(r, n, SCALE_CONFIG)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
 
 
@@ -137,7 +143,7 @@ def test_criterion_07_membership_route_equivalence():
 
 def test_criterion_08_equivariance_suite():
     with criterion(8, "equivariance suite", limit=120.0):
-        for r, n in SMALL_ENVELOPE:
+        for r, n in SMALL_ENVELOPE + [(2, 4)]:
             report = verify_equivariance(r, n)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
         # the worked action example: staircase vertex through the sample matrix

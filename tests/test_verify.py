@@ -125,10 +125,10 @@ BROKEN_NONEMPTY_ROUTES = {
         lambda args, chain: OTHER if tuple(args[2]) == (ON_SET_ONE,) else chain,
         r"hyperplane intersection is not the face's vertex set",
     ),
-    "chain_to_face_vertices": (
+    "_face_coords": (
         verify,
-        "chain_to_face_vertices",
-        lambda args, vs: vs | {YPoint(2, ((1, 0), (1, 0)))} if args == (MAXIMAL,) else vs,
+        "_face_coords",
+        lambda args, coords: [*coords, ((1, 0), (1, 0))] if args == (MAXIMAL,) else coords,
         r"hyperplane intersection is not the face's vertex set",
     ),
     "hyperplanes_to_chain-foreign": (
@@ -144,7 +144,8 @@ BROKEN_NONEMPTY_ROUTES = {
 # two cases -> (corruption of its result for one argument tuple at (2, 2), the
 # violation the equivariance suite must then report).  The suite's base point
 # is ((1, 0), (2, 0)); a "-positive" case acts on TARGET's stratum, which is
-# not a vertex stratum.
+# not a vertex stratum.  "-foreign" and "-noncanonical" cases are as above: a
+# stray vertex, or a word whose exponent is e + r.
 ONE = identity(2, 2)
 BASE = YPoint(2, ((1, 0), (2, 0)))
 BROKEN_EQUIVARIANCE_ROUTES = {
@@ -160,16 +161,32 @@ BROKEN_EQUIVARIANCE_ROUTES = {
         lambda args, h: chain_to_coset(OTHER) if args == (chain_to_coset(TARGET), ONE) else h,
         r"coset action missed the image coset",
     ),
-    "multiply": (
-        lambda args, g: multiply(g, generator(2, 2, 0)) if args == (ONE, ONE) else g,
+    "_product": (
+        lambda args, word: multiply(GenPerm(2, 2, *word), generator(2, 2, 0)).sort_key()
+        if args == (ONE, ONE)
+        else word,
         r"coset element action broke",
     ),
-    "coset_elements": (
-        lambda args, els: _drop_one(els, GenPerm.sort_key) if args == (chain_to_coset(TARGET),) else els,
+    "_product-noncanonical": (
+        lambda args, word: (word[0], (word[1][0] + 2, *word[1][1:])) if args == (ONE, ONE) else word,
         r"coset element action broke",
     ),
-    "chain_to_face_vertices": (
-        lambda args, vs: _drop_one(vs, lambda v: v.coords) if args == (TARGET,) else vs,
+    "_coset_words": (
+        lambda args, words: sorted(words)[1:] if args == (chain_to_coset(TARGET),) else words,
+        r"coset element action broke",
+    ),
+    "_coset_words-noncanonical": (
+        lambda args, words: [(rows, (exps[0] + 2, *exps[1:])) for rows, exps in words]
+        if args == (chain_to_coset(TARGET),)
+        else words,
+        r"coset element action broke",
+    ),
+    "_face_coords": (
+        lambda args, coords: sorted(coords)[1:] if args == (TARGET,) else coords,
+        r"face action broke",
+    ),
+    "_face_coords-foreign": (
+        lambda args, coords: [*coords, ((1, 0), (1, 0))] if args == (TARGET,) else coords,
         r"face action broke",
     ),
     "_act_on_spoke": (
@@ -288,37 +305,48 @@ class TestEquivariance:
         ]
 
     def test_one_pass_builds_each_entry_once(self, monkeypatch):
-        # (2, 2) has 17 chains and 8 group elements: one coset enumeration
-        # and one stratum per chain, one image key per (chain, element) pair,
-        # and one orbit of the base point, the only point the suite builds
-        # itself.
+        # (2, 2) has 17 chains, 8 vertices and 8 group elements: one coset
+        # enumeration, one face and one stratum per chain, one image key per
+        # (chain, element) pair, and one table row per (vertex, element) and
+        # per (element, element) pair.
         calls = Counter()
-        points = []
-        real_point, real_act = verify.YPoint, verify.act_on_tuple
-
-        def point(*args):
-            points.append(real_point(*args))
-            return points[-1]
-
-        def act(y, a):
-            if y is points[0]:
-                calls["act_on_tuple(base)"] += 1
-            return real_act(y, a)
-
-        monkeypatch.setattr(verify, "YPoint", point)
-        monkeypatch.setattr(verify, "act_on_tuple", act)
-        for name in ("coset_elements", "chain_to_stratum", "_act_on_chain_key"):
+        for name in (
+            "_coset_words",
+            "_face_coords",
+            "chain_to_stratum",
+            "_act_on_chain_key",
+            "_product",
+            "act_on_tuple",
+        ):
             real = getattr(verify, name)
             monkeypatch.setattr(
                 verify, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args)
             )
         assert verify_equivariance(2, 2).ok
         assert calls == {
-            "coset_elements": 17,
+            "_coset_words": 17,
+            "_face_coords": 17,
             "chain_to_stratum": 17,
             "_act_on_chain_key": 136,
-            "act_on_tuple(base)": 8,
+            "_product": 64,
+            "act_on_tuple": 64,
         }
+
+    @pytest.mark.parametrize("r,n,points,matrices", [(2, 2, 72, 280), (2, 3, 2352, 14160)])
+    def test_builds_no_point_or_element_per_pair(self, monkeypatch, r, n, points, matrices):
+        # One point per vertex and per (vertex, element) table entry, |V|(|G|+1);
+        # one matrix per element, plus at most two per (chain, element) pair
+        # for the coset action, |G| + 2 * pairs.  Caches are warmed first.
+        assert verify_equivariance(r, n).ok
+        built = Counter()
+        for cls in (YPoint, GenPerm):
+            real = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda x, cls=cls, real=real: built.update([cls]) or real(x)
+            )
+        assert verify_equivariance(r, n).ok
+        assert built[YPoint] == points
+        assert built[GenPerm] <= matrices
 
     def test_builds_no_chain_per_pair(self, monkeypatch):
         # Images are found by their (sets, decoration) key; the chains
