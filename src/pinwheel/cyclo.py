@@ -165,6 +165,11 @@ def json_int(value: object, decimal: bool = False) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _coords_json(coords: tuple[tuple[int | Fraction, int], ...]) -> dict:
+    """The JSON form of a point with these canonical coords."""
+    return {"coords": [{"mag": _int_pair(mag), "branch": branch} for mag, branch in coords]}
+
+
 def _pair_to_fraction(pair) -> Fraction:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ValueError(f"expected a [numerator, denominator] pair, got {pair!r}")
@@ -295,11 +300,7 @@ class YPoint:
         return tuple(mag for mag, _ in self.coords)
 
     def to_json(self) -> dict:
-        return {
-            "coords": [
-                {"mag": _int_pair(mag), "branch": branch} for mag, branch in self.coords
-            ]
-        }
+        return _coords_json(self.coords)
 
     @staticmethod
     def from_json(data: Mapping, r: int) -> "YPoint":

@@ -8,8 +8,9 @@ n + 1 - j on the branch opposite to its decoration.  A face's vertices are
 built straight from the orders of its chain's maximal refinements, with no
 `Chain` built per vertex; `_face_coords` yields their canonical coordinate
 tuples, which every verify suite numbers as they are, and
-`chain_to_face_vertices` wraps each in a `YPoint`.  All tests here are exact
-rational or cyclotomic comparisons.
+`chain_to_face_vertices` wraps each in a `YPoint`.  `DeltaFace.to_json` and
+`act_on_face` read `_face_coords` too, so they build no point.  All tests
+here are exact rational or cyclotomic comparisons.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Sequence
 
 from .chains import Chain, _maximal_orders, act_on_chain, enumerate_chains
 from .cyclo import YPoint, _check_cap, _check_exact, _check_nonnegative, _check_rn, _check_same_space
-from .cyclo import delta, on_hyperplane
-from .group import GenPerm, act_on_tuple, group_order
+from .cyclo import _coords_json, delta, on_hyperplane
+from .group import GenPerm, _act_on_coords, group_order
 
 __all__ = [
     "DecoratedSubset",
@@ -143,9 +144,10 @@ class DeltaFace:
         return DeltaFace(c)
 
     def to_json(self) -> dict:
+        """The chain and the vertices in coords order, written from `_face_coords`."""
         return {
             "chain": self.chain.to_json(),
-            "vertices": [v.to_json() for v in sorted(self.vertices, key=lambda p: p.coords)],
+            "vertices": [_coords_json(v) for v in sorted(_face_coords(self.chain))],
         }
 
 
@@ -384,10 +386,15 @@ def face_product_decomposition(c: Chain) -> tuple[FaceFactor, ...]:
 
 
 def act_on_face(c: Chain, a: GenPerm) -> Chain:
-    """Image chain of a face under the action, with a vertex-set cross-check."""
+    """Image chain of a face under the action, with a vertex-set cross-check.
+
+    The check moves the coords of c's vertices (`_face_coords`) by
+    `_act_on_coords` and compares them with the image chain's own vertex
+    coords, so it builds no point.
+    """
     image = act_on_chain(c, a)
-    moved = frozenset(act_on_tuple(v, a) for v in chain_to_face_vertices(c))
-    if moved != chain_to_face_vertices(image):
+    moved = {_act_on_coords(v, a) for v in _face_coords(c)}
+    if moved != set(_face_coords(image)):
         raise RuntimeError("action moved the vertex set off the image face")
     return image
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterable, Mapping
@@ -70,8 +71,8 @@ class GenPerm:
             "r": self.r,
             "n": self.n,
             "cols": [
-                {"col": c, "row": self.row_of(c), "exp": self.exp_of(c)}
-                for c in range(1, self.n + 1)
+                {"col": c, "row": row, "exp": exp}
+                for c, (row, exp) in enumerate(zip(self.row_of_col, self.exp_of_col), start=1)
             ],
         }
 
@@ -127,18 +128,30 @@ def inverse(a: GenPerm) -> GenPerm:
     return GenPerm(a.r, a.n, rows, exps)
 
 
+def _act_on_coords(
+    coords: tuple[tuple[int | Fraction, int], ...], a: GenPerm
+) -> tuple[tuple[int | Fraction, int], ...]:
+    """The canonical coords that `act_on_tuple` stores for a point with these coords.
+
+    Coordinate b of the result is coordinate row_of_col[b] with its branch
+    advanced by exp_of_col[b] mod r; a zero magnitude keeps branch 0 (and
+    its own type), as `YPoint` stores it.
+    """
+    r = a.r
+    out = []
+    for row, e in zip(a.row_of_col, a.exp_of_col):
+        mag, branch = coords[row - 1]
+        out.append((mag, (branch + e) % r) if mag else (mag, 0))
+    return tuple(out)
+
+
 def act_on_tuple(x: YPoint, a: GenPerm) -> YPoint:
     """Right action on coordinate tuples: row vector times matrix.
 
-    Coordinate b of the result is x_{row_of_col[b]} with its branch advanced
-    by exp_of_col[b]; magnitudes are permuted, branches shifted.
+    Magnitudes are permuted and branches shifted (see `_act_on_coords`).
     """
     _check_same_space(x, a)
-    coords = []
-    for row, e in zip(a.row_of_col, a.exp_of_col):
-        mag, branch = x.coords[row - 1]
-        coords.append((mag, branch + e))
-    return YPoint(x.r, tuple(coords))
+    return YPoint(x.r, _act_on_coords(x.coords, a))
 
 
 def group_order(r: int, n: int) -> int:

@@ -28,7 +28,6 @@ from .cosets import (
     act_on_coset,
     chain_to_coset,
     coset_block_decomposition,
-    coset_elements,
     coset_size,
 )
 from .cyclo import CapExceeded, YPoint, _check_cap, _check_nonnegative
@@ -42,7 +41,7 @@ from .faces import (
     hyperplanes_to_chain,
     vertex_of_maximal_chain,
 )
-from .group import GenPerm, _product, act_on_tuple, enumerate_group, group_order
+from .group import GenPerm, _act_on_coords, _product, enumerate_group, group_order
 from .strata import (
     _act_on_spoke,
     _stratum_chain_key,
@@ -232,13 +231,13 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
     elements = [_numbered(_coset_words(h), element_ids) for h in handles]
     vertices = [_numbered(_face_coords(c), vertex_ids) for c in chains]
     base = vertex_ids.setdefault(tuple((i, 0) for i in range(1, n + 1)), len(vertex_ids))
-    # One point and one matrix per id, built once; each element then moves
-    # every id through a table, so no pair builds a point or a matrix.
-    points = [YPoint(r, coords) for coords in vertex_ids]
+    # One matrix per id, built once; each element then moves every id through
+    # a table, vertices by their coords, so no pair builds a point or a matrix.
+    points = list(vertex_ids)
     members = [GenPerm(r, n, *word) for word in element_ids]
     orbit = []
     for a in group:
-        vmove = [vertex_ids.setdefault(act_on_tuple(p, a).coords, len(vertex_ids)) for p in points]
+        vmove = [vertex_ids.setdefault(_act_on_coords(p, a), len(vertex_ids)) for p in points]
         emove = [element_ids.setdefault(_product(g, a), len(element_ids)) for g in members]
         orbit.append(vmove[base])
         for c, vs, h, els, s in zip(chains, vertices, handles, elements, strata):
@@ -274,7 +273,7 @@ def verify_products(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
                 f"factor lists disagree on {c.to_json()}: "
                 f"strata {stratum_sizes}, cosets {coset_sizes}, faces {face_sizes}"
             )
-        if len(coset_elements(chain_to_coset(c))) != coset_size(c):
+        if len(set(_coset_words(chain_to_coset(c)))) != coset_size(c):
             fail(f"coset cardinality does not match factor arithmetic on {c.to_json()}")
         if sum(size - (block != 0) for block, size in stratum_sizes.items()) != chain_dimension(c):
             fail(f"factor dimensions do not sum to the face dimension on {c.to_json()}")

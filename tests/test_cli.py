@@ -22,9 +22,30 @@ MATRIX_JSON = json.dumps(
     }
 )
 VERTEX_JSON = json.dumps({"coords": [{"mag": [str(i), "1"], "branch": 0} for i in (1, 2, 3, 4)]})
+# The length-0 chain at (2, 3): its face has all 48 vertices, its coset all
+# 48 elements.
+EMPTY_CHAIN_JSON = '{"r":2,"n":3,"sets":[],"decoration":{}}'
+MATRIX_R2N3_JSON = json.dumps(
+    {
+        "r": 2,
+        "n": 3,
+        "cols": [
+            {"col": 1, "row": 3, "exp": 1},
+            {"col": 2, "row": 1, "exp": 0},
+            {"col": 3, "row": 2, "exp": 1},
+        ],
+    }
+)
+FILES = {
+    "CHAIN": CHAIN_JSON,
+    "MATRIX": MATRIX_JSON,
+    "VERTEX": VERTEX_JSON,
+    "EMPTY_CHAIN": EMPTY_CHAIN_JSON,
+    "MATRIX_R2N3": MATRIX_R2N3_JSON,
+}
 
-# sha256 of each command's stdout.  CHAIN, MATRIX and VERTEX stand for files
-# holding the JSON above.  The digests pin the output byte for byte, so a
+# sha256 of each command's stdout.  Each name in FILES stands for a file
+# holding its JSON.  The digests pin the output byte for byte, so a
 # change to any of them has to be deliberate.
 STDOUT_SHA256 = {
     "chains --r 2 --n 2": "3a81249718ba69b5c95be69701c7ba81e87e3d44b998ced09b53f71e3ad769c8",
@@ -36,6 +57,9 @@ STDOUT_SHA256 = {
     "stratum --chain CHAIN --dot": "cb6dd2b9f3bfdbbb24b5603dd5d88137618e2e0b6741003371b761d982988103",
     "act --matrix MATRIX --chain CHAIN": "65a519bd67546ff8bf2032f457954b60d9431b20a55a0076c09adcb9c5bf9151",
     "act --matrix MATRIX --vertex VERTEX": "ddcdac9461768f8628a6b4fc0641799e99febf46de5e652409fe81efeefe95bf",
+    "face --chain EMPTY_CHAIN --vertices --factors": "d1eab36046ac946a6757290214b30b94b9822275b75fdf84644214397bb3a8d9",
+    "coset --chain EMPTY_CHAIN --elements": "f1b9d45e459f878e00038ec888fe1d4345f30521b8ed10a81d7a966a97686030",
+    "act --matrix MATRIX_R2N3 --chain EMPTY_CHAIN": "6d79c84361adc0bcc646a07bff72acacd17d92127a88248a093e736f45b5c13f",
     "verify --r 2 --n 2 --suite all": "3ca91032a02de9a98d6f9daca59600d6ce9192c921cf6c81fa1e8b3196a1970d",
     "verify --suite equivariance --r 2 --n 3": "aa122fa62f620027824eb516b897d78037d207e2f4454bbd733a39b2a5eb3260",
 }
@@ -206,10 +230,9 @@ class TestVerify:
 class TestOutputBytes:
     @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
     def test_stdout_digest(self, capsys, tmp_path, command):
-        files = {"CHAIN": CHAIN_JSON, "MATRIX": MATRIX_JSON, "VERTEX": VERTEX_JSON}
-        for name, text in files.items():
+        for name, text in FILES.items():
             (tmp_path / f"{name}.json").write_text(text)
-        argv = [str(tmp_path / f"{a}.json") if a in files else a for a in command.split()]
+        argv = [str(tmp_path / f"{a}.json") if a in FILES else a for a in command.split()]
         code, out = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]

@@ -34,7 +34,7 @@ from pinwheel import (
     shifted_permutohedron_contains,
     vertex_of_maximal_chain,
 )
-from pinwheel import cosets, group
+from pinwheel import cosets, faces, group
 from pinwheel.chains import _maximal_orders
 from pinwheel.faces import _affine_rank, _face_coords, _vertex_coords, chain_layers
 
@@ -172,6 +172,15 @@ class TestFaceVertices:
         assert face.vertices == chain_to_face_vertices(EXAMPLE)
         data = face.to_json()
         assert len(data["vertices"]) == 6
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_delta_face_json_is_the_point_built_json(self, r, n):
+        for c in enumerate_chains(r, n):
+            points = sorted(chain_to_face_vertices(c), key=lambda p: p.coords)
+            assert DeltaFace(c).to_json() == {
+                "chain": c.to_json(),
+                "vertices": [v.to_json() for v in points],
+            }
 
     def test_delta_face_derives_its_vertices(self):
         face = DeltaFace(EXAMPLE)
@@ -459,6 +468,30 @@ class TestActOnFace:
         assert chain_to_face_vertices(image) == {
             act_on_tuple(v, a) for v in chain_to_face_vertices(EXAMPLE)
         }
+
+    def test_builds_no_point(self, monkeypatch):
+        c, a = Chain(3, 3, (), ()), GenPerm(3, 3, (3, 1, 2), (1, 0, 2))
+        built = []
+        real = YPoint.__post_init__
+        monkeypatch.setattr(YPoint, "__post_init__", lambda x: built.append(x) or real(x))
+        assert act_on_face(c, a) == c
+        assert built == []
+
+    def test_a_vertex_moved_wrong_is_refused(self, monkeypatch):
+        a = GenPerm(3, 4, (4, 1, 3, 2), (0, 2, 2, 1))
+        first, real = _face_coords(EXAMPLE)[0], faces._act_on_coords
+        # The origin is no vertex, so the moved set misses the image face.
+        monkeypatch.setattr(
+            faces, "_act_on_coords", lambda v, g: ((0, 0),) * 4 if v == first else real(v, g)
+        )
+        with pytest.raises(RuntimeError, match="action moved the vertex set off the image face"):
+            act_on_face(EXAMPLE, a)
+
+    def test_a_wrong_image_chain_is_refused(self, monkeypatch):
+        a = GenPerm(3, 4, (4, 1, 3, 2), (0, 2, 2, 1))
+        monkeypatch.setattr(faces, "act_on_chain", lambda c, g: EXAMPLE_COARSE)
+        with pytest.raises(RuntimeError, match="action moved the vertex set off the image face"):
+            act_on_face(EXAMPLE, a)
 
 
 class TestVertexIncidence:

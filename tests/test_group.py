@@ -19,6 +19,7 @@ from pinwheel import (
     chain_to_coset,
     coset_subset,
     enumerate_group,
+    enumerate_vertices,
     face_membership,
     face_membership_product_form,
     generate_subgroup,
@@ -31,7 +32,9 @@ from pinwheel import (
     stratum_includes,
 )
 
-from conftest import SMALL_RN, DenseMatrix, genperms, random_genperm
+from pinwheel.group import _act_on_coords
+
+from conftest import KEY_RN, SMALL_RN, DenseMatrix, genperms, random_genperm, random_ypoints
 
 
 def dense(g: GenPerm) -> DenseMatrix:
@@ -158,6 +161,22 @@ class TestAction:
         zero = YPoint(3, ((Fraction(0), 0),) * 3)
         for _ in range(10):
             assert act_on_tuple(zero, random_genperm(3, 3, rng)) == zero
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_coords_key_is_the_images_coords(self, r, n):
+        # Every vertex, seeded points with Fraction magnitudes, and a point
+        # mixing int and Fraction zeros, each under about 8 spread elements.
+        group = enumerate_group(r, n)
+        step = max(1, len(group) // 8)
+        zeros = YPoint(r, tuple((Fraction(0) if i % 2 else i, i % r) for i in range(n)))
+        points = [*enumerate_vertices(r, n), *random_ypoints(r, n, 8, seed=10 * r + n), zeros]
+        for k, x in enumerate(points):
+            for a in group[k % step :: step]:
+                key = _act_on_coords(x.coords, a)
+                assert key == act_on_tuple(x, a).coords
+                # Each magnitude keeps the type it had in x, a zero included.
+                types = [type(x.coords[row - 1][0]) for row in a.row_of_col]
+                assert [type(m) for m, _ in key] == types
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
     def test_right_action_law_exhaustive(self, r, n):
