@@ -229,13 +229,38 @@ def face_membership_product_form(x: YPoint, c: Chain) -> bool:
     return True
 
 
+def _hyperplanes_chain_key(r: int, subsets: Sequence[DecoratedSubset]) -> tuple[tuple, tuple] | None:
+    """The canonical (sets, decoration) of the chain the subsets nest into, or None.
+
+    Distinct sets nest only if their sizes differ, so the subsets are ordered
+    by size alone and an equal size means None.  Both parts equal the fields
+    of the `Chain` that `hyperplanes_to_chain` builds from them, so they
+    serve as lookup keys without building one.
+    """
+    by_size = {len(s.elements): s for s in subsets}
+    if len(by_size) != len(subsets):
+        return None
+    ordered = [by_size[size] for size in sorted(by_size)]
+    for prev, cur in zip(ordered, ordered[1:]):
+        if not set(cur.elements).issuperset(prev.elements):
+            return None
+    if not ordered:
+        return (), ()
+    top = ordered[-1]
+    dec = {i: e % r for i, e in zip(top.elements, top.exps)}
+    for s in ordered[:-1]:
+        if any(dec[i] != e % r for i, e in zip(s.elements, s.exps)):
+            return None
+    return tuple([s.elements for s in ordered]), tuple(dec.items())
+
+
 def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> Chain | None:
     """Assemble a chain from decorated subsets, or None when they cannot nest.
 
     Succeeds exactly when the sets are totally ordered by strict inclusion
     and all decorations agree where they overlap; the chain keeps the largest
     set's decoration.  An element outside 1..n, or naming one hyperplane
-    twice (exponents mod r), raises.
+    twice (exponents mod r), raises.  The assembly is `_hyperplanes_chain_key`.
     """
     r, n = _check_rn(r, n)
     # Elements are sorted, so the first and last bound each set; one pass also collects the sets.
@@ -251,17 +276,8 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
         if len({(s.elements, tuple([e % r for e in s.exps])) for s in subsets}) != len(subsets):
             raise ValueError("duplicate decorated subsets")
         return None
-    ordered = sorted(subsets, key=lambda s: (len(s.elements), s.elements))
-    for prev, cur in zip(ordered, ordered[1:]):
-        # The sets are distinct, so inclusion is strict inclusion.
-        if not set(cur.elements).issuperset(prev.elements):
-            return None
-    top = ordered[-1].mapping() if ordered else {}
-    for s in ordered[:-1]:
-        if any(top[i] % r != e % r for i, e in s.mapping().items()):
-            return None
-    sets = tuple(s.elements for s in ordered)
-    return Chain(r, n, sets, tuple(top.items()))
+    key = _hyperplanes_chain_key(r, subsets)
+    return None if key is None else Chain(r, n, *key)
 
 
 def hyperplane_vertex_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:

@@ -5,9 +5,10 @@ returns a structured report: object counts per dimension plus a list of
 violation strings (expected empty).  Instances above the configured caps
 are refused unless the caps are raised explicitly.
 
-A suite finds a chain's data by its position in `enumerate_chains`, through
-the index of canonical (sets, decoration) keys; it builds a library object
-only as a route's output that it compares, never just to look something up.
+All four suites find a chain's data by its position in `enumerate_chains`
+or by its canonical (sets, decoration) key; the nonempty suite, too, looks
+each assembled family up by its key.  A suite builds a library object only
+as a route's output that it compares, never just to look something up.
 Each key builder is the one its object builder wraps, so a key equals the
 fields of the object it stands for.  One numbering rule holds in every
 suite: a vertex is numbered by its coordinate tuple and a coset element by
@@ -34,11 +35,11 @@ from .cyclo import CapExceeded, YPoint, _check_cap, _check_nonnegative
 from .faces import (
     DecoratedSubset,
     _face_coords,
+    _hyperplanes_chain_key,
     enumerate_vertices,
     face_dimension_bruteforce,
     face_product_decomposition,
     hyperplane_vertex_ids,
-    hyperplanes_to_chain,
     vertex_of_maximal_chain,
 )
 from .group import GenPerm, _act_on_coords, _product, enumerate_group, group_order
@@ -292,26 +293,32 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
                 subsets.append(DecoratedSubset(elems, exps))
 
     vertices = enumerate_vertices(r, n)
-    hyperplanes = [(s, hyperplane_vertex_ids(r, n, s)) for s in subsets]
+    on_ids = [hyperplane_vertex_ids(r, n, s) for s in subsets]
     vertex_ids = {v.coords: i for i, v in enumerate(vertices)}
-    face_ids = {c: _numbered(_face_coords(c), vertex_ids) for c in chains}
+    face_ids = {(c.sets, c.decoration): _numbered(_face_coords(c), vertex_ids) for c in chains}
 
+    # Families come in `itertools.combinations` order, grouped by all but
+    # their last hyperplane, so each prefix's vertex ids are intersected once
+    # and each family costs one more intersection.  A prefix ending on the
+    # last hyperplane extends to no family, so prefixes stop before it.
     everything = frozenset(range(len(vertices)))
     for size in range(1, n + 1):
-        for pairs in itertools.combinations(hyperplanes, size):
-            family, on_ids = zip(*pairs)
-            chain = hyperplanes_to_chain(r, n, family)
-            hit = everything
-            for ids in on_ids:
-                hit &= ids
-                if not hit:
-                    break
-            if (chain is not None) != bool(hit):
-                fail(f"sortability and vertex scan disagree on {[f.mapping() for f in family]}")
-            elif chain is not None and chain not in face_ids:
-                fail(f"assembled chain is not in the complex on {[f.mapping() for f in family]}")
-            elif chain is not None and hit != face_ids[chain]:
-                fail(f"hyperplane intersection is not the face's vertex set on {chain.to_json()}")
+        for prefix in itertools.combinations(range(len(subsets) - 1), size - 1):
+            head = everything
+            for i in prefix:
+                head &= on_ids[i]
+            lead = tuple([subsets[i] for i in prefix])
+            for j in range(prefix[-1] + 1 if prefix else 0, len(subsets)):
+                family = lead + (subsets[j],)
+                key = _hyperplanes_chain_key(r, family)
+                hit = head & on_ids[j]
+                if (key is not None) != bool(hit):
+                    fail(f"sortability and vertex scan disagree on {[f.mapping() for f in family]}")
+                elif key is not None and key not in face_ids:
+                    fail(f"assembled chain is not in the complex on {[f.mapping() for f in family]}")
+                elif key is not None and hit != face_ids[key]:
+                    chain = Chain(r, n, *key)
+                    fail(f"hyperplane intersection is not the face's vertex set on {chain.to_json()}")
     return report
 
 

@@ -45,6 +45,11 @@ SMALL_ENVELOPE = [(r, n) for r in (2, 3) for n in range(4)]
 THREEWAY_SCALE = [(2, 5), (4, 4)]
 SCALE_CONFIG = VerifyConfig(max_group_order=6144)
 
+# Scale points above the default family cap of 60000; criterion 06 runs them
+# with the cap raised explicitly (1,666,980 families at (2, 4)).
+NONEMPTY_SCALE = [(4, 3), (2, 4)]
+NONEMPTY_SCALE_CONFIG = VerifyConfig(max_families=2_000_000)
+
 
 @contextmanager
 def criterion(number: int, name: str, limit: float | None = None):
@@ -126,6 +131,9 @@ def test_criterion_06_nonemptiness_equivalence():
     with criterion(6, "nonempty-face oracle equivalence", limit=120.0):
         for r, n in SMALL_ENVELOPE:
             report = verify_nonemptiness(r, n)
+            assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
+        for r, n in NONEMPTY_SCALE:
+            report = verify_nonemptiness(r, n, NONEMPTY_SCALE_CONFIG)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
 
 

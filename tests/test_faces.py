@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
@@ -32,11 +33,12 @@ from pinwheel import (
     maximal_refinements,
     point_in_complex,
     shifted_permutohedron_contains,
+    verify_nonemptiness,
     vertex_of_maximal_chain,
 )
 from pinwheel import cosets, faces, group
 from pinwheel.chains import _maximal_orders
-from pinwheel.faces import _affine_rank, _face_coords, _vertex_coords, chain_layers
+from pinwheel.faces import _affine_rank, _face_coords, _hyperplanes_chain_key, _vertex_coords, chain_layers
 
 from conftest import KEY_RN, brute_force_in_complex, random_ypoints
 
@@ -343,6 +345,54 @@ class TestHyperplanesToChain:
             hyperplanes_to_chain(2, 2, family)
 
 
+def hyperplane_families(r: int, n: int):
+    """Every family of at most n distinct decorated subsets, in the nonempty suite's order."""
+    subsets = [
+        DecoratedSubset(elems, exps)
+        for size in range(1, n + 1)
+        for elems in itertools.combinations(range(1, n + 1), size)
+        for exps in itertools.product(range(r), repeat=size)
+    ]
+    for size in range(1, n + 1):
+        yield from itertools.combinations(subsets, size)
+
+
+class TestHyperplanesChainKey:
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_key_is_the_assembled_chains_fields(self, r, n):
+        for family in hyperplane_families(r, n):
+            chain = hyperplanes_to_chain(r, n, family)
+            key = _hyperplanes_chain_key(r, family)
+            assert key == (None if chain is None else (chain.sets, chain.decoration)), family
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_key_ignores_order_and_exponent_shifts(self, r, n, rng):
+        for family in hyperplane_families(r, n):
+            moved = [
+                DecoratedSubset(s.elements, tuple([e + rng.choice((-r, r)) for e in s.exps])) for s in family
+            ]
+            rng.shuffle(moved)
+            assert _hyperplanes_chain_key(r, moved) == _hyperplanes_chain_key(r, family), family
+
+    def test_violations_name_families_in_combinations_order(self, monkeypatch):
+        # Every hyperplane passes through one vertex, so every family that
+        # does not nest is reported, in the order the suite walks them.
+        r, n = 2, 3
+        base = enumerate_vertices(r, n)[0]
+        real = faces.on_hyperplane
+        monkeypatch.setattr(faces, "on_hyperplane", lambda v, s, dec: v == base or real(v, s, dec))
+        prefix = "sortability and vertex scan disagree on "
+        violations = verify_nonemptiness(r, n).violations
+        named = [ast.literal_eval(v[len(prefix) :]) for v in violations if v.startswith(prefix)]
+        expected = [
+            [s.mapping() for s in family]
+            for family in hyperplane_families(r, n)
+            if hyperplanes_to_chain(r, n, family) is None
+        ]
+        assert len(expected) > 1000
+        assert named == expected
+
+
 class TestNonemptyOracle:
     def test_chain_layers_are_nonempty(self):
         assert face_nonempty_oracle(3, 4, chain_layers(EXAMPLE))
@@ -370,16 +420,9 @@ class TestNonemptyOracle:
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
     def test_agrees_with_sortability(self, r, n):
-        subsets = [
-            DecoratedSubset(elems, exps)
-            for size in range(1, n + 1)
-            for elems in itertools.combinations(range(1, n + 1), size)
-            for exps in itertools.product(range(r), repeat=size)
-        ]
-        for size in range(1, n + 1):
-            for family in itertools.combinations(subsets, size):
-                sortable = hyperplanes_to_chain(r, n, family) is not None
-                assert sortable == face_nonempty_oracle(r, n, family)
+        for family in hyperplane_families(r, n):
+            sortable = hyperplanes_to_chain(r, n, family) is not None
+            assert sortable == face_nonempty_oracle(r, n, family)
 
 
 class TestDimension:

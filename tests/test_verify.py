@@ -99,7 +99,12 @@ BROKEN_ROUTES = {
 # of its result for one argument tuple, the violation the suite must then
 # report).  MAXIMAL's vertex lies on the hyperplane of the set {1} with
 # decoration 1 -> 0, and the one-set family of that hyperplane is sortable.
+# The suite looks assembled chains up by their canonical keys, so the
+# assembly route is the key builder, whose second argument is the family;
+# an "-out-of-range" key names element 3 at n = 2, and a "-noncanonical"
+# one the exponent e + r, which `Chain` would fold into the same chain.
 ON_SET_ONE = DecoratedSubset((1,), (0,))
+OTHER_KEY = (OTHER.sets, OTHER.decoration)
 BROKEN_NONEMPTY_ROUTES = {
     "on_hyperplane": (
         faces,
@@ -109,16 +114,16 @@ BROKEN_NONEMPTY_ROUTES = {
         else on,
         r"hyperplane intersection is not the face's vertex set",
     ),
-    "hyperplanes_to_chain-none": (
+    "_hyperplanes_chain_key-none": (
         verify,
-        "hyperplanes_to_chain",
-        lambda args, chain: None if tuple(args[2]) == (ON_SET_ONE,) else chain,
+        "_hyperplanes_chain_key",
+        lambda args, key: None if tuple(args[1]) == (ON_SET_ONE,) else key,
         r"sortability and vertex scan disagree",
     ),
-    "hyperplanes_to_chain-other": (
+    "_hyperplanes_chain_key-other": (
         verify,
-        "hyperplanes_to_chain",
-        lambda args, chain: OTHER if tuple(args[2]) == (ON_SET_ONE,) else chain,
+        "_hyperplanes_chain_key",
+        lambda args, key: OTHER_KEY if tuple(args[1]) == (ON_SET_ONE,) else key,
         r"hyperplane intersection is not the face's vertex set",
     ),
     "_face_coords": (
@@ -127,10 +132,18 @@ BROKEN_NONEMPTY_ROUTES = {
         lambda args, coords: [*coords, ((1, 0), (1, 0))] if args == (MAXIMAL,) else coords,
         r"hyperplane intersection is not the face's vertex set",
     ),
-    "hyperplanes_to_chain-foreign": (
+    "_hyperplanes_chain_key-out-of-range": (
         verify,
-        "hyperplanes_to_chain",
-        lambda args, chain: make_chain(2, 3, [[1]], {1: 0}) if tuple(args[2]) == (ON_SET_ONE,) else chain,
+        "_hyperplanes_chain_key",
+        lambda args, key: (((3,),), ((3, 0),)) if tuple(args[1]) == (ON_SET_ONE,) else key,
+        r"assembled chain is not in the complex",
+    ),
+    "_hyperplanes_chain_key-noncanonical": (
+        verify,
+        "_hyperplanes_chain_key",
+        lambda args, key: (key[0], tuple((i, e + 2) for i, e in key[1]))
+        if tuple(args[1]) == (ON_SET_ONE,)
+        else key,
         r"assembled chain is not in the complex",
     ),
 }
