@@ -120,9 +120,7 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for flag, cap in (("--max-group-order", args.max_group_order), ("--max-families", args.max_families)):
-        _check_nonnegative(flag, cap)
-    config = VerifyConfig(max_group_order=args.max_group_order, max_families=args.max_families)
+    config = VerifyConfig(max_group_order=_check_nonnegative("--max-group-order", args.max_group_order))
     try:
         if args.suite == "all":
             reports = verify_all(args.r, args.n, config)
@@ -185,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES) + ["all"],
     )
     p.add_argument("--max-group-order", type=int, default=VerifyConfig.max_group_order)
-    p.add_argument("--max-families", type=int, default=VerifyConfig.max_families)
     p.set_defaults(func=_cmd_verify)
 
     return parser

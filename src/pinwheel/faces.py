@@ -25,9 +25,9 @@ from operator import index
 from typing import Sequence
 
 from .chains import Chain, _maximal_orders, act_on_chain, enumerate_chains
-from .cyclo import YPoint, _check_cap, _check_exact, _check_nonnegative, _check_rn, _check_same_space
+from .cyclo import YPoint, _check_exact, _check_rn, _check_same_space
 from .cyclo import _coords_json, delta, on_hyperplane
-from .group import GenPerm, _act_on_coords, group_order
+from .group import GenPerm, _act_on_coords
 
 __all__ = [
     "DecoratedSubset",
@@ -42,7 +42,6 @@ __all__ = [
     "shifted_permutohedron_contains",
     "hyperplanes_to_chain",
     "hyperplane_vertex_ids",
-    "face_nonempty_oracle",
     "face_dimension_bruteforce",
     "FaceFactor",
     "face_product_decomposition",
@@ -290,19 +289,6 @@ def hyperplane_vertex_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:
     return frozenset(
         i for i, v in enumerate(enumerate_vertices(r, n)) if on_hyperplane(v, s.elements, dec)
     )
-
-
-def face_nonempty_oracle(
-    r: int, n: int, subsets: Sequence[DecoratedSubset], max_vertices: int = 2000
-) -> bool:
-    """Whether some vertex of the complex satisfies every listed hyperplane."""
-    max_vertices = _check_nonnegative("max_vertices", max_vertices)
-    order = group_order(r, n)
-    _check_cap("vertex count", order, r, n, "max_vertices", max_vertices)
-    hit = frozenset(range(order))
-    for s in subsets:
-        hit &= hyperplane_vertex_ids(r, n, s)
-    return bool(hit)
 
 
 def _affine_rank(vectors: Sequence[tuple[int, ...]]) -> int:

@@ -2,8 +2,8 @@
 
 Each suite exhaustively checks one family of claims at desk scale and
 returns a structured report: object counts per dimension plus a list of
-violation strings (expected empty).  Instances above the configured caps
-are refused unless the caps are raised explicitly.
+violation strings (expected empty).  Instances above the configured
+group-order cap are refused unless the cap is raised explicitly.
 
 All four suites find a chain's data by its position in `enumerate_chains`
 or by its canonical (sets, decoration) key; the nonempty suite, too, looks
@@ -18,7 +18,6 @@ its (rows, exps) word, and sets of those ids are what a suite compares.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -36,6 +35,7 @@ from .faces import (
     DecoratedSubset,
     _face_coords,
     _hyperplanes_chain_key,
+    chain_layers,
     enumerate_vertices,
     face_dimension_bruteforce,
     face_product_decomposition,
@@ -66,14 +66,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Size caps for the suites; raise them to verify beyond desk scale."""
+    """The suites' size cap; raise it to verify beyond desk scale."""
 
     max_group_order: int = 2000
-    max_families: int = 60000
 
     def __post_init__(self) -> None:
-        for name in ("max_group_order", "max_families"):
-            object.__setattr__(self, name, _check_nonnegative(name, getattr(self, name)))
+        cap = _check_nonnegative("max_group_order", self.max_group_order)
+        object.__setattr__(self, "max_group_order", cap)
 
 
 DEFAULT_CONFIG = VerifyConfig()
@@ -95,23 +94,14 @@ class Report:
         return asdict(self)
 
 
-def _check_caps(r: int, n: int, config: VerifyConfig, families: bool) -> None:
-    """Refuse (r, n) above the group-order cap and, if asked, the family cap.
-
-    Both sizes are arithmetic, so nothing is enumerated before a refusal.
-    The nonempty suite checks every nonempty family of at most n of the
-    (r+1)^n - 1 decorated subsets.
-    """
+def _check_group_cap(r: int, n: int, config: VerifyConfig) -> None:
+    """Refuse (r, n) above the group-order cap, from arithmetic alone, before any enumeration."""
     _check_cap("group order", group_order(r, n), r, n, "max_group_order", config.max_group_order)
-    if families:
-        subsets = (r + 1) ** n - 1
-        family_count = sum(math.comb(subsets, size) for size in range(1, n + 1))
-        _check_cap("hyperplane family count", family_count, r, n, "max_families", config.max_families)
 
 
 def _start(suite: str, r: int, n: int, config: VerifyConfig) -> tuple[tuple[Chain, ...], Report]:
-    """Every suite's prologue: the caps, the chains, and an empty report."""
-    _check_caps(r, n, config, families=suite == "nonempty")
+    """Every suite's prologue: the cap, the chains, and an empty report."""
+    _check_group_cap(r, n, config)
     chains = enumerate_chains(r, n)
     counts = [0] * (n + 1)
     for c in chains:
@@ -282,14 +272,16 @@ def verify_products(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
 
 
 def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
-    """Nesting-sortability against the exhaustive vertex scan, per hyperplane family."""
+    """Nesting-sortability against the exhaustive vertex scan, on vertex stars."""
     chains, report = _start("nonempty", r, n, config)
     fail = report.violations.append
 
     subsets: list[DecoratedSubset] = []
+    position: dict[tuple, int] = {}
     for size in range(1, n + 1):
         for elems in itertools.combinations(range(1, n + 1), size):
             for exps in itertools.product(range(r), repeat=size):
+                position[elems, exps] = len(subsets)
                 subsets.append(DecoratedSubset(elems, exps))
 
     vertices = enumerate_vertices(r, n)
@@ -297,28 +289,42 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
     vertex_ids = {v.coords: i for i, v in enumerate(vertices)}
     face_ids = {(c.sets, c.decoration): _numbered(_face_coords(c), vertex_ids) for c in chains}
 
-    # Families come in `itertools.combinations` order, grouped by all but
-    # their last hyperplane, so each prefix's vertex ids are intersected once
-    # and each family costs one more intersection.  A prefix ending on the
-    # last hyperplane extends to no family, so prefixes stop before it.
-    everything = frozenset(range(len(vertices)))
-    for size in range(1, n + 1):
-        for prefix in itertools.combinations(range(len(subsets) - 1), size - 1):
-            head = everything
-            for i in prefix:
-                head &= on_ids[i]
-            lead = tuple([subsets[i] for i in prefix])
-            for j in range(prefix[-1] + 1 if prefix else 0, len(subsets)):
-                family = lead + (subsets[j],)
-                key = _hyperplanes_chain_key(r, family)
-                hit = head & on_ids[j]
-                if (key is not None) != bool(hit):
-                    fail(f"sortability and vertex scan disagree on {[f.mapping() for f in family]}")
-                elif key is not None and key not in face_ids:
-                    fail(f"assembled chain is not in the complex on {[f.mapping() for f in family]}")
-                elif key is not None and hit != face_ids[key]:
-                    chain = Chain(r, n, *key)
-                    fail(f"hyperplane intersection is not the face's vertex set on {chain.to_json()}")
+    def named(family: tuple[int, ...]) -> list[dict[int, int]]:
+        return [subsets[i].mapping() for i in family]
+
+    # Scan side: a family meets exactly when it lies in some vertex's star,
+    # the hyperplanes the scan puts that vertex on; a star lists them in
+    # index order, so its subfamilies come out as sorted index tuples.
+    stars: list[list[int]] = [[] for _ in vertices]
+    for i, ids in enumerate(on_ids):
+        for v in ids:
+            stars[v].append(i)
+    meeting: set[tuple[int, ...]] = set()
+    for star in stars:
+        for size in range(1, min(n, len(star)) + 1):
+            meeting.update(itertools.combinations(star, size))
+    for family in sorted(meeting, key=lambda f: (len(f), f)):
+        key = _hyperplanes_chain_key(r, [subsets[i] for i in family])
+        if key is None:
+            fail(f"sortability and vertex scan disagree on {named(family)}")
+        elif key not in face_ids:
+            fail(f"assembled chain is not in the complex on {named(family)}")
+        elif frozenset.intersection(*[on_ids[i] for i in family]) != face_ids[key]:
+            chain = Chain(r, n, *key)
+            fail(f"hyperplane intersection is not the face's vertex set on {chain.to_json()}")
+
+    # Nesting side: every chain's layers, and every pair the key builder
+    # accepts, must meet; a family found by both is reported once.
+    nesting = {
+        tuple(sorted([position[s.elements, s.exps] for s in chain_layers(c)])) for c in chains if c.length
+    }
+    nesting.update(
+        pair
+        for pair in itertools.combinations(range(len(subsets)), 2)
+        if _hyperplanes_chain_key(r, [subsets[i] for i in pair]) is not None
+    )
+    for family in sorted(nesting - meeting, key=lambda f: (len(f), f)):
+        fail(f"sortability and vertex scan disagree on {named(family)}")
     return report
 
 
@@ -331,5 +337,5 @@ SUITES: dict[str, Callable[[int, int, VerifyConfig], Report]] = {
 
 
 def verify_all(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> list[Report]:
-    _check_caps(r, n, config, families=True)
+    _check_group_cap(r, n, config)
     return [suite(r, n, config) for suite in SUITES.values()]

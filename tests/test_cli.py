@@ -348,7 +348,7 @@ class TestErrors:
                 main(argv)
             assert str(err.value) == f"error: need r >= 2 and n >= 0, got {pair}"
 
-    @pytest.mark.parametrize("flag", ["--max-group-order", "--max-families"])
+    @pytest.mark.parametrize("flag", ["--max-group-order"])
     def test_negative_cap_is_named(self, capsys, flag):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--r", "2", "--n", "2", "--suite", "nonempty", flag, "-5"])

@@ -1,12 +1,12 @@
 import ast
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from pinwheel import (
-    CapExceeded,
     Chain,
     DecoratedSubset,
     DeltaFace,
@@ -23,10 +23,10 @@ from pinwheel import (
     face_dimension_bruteforce,
     face_membership,
     face_membership_product_form,
-    face_nonempty_oracle,
     face_product_decomposition,
     group_order,
     hasse_dot,
+    hyperplane_vertex_ids,
     hyperplanes_to_chain,
     identity,
     make_chain,
@@ -337,24 +337,37 @@ class TestHyperplanesToChain:
             hyperplanes_to_chain(2, 2, [s, s])
 
     def test_duplicates_modulo_r_rejected(self):
-        # Exponents 0 and 2 name one branch at r = 2: the oracle sees one
+        # Exponents 0 and 2 name one branch at r = 2: the scan sees one
         # hyperplane twice, and the assembly refuses it as a repeat.
         family = [DecoratedSubset((1,), (0,)), DecoratedSubset((1,), (2,))]
-        assert face_nonempty_oracle(2, 2, family)
+        assert vertex_meet(2, 2, family)
         with pytest.raises(ValueError, match="^duplicate decorated subsets$"):
             hyperplanes_to_chain(2, 2, family)
 
 
-def hyperplane_families(r: int, n: int):
-    """Every family of at most n distinct decorated subsets, in the nonempty suite's order."""
-    subsets = [
+def hyperplane_subsets(r: int, n: int) -> list[DecoratedSubset]:
+    """Every decorated subset of {1..n} with exponents in 0..r-1, in the nonempty suite's order."""
+    return [
         DecoratedSubset(elems, exps)
         for size in range(1, n + 1)
         for elems in itertools.combinations(range(1, n + 1), size)
         for exps in itertools.product(range(r), repeat=size)
     ]
+
+
+def hyperplane_families(r: int, n: int):
+    """Every family of at most n distinct decorated subsets, in the nonempty suite's order."""
+    subsets = hyperplane_subsets(r, n)
     for size in range(1, n + 1):
         yield from itertools.combinations(subsets, size)
+
+
+def vertex_meet(r: int, n: int, family) -> frozenset[int]:
+    """Positions of the vertices on every hyperplane of the family, by the exhaustive scan."""
+    hit = frozenset(range(len(enumerate_vertices(r, n))))
+    for s in family:
+        hit &= hyperplane_vertex_ids(r, n, s)
+    return hit
 
 
 class TestHyperplanesChainKey:
@@ -394,35 +407,52 @@ class TestHyperplanesChainKey:
 
 
 class TestNonemptyOracle:
+    """The hyperplane scan's intersections against the nesting test.
+
+    The nonempty suite calls the key builder only on families that meet and
+    on pairs.  The walk here covers every family of at most n hyperplanes,
+    so it also catches a key builder that accepts a family of three or more
+    that does not nest while it refuses each of that family's pairs.
+    """
+
     def test_chain_layers_are_nonempty(self):
-        assert face_nonempty_oracle(3, 4, chain_layers(EXAMPLE))
+        assert vertex_meet(3, 4, chain_layers(EXAMPLE))
 
     def test_incomparable_sets_are_empty(self):
         subsets = [DecoratedSubset((1,), (0,)), DecoratedSubset((2,), (0,))]
-        assert not face_nonempty_oracle(2, 2, subsets)
+        assert not vertex_meet(2, 2, subsets)
 
     def test_empty_family_is_everything(self):
-        assert face_nonempty_oracle(3, 2, [])
+        assert hyperplanes_to_chain(3, 2, []) == Chain(3, 2, (), ())
+        everything = len(vertex_meet(3, 2, []))
+        assert len(chain_to_face_vertices(Chain(3, 2, (), ()))) == everything == group_order(3, 2)
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="max_vertices"):
-            face_nonempty_oracle(3, 4, [], max_vertices=100)
-        with pytest.raises(CapExceeded, match=r"^vertex count 1944 for \(r=3, n=4\) exceeds max_vertices=100$"):
-            face_nonempty_oracle(3, 4, [], max_vertices=100)
-
-    def test_negative_cap_is_refused(self):
-        with pytest.raises(ValueError, match="^max_vertices must be >= 0, got -1$"):
-            face_nonempty_oracle(2, 2, [], max_vertices=-1)
-
-    def test_float_cap_is_refused(self):
-        with pytest.raises(TypeError):
-            face_nonempty_oracle(2, 2, [], max_vertices=2000.0)
-
-    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_agrees_with_sortability(self, r, n):
-        for family in hyperplane_families(r, n):
-            sortable = hyperplanes_to_chain(r, n, family) is not None
-            assert sortable == face_nonempty_oracle(r, n, family)
+        # Every family, walked grouped by all but its last hyperplane, so each
+        # prefix's vertex ids are intersected once.
+        subsets = hyperplane_subsets(r, n)
+        on_ids = [hyperplane_vertex_ids(r, n, s) for s in subsets]
+        vertex_ids = {v: i for i, v in enumerate(enumerate_vertices(r, n))}
+        face_ids = {
+            (c.sets, c.decoration): frozenset(vertex_ids[v] for v in chain_to_face_vertices(c))
+            for c in enumerate_chains(r, n)
+        }
+        everything = frozenset(vertex_ids.values())
+        walked = 0
+        for size in range(1, n + 1):
+            for prefix in itertools.combinations(range(len(subsets) - 1), size - 1):
+                head = everything
+                for i in prefix:
+                    head &= on_ids[i]
+                for j in range(prefix[-1] + 1 if prefix else 0, len(subsets)):
+                    family = [subsets[i] for i in (*prefix, j)]
+                    key = _hyperplanes_chain_key(r, family)
+                    hit = head & on_ids[j]
+                    assert (key is not None) == bool(hit), family
+                    assert key is None or hit == face_ids[key], family
+                    walked += 1
+        assert walked == sum(math.comb(len(subsets), size) for size in range(1, n + 1))
 
 
 class TestDimension:

@@ -102,7 +102,14 @@ BROKEN_ROUTES = {
 # The suite looks assembled chains up by their canonical keys, so the
 # assembly route is the key builder, whose second argument is the family;
 # an "-out-of-range" key names element 3 at n = 2, and a "-noncanonical"
-# one the exponent e + r, which `Chain` would fold into the same chain.
+# one the exponent e + r, which `Chain` would fold into the same chain.  An
+# "-equal-sizes" key accepts every pair of equal-size subsets, which never
+# meet, so only the suite's pairs check calls the key builder on them.  The
+# "on_hyperplane-add" case puts MAXIMAL's vertex on the hyperplane of {2}
+# with decoration 2 -> 0 as well, and "-drop" takes it off the top layer of
+# MAXIMAL, so that chain's layers no longer meet.  "-empty" takes every
+# vertex off the hyperplane of {1} with decoration 1 -> 0; that one-set
+# family is then named by the suite's chain side alone.
 ON_SET_ONE = DecoratedSubset((1,), (0,))
 OTHER_KEY = (OTHER.sets, OTHER.decoration)
 BROKEN_NONEMPTY_ROUTES = {
@@ -113,6 +120,28 @@ BROKEN_NONEMPTY_ROUTES = {
         if args[0] == vertex_of_maximal_chain(MAXIMAL) and tuple(args[1]) == (1,) and args[2] == {1: 0}
         else on,
         r"hyperplane intersection is not the face's vertex set",
+    ),
+    "on_hyperplane-add": (
+        faces,
+        "on_hyperplane",
+        lambda args, on: True
+        if args[0] == vertex_of_maximal_chain(MAXIMAL) and tuple(args[1]) == (2,) and args[2] == {2: 0}
+        else on,
+        r"sortability and vertex scan disagree",
+    ),
+    "on_hyperplane-drop": (
+        faces,
+        "on_hyperplane",
+        lambda args, on: False
+        if args[0] == vertex_of_maximal_chain(MAXIMAL) and tuple(args[1]) == (1, 2) and args[2] == {1: 0, 2: 1}
+        else on,
+        r"sortability and vertex scan disagree",
+    ),
+    "on_hyperplane-empty": (
+        faces,
+        "on_hyperplane",
+        lambda args, on: False if args[2] == {1: 0} else on,
+        r"^sortability and vertex scan disagree on \[\{1: 0\}\]$",
     ),
     "_hyperplanes_chain_key-none": (
         verify,
@@ -145,6 +174,14 @@ BROKEN_NONEMPTY_ROUTES = {
         if tuple(args[1]) == (ON_SET_ONE,)
         else key,
         r"assembled chain is not in the complex",
+    ),
+    "_hyperplanes_chain_key-equal-sizes": (
+        verify,
+        "_hyperplanes_chain_key",
+        lambda args, key: OTHER_KEY
+        if len(args[1]) == 2 and len(args[1][0].elements) == len(args[1][1].elements)
+        else key,
+        r"sortability and vertex scan disagree",
     ),
 }
 
@@ -388,19 +425,12 @@ class TestNonemptiness:
     def test_small_cases(self, r, n):
         assert verify_nonemptiness(r, n).ok
 
-    def test_family_cap(self):
-        with pytest.raises(CapExceeded, match="max_families"):
-            verify_nonemptiness(3, 3, VerifyConfig(max_families=100))
-
     def test_caps_refuse_before_any_enumeration(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("enumerated before the caps were checked")
 
         monkeypatch.setattr(verify, "enumerate_chains", refuse)
         monkeypatch.setattr(verify, "DecoratedSubset", refuse)
-        with pytest.raises(CapExceeded, match="max_families"):
-            verify_nonemptiness(2, 6, VerifyConfig(max_group_order=10**8))
-        # Above both caps, the group-order cap is named first.
         with pytest.raises(CapExceeded, match="max_group_order"):
             verify_nonemptiness(4, 4)
 
@@ -412,13 +442,13 @@ class TestNonemptiness:
         assert verify_nonemptiness(2, 2).ok
         assert verify_nonemptiness(3, 2).ok
 
-    @pytest.mark.parametrize("field", ["max_group_order", "max_families"])
+    @pytest.mark.parametrize("field", ["max_group_order"])
     def test_negative_cap_is_refused_by_the_library(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -5$") as err:
             VerifyConfig(**{field: -5})
         assert not isinstance(err.value, CapExceeded)
 
-    @pytest.mark.parametrize("field", ["max_group_order", "max_families"])
+    @pytest.mark.parametrize("field", ["max_group_order"])
     def test_non_integer_cap_is_refused_by_the_library(self, field):
         with pytest.raises(TypeError):
             VerifyConfig(**{field: 2.5})
@@ -448,8 +478,6 @@ class TestReports:
 
         for name in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, name, refuse)
-        with pytest.raises(CapExceeded, match="max_families"):
-            verify_all(3, 4)
         with pytest.raises(CapExceeded, match="max_group_order"):
             verify_all(4, 4)
 
