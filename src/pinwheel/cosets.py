@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .chains import Chain, refines
+from .chains import Chain
 from .cyclo import _check_indices, json_int
 from .group import GenPerm, _product, enumerate_group, generate_subgroup, multiply
 
@@ -24,7 +24,6 @@ __all__ = [
     "coset_to_chain",
     "coset_elements",
     "coset_size",
-    "coset_subset",
     "CosetFactor",
     "coset_block_decomposition",
     "block_product_elements",
@@ -126,21 +125,6 @@ def _coset_words(h: TCosetHandle) -> list[tuple[tuple[int, ...], tuple[int, ...]
 def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
     r, n = h.r, h.n
     return frozenset([GenPerm(r, n, rows, exps) for rows, exps in _coset_words(h)])
-
-
-def coset_subset(a: TCosetHandle, b: TCosetHandle) -> bool:
-    """Containment of cosets, decided two ways that must agree.
-
-    Chain refinement is compared against brute-force element inclusion; a
-    disagreement would be a bug and raises.
-    """
-    by_chains = refines(coset_to_chain(a), coset_to_chain(b))
-    by_elements = coset_elements(a) <= coset_elements(b)
-    if by_chains != by_elements:
-        raise RuntimeError(
-            f"containment disagreement: refinement says {by_chains}, elements say {by_elements}"
-        )
-    return by_elements
 
 
 @dataclass(frozen=True)

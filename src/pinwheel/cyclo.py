@@ -1,12 +1,13 @@
-"""Exact scalar arithmetic: numbers in Q(zeta_r) and points on roots-of-unity rays.
+"""Exact scalars, hyperplane values in Q(zeta_r), and points on roots-of-unity rays.
 
 An exact scalar is an `int` or a `fractions.Fraction`, kept as given (the two
 compare, hash and serialize alike); floats, bools and strings are refused.
 Zeta stays symbolic, reduced modulo the r-th cyclotomic polynomial, so every
 value has one canonical coefficient tuple and equal values have equal tuples.
 Hyperplane evaluation combines per-power sums of magnitudes through a per-r
-table of the reduced powers zeta^k, whose coefficients are integers.  All
-types are immutable and all functions are pure.
+table of the reduced powers zeta^k, whose coefficients are integers, and
+returns a `CycloNum` whose one use is to say whether the sum is rational.
+All types are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _degree(r: int) -> int:
     return len(cyclotomic_polynomial(r)) - 1
 
 
-def _reduce(coeffs: list[int | Fraction], r: int) -> tuple[int | Fraction, ...]:
+def _reduce(coeffs: list[int], r: int) -> tuple[int, ...]:
     mod = cyclotomic_polynomial(r)
     deg = len(mod) - 1
     work = list(coeffs)
@@ -181,11 +182,12 @@ def _pair_to_fraction(pair) -> Fraction:
 
 @dataclass(frozen=True)
 class CycloNum:
-    """Element of Q(zeta_r) in canonical form.
+    """Element of Q(zeta_r) in canonical form: the value `hyperplane_eval` returns.
 
     Stored as the remainder modulo the r-th cyclotomic polynomial in the
     power basis 1, zeta, ..., zeta^(phi(r)-1) with exact scalar coefficients,
     so two values are equal exactly when their coefficient tuples are equal.
+    It carries no arithmetic and no JSON form; `as_rational` is all a caller reads.
     """
 
     r: int
@@ -200,66 +202,11 @@ class CycloNum:
             raise ValueError(f"need {_degree(r)} coefficients for r={r}, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    # Each static constructor checks r before _degree(r) reads it.
-    @staticmethod
-    def zero(r: int) -> "CycloNum":
-        return CycloNum.from_rational(0, r)
-
-    @staticmethod
-    def from_rational(value, r: int) -> "CycloNum":
-        r, _ = _check_rn(r)
-        _check_exact(value, "value")
-        return CycloNum(r, (value,) + (0,) * (_degree(r) - 1))
-
-    @staticmethod
-    def from_term(magnitude, exp: int, r: int) -> "CycloNum":
-        """Canonical form of magnitude * zeta^exp (exp may be any integer)."""
-        r, _ = _check_rn(r)
-        _check_exact(magnitude, "magnitude")
-        return CycloNum(r, _reduce([0] * (index(exp) % r) + [magnitude], r))
-
-    def _check_same_field(self, other: "CycloNum") -> None:
-        if not isinstance(other, CycloNum):
-            raise TypeError(f"expected CycloNum, got {type(other).__name__}")
-        if self.r != other.r:
-            raise ValueError(f"objects live over different r: {self.r} vs {other.r}")
-
-    def __add__(self, other: "CycloNum") -> "CycloNum":
-        self._check_same_field(other)
-        return CycloNum(self.r, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycloNum") -> "CycloNum":
-        self._check_same_field(other)
-        return CycloNum(self.r, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycloNum":
-        return CycloNum(self.r, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "CycloNum") -> "CycloNum":
-        self._check_same_field(other)
-        prod = [0] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycloNum(self.r, _reduce(prod, self.r))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def as_rational(self) -> int | Fraction | None:
         """The value as a rational number, or None if it is irrational."""
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "coeffs": [_int_pair(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: Mapping) -> "CycloNum":
-        return CycloNum(json_int(data["r"]), tuple(_pair_to_fraction(p) for p in data["coeffs"]))
 
 
 @dataclass(frozen=True)
@@ -287,14 +234,6 @@ class YPoint:
     @property
     def n(self) -> int:
         return len(self.coords)
-
-    def magnitude(self, i: int) -> int | Fraction:
-        """Magnitude of coordinate i (1-based)."""
-        return self.coords[i - 1][0]
-
-    def branch(self, i: int) -> int:
-        """Branch of coordinate i (1-based)."""
-        return self.coords[i - 1][1]
 
     def magnitudes(self) -> tuple[int | Fraction, ...]:
         return tuple(mag for mag, _ in self.coords)

@@ -50,12 +50,6 @@ class GenPerm:
         object.__setattr__(self, "row_of_col", rows)
         object.__setattr__(self, "exp_of_col", exps)
 
-    def row_of(self, col: int) -> int:
-        return self.row_of_col[col - 1]
-
-    def exp_of(self, col: int) -> int:
-        return self.exp_of_col[col - 1]
-
     @cached_property
     def _col_of_row(self) -> tuple[int, ...]:
         out = [0] * self.n

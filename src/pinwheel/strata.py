@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .chains import Chain, refines
+from .chains import Chain
 from .cyclo import _check_indices, _check_rn, _check_same_space, json_int
 from .group import GenPerm
 
@@ -24,7 +24,6 @@ __all__ = [
     "stratum_to_chain",
     "contract_spoke_edges",
     "spoke_contractions",
-    "stratum_includes",
     "StratumFactor",
     "stratum_product_factors",
     "base_stratum",
@@ -158,22 +157,6 @@ def spoke_contractions(s: PinwheelStratum) -> Iterator[tuple[tuple[tuple[int, in
                     merged.append(runs[start][j - start])
                     start = j + 1
             yield tuple(merged)
-
-
-def stratum_includes(s: PinwheelStratum, t: PinwheelStratum) -> bool:
-    """Whether t arises from s by contracting spoke edges.
-
-    Searched over all edge subsets and cross-checked against chain
-    refinement; a disagreement would be a bug and raises.
-    """
-    _check_same_space(s, t)
-    by_contraction = t.spoke in spoke_contractions(s)
-    by_chains = refines(stratum_to_chain(s), stratum_to_chain(t))
-    if by_contraction != by_chains:
-        raise RuntimeError(
-            f"inclusion disagreement: contraction says {by_contraction}, refinement says {by_chains}"
-        )
-    return by_contraction
 
 
 @dataclass(frozen=True)

@@ -294,15 +294,25 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
 
     # Scan side: a family meets exactly when it lies in some vertex's star,
     # the hyperplanes the scan puts that vertex on; a star lists them in
-    # index order, so its subfamilies come out as sorted index tuples.
+    # index order, so its subfamilies come out as sorted index tuples.  A
+    # vertex lies on exactly its n chain layers, so a larger star is reported
+    # once: its subfamilies, which grow without bound, are not taken, and the
+    # vertex leaves every intersection, where it would be reported again.
     stars: list[list[int]] = [[] for _ in vertices]
     for i, ids in enumerate(on_ids):
         for v in ids:
             stars[v].append(i)
     meeting: set[tuple[int, ...]] = set()
-    for star in stars:
-        for size in range(1, min(n, len(star)) + 1):
+    crowded = {v for v, star in enumerate(stars) if len(star) > n}
+    for v, star in enumerate(stars):
+        if v in crowded:
+            fail(f"vertex {vertices[v].to_json()} lies on {len(star)} hyperplanes, more than n={n}")
+            continue
+        for size in range(1, len(star) + 1):
             meeting.update(itertools.combinations(star, size))
+    if crowded:
+        on_ids = [ids - crowded for ids in on_ids]
+        face_ids = {key: ids - crowded for key, ids in face_ids.items()}
     for family in sorted(meeting, key=lambda f: (len(f), f)):
         key = _hyperplanes_chain_key(r, [subsets[i] for i in family])
         if key is None:

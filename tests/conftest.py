@@ -62,7 +62,7 @@ class DenseMatrix:
     def from_genperm(cls, g: GenPerm) -> "DenseMatrix":
         entries: list[list[int | None]] = [[None] * g.n for _ in range(g.n)]
         for col in range(1, g.n + 1):
-            entries[g.row_of(col) - 1][col - 1] = g.exp_of(col)
+            entries[g.row_of_col[col - 1] - 1][col - 1] = g.exp_of_col[col - 1]
         return cls(g.r, entries)
 
     def __mul__(self, other: "DenseMatrix") -> "DenseMatrix":
@@ -101,7 +101,7 @@ def brute_force_in_complex(x) -> bool:
     n = x.n
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(1, n + 1), size):
-            if sum(x.magnitude(i) for i in subset) > delta(n, size):
+            if sum(x.coords[i - 1][0] for i in subset) > delta(n, size):
                 return False
     return True
 

@@ -6,8 +6,11 @@ tracer follows), when its module's `__all__` lists it, and when
 """
 
 import importlib
+import importlib.util
 import inspect
+import json
 import types
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +56,37 @@ def test_names_once_missing_from_the_package_import():
     assert coarsenings is pinwheel.chains.coarsenings
     assert coset_size is pinwheel.cosets.coset_size
     assert spoke_contractions is pinwheel.strata.spoke_contractions
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def traced_call_names() -> list[str]:
+    """Each per-layer `<module>.<name>.calls` metric of the benchmark, without `.calls`."""
+    per_layer = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    return [m["name"].removesuffix(".calls") for m in per_layer if m["name"].endswith(".calls")]
+
+
+@pytest.mark.parametrize("name", traced_call_names())
+def test_every_traced_name_is_public(name):
+    # The traced benchmark exits 1 on a metric it cannot measure, so each
+    # name must stay a public function, a class with its own __post_init__
+    # (traced as `validate`) or a class with its own from_json.
+    module, *path = name.split(".")
+    mod = importlib.import_module(f"pinwheel.{module}")
+    assert not any(part.startswith("_") for part in path)
+    if len(path) == 1:
+        assert inspect.isfunction(inspect.unwrap(getattr(mod, path[0])))
+    else:
+        cls, method = path
+        own = vars(getattr(mod, cls))
+        assert {"validate": "__post_init__", "from_json": "from_json"}[method] in own
+
+
+def test_micro_cases_run_and_pass_their_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_micro", REPO / "perfbench" / "micro.py")
+    micro = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(micro)
+    table = micro.cases()
+    assert table
+    assert [name for name, (call, check) in table.items() if not check(call())] == []

@@ -122,9 +122,6 @@ class TestValidation:
             (lambda: PinwheelStratum(2, 1.0, (((1, 0),),)), RN_GATE),
             (lambda: CycloNum(2.0, (1,)), R_GATE),
             (lambda: YPoint(2.0, ((1, 0),)), RN_GATE),
-            (lambda: CycloNum.zero(2.0), R_GATE),
-            (lambda: CycloNum.from_rational(1, 2.0), R_GATE),
-            (lambda: CycloNum.from_term(1, 0, 2.5), R_GATE),
             (lambda: identity(2, 2.0), RN_GATE),
             (lambda: generator(2, 2.0, 0), RN_GATE),
             (lambda: base_stratum(2, 2.0), RN_GATE),
@@ -148,9 +145,6 @@ class TestValidation:
             "PinwheelStratum-n",
             "CycloNum-r",
             "YPoint-r",
-            "CycloNum.zero-r",
-            "CycloNum.from_rational-r",
-            "CycloNum.from_term-r",
             "identity-n",
             "generator-n",
             "base_stratum-n",

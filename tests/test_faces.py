@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from pinwheel import (
     verify_nonemptiness,
     vertex_of_maximal_chain,
 )
-from pinwheel import cosets, faces, group
+from pinwheel import cosets, faces, group, verify
 from pinwheel.chains import _maximal_orders
 from pinwheel.faces import _affine_rank, _face_coords, _hyperplanes_chain_key, _vertex_coords, chain_layers
 
@@ -388,22 +389,16 @@ class TestHyperplanesChainKey:
             assert _hyperplanes_chain_key(r, moved) == _hyperplanes_chain_key(r, family), family
 
     def test_violations_name_families_in_combinations_order(self, monkeypatch):
-        # Every hyperplane passes through one vertex, so every family that
-        # does not nest is reported, in the order the suite walks them.
+        # A key builder that assembles nothing makes every family that meets
+        # a violation, named in the order the suite walks them.
         r, n = 2, 3
-        base = enumerate_vertices(r, n)[0]
-        real = faces.on_hyperplane
-        monkeypatch.setattr(faces, "on_hyperplane", lambda v, s, dec: v == base or real(v, s, dec))
+        monkeypatch.setattr(verify, "_hyperplanes_chain_key", lambda r, family: None)
         prefix = "sortability and vertex scan disagree on "
         violations = verify_nonemptiness(r, n).violations
         named = [ast.literal_eval(v[len(prefix) :]) for v in violations if v.startswith(prefix)]
-        expected = [
-            [s.mapping() for s in family]
-            for family in hyperplane_families(r, n)
-            if hyperplanes_to_chain(r, n, family) is None
-        ]
-        assert len(expected) > 1000
-        assert named == expected
+        expected = [[s.mapping() for s in family] for family in hyperplane_families(r, n) if vertex_meet(r, n, family)]
+        assert len(expected) == len(enumerate_chains(r, n)) - 1 == 146
+        assert named == expected == [ast.literal_eval(v[len(prefix) :]) for v in violations]
 
 
 class TestNonemptyOracle:
@@ -421,6 +416,13 @@ class TestNonemptyOracle:
     def test_incomparable_sets_are_empty(self):
         subsets = [DecoratedSubset((1,), (0,)), DecoratedSubset((2,), (0,))]
         assert not vertex_meet(2, 2, subsets)
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_every_vertex_lies_on_exactly_n_hyperplanes(self, r, n):
+        # The nonempty suite reports a larger vertex star instead of taking its subfamilies.
+        on_ids = [hyperplane_vertex_ids(r, n, s) for s in hyperplane_subsets(r, n)]
+        stars = Counter(v for ids in on_ids for v in ids)
+        assert sorted(set(stars.values())) == [n] and len(stars) == group_order(r, n)
 
     def test_empty_family_is_everything(self):
         assert hyperplanes_to_chain(3, 2, []) == Chain(3, 2, (), ())

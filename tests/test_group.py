@@ -17,7 +17,6 @@ from pinwheel import (
     act_on_stratum,
     base_stratum,
     chain_to_coset,
-    coset_subset,
     enumerate_group,
     enumerate_vertices,
     face_membership,
@@ -29,7 +28,6 @@ from pinwheel import (
     inverse,
     multiply,
     refines,
-    stratum_includes,
 )
 
 from pinwheel.group import _act_on_coords
@@ -60,9 +58,7 @@ SAME_SPACE_SITES = {
     "act_on_tuple": (act_on_tuple, "point", "matrix"),
     "refines": (refines, "chain", "chain"),
     "act_on_chain": (act_on_chain, "chain", "matrix"),
-    "coset_subset": (coset_subset, "coset", "coset"),
     "act_on_coset": (act_on_coset, "coset", "matrix"),
-    "stratum_includes": (stratum_includes, "stratum", "stratum"),
     "act_on_stratum": (act_on_stratum, "stratum", "matrix"),
     "face_membership": (face_membership, "point", "chain"),
     "face_membership_product_form": (face_membership_product_form, "point", "chain"),
@@ -197,10 +193,10 @@ def block_pattern_ok(g: GenPerm, gens: frozenset[int]) -> bool:
     for idx, bound in enumerate(bounds):
         block = range(start + 1, bound + 1)
         for col in block:
-            if g.row_of(col) not in block:
+            if g.row_of_col[col - 1] not in block:
                 return False
             # only the leading block may scale
-            if idx > 0 and g.exp_of(col) != 0:
+            if idx > 0 and g.exp_of_col[col - 1] != 0:
                 return False
         start = bound
     return True

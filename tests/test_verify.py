@@ -425,6 +425,19 @@ class TestNonemptiness:
     def test_small_cases(self, r, n):
         assert verify_nonemptiness(r, n).ok
 
+    def test_a_vertex_on_every_hyperplane_is_reported_once(self, monkeypatch):
+        # Every vertex lies on exactly n hyperplanes.  A larger star is
+        # reported, and none of its subfamilies is taken: here they would be
+        # every family of at most n hyperplanes, 2951 at (2,3).
+        r, n = 2, 3
+        base = faces.enumerate_vertices(r, n)[0]
+        real = faces.on_hyperplane
+        monkeypatch.setattr(faces, "on_hyperplane", lambda v, s, dec: v == base or real(v, s, dec))
+        violations = verify_nonemptiness(r, n).violations
+        assert violations[0] == f"vertex {base.to_json()} lies on 26 hyperplanes, more than n=3"
+        # The one family met only at that vertex: the layers of its maximal chain.
+        assert violations[1:] == ["sortability and vertex scan disagree on [{1: 0}, {1: 0, 2: 0}, {1: 0, 2: 0, 3: 0}]"]
+
     def test_caps_refuse_before_any_enumeration(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("enumerated before the caps were checked")
