@@ -12,11 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .chains import Chain
-from .cyclo import _check_indices, json_int
-from .group import GenPerm, _product, enumerate_group, generate_subgroup, multiply
+from .cyclo import _check_indices, _check_same_space
+from .group import GenPerm, _product, enumerate_group, generate_subgroup
 
 __all__ = [
     "TCosetHandle",
@@ -44,22 +43,12 @@ class TCosetHandle:
     rep: GenPerm
 
     def __post_init__(self) -> None:
-        rep, n = self.rep, self.rep.n
-        gens = frozenset(_check_indices(self.gens, 0, n - 1, "generator"))
+        rep = self.rep
+        gens = frozenset(_check_indices(self.gens, 0, rep.n - 1, "generator"))
         object.__setattr__(self, "gens", gens)
-        top = list(range(n + 1))  # top[row]: the highest row of row's block
-        for row in sorted(gens - {0}, reverse=True):  # s_row joins rows row and row + 1
-            top[row] = top[row + 1]
-        low = top[1] if 0 in gens else 0
-        free = top[:]  # free[t]: the next row the block topped by t hands out
-        rows = []
-        for row in rep.row_of_col:
-            rows.append(free[top[row]])
-            free[top[row]] -= 1
-        rows = tuple(rows)
-        exps = tuple([e if row > low else 0 for row, e in zip(rep.row_of_col, rep.exp_of_col)])
-        if rows != rep.row_of_col or exps != rep.exp_of_col:
-            object.__setattr__(self, "rep", GenPerm(rep.r, n, rows, exps))
+        word = _canonical_word(gens, rep.n, rep.row_of_col, rep.exp_of_col)
+        if word != rep.sort_key():
+            object.__setattr__(self, "rep", GenPerm._of_word(rep.r, rep.n, *word))
 
     @property
     def r(self) -> int:
@@ -76,9 +65,26 @@ class TCosetHandle:
     def to_json(self) -> dict:
         return {"gens": sorted(self.gens), "rep": self.rep.to_json()}
 
-    @staticmethod
-    def from_json(data: Mapping) -> "TCosetHandle":
-        return TCosetHandle((json_int(g) for g in data["gens"]), GenPerm.from_json(data["rep"]))
+
+def _canonical_word(
+    gens: frozenset[int], n: int, rows: tuple[int, ...], exps: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical (row_of_col, exp_of_col) of the coset of <s_gens> through (rows, exps).
+
+    Rows i and i+1 share a block when s_i is in gens; each block's columns
+    take its rows top-down in increasing column order, and the columns in
+    s_0's block get exponent 0 (see `TCosetHandle`).
+    """
+    top = list(range(n + 1))  # top[row]: the highest row of row's block
+    for row in sorted(gens - {0}, reverse=True):  # s_row joins rows row and row + 1
+        top[row] = top[row + 1]
+    low = top[1] if 0 in gens else 0
+    free = top[:]  # free[t]: the next row the block topped by t hands out
+    out = []
+    for row in rows:
+        out.append(free[top[row]])
+        free[top[row]] -= 1
+    return tuple(out), tuple([e if row > low else 0 for row, e in zip(rows, exps)])
 
 
 def chain_to_coset(c: Chain) -> TCosetHandle:
@@ -124,7 +130,7 @@ def _coset_words(h: TCosetHandle) -> list[tuple[tuple[int, ...], tuple[int, ...]
 
 def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
     r, n = h.r, h.n
-    return frozenset([GenPerm(r, n, rows, exps) for rows, exps in _coset_words(h)])
+    return frozenset([GenPerm._of_word(r, n, rows, exps) for rows, exps in _coset_words(h)])
 
 
 @dataclass(frozen=True)
@@ -185,9 +191,15 @@ def block_product_elements(c: Chain) -> frozenset[GenPerm]:
     return frozenset(out)
 
 
+def _act_on_coset_key(h: TCosetHandle, b: GenPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical rep word of `act_on_coset(h, b)`, with no handle or matrix built."""
+    return _canonical_word(h.gens, h.n, *_product(h.rep, b))
+
+
 def act_on_coset(h: TCosetHandle, b: GenPerm) -> TCosetHandle:
     """Right action: same generators, representative multiplied by b."""
-    return TCosetHandle(h.gens, multiply(h.rep, b))
+    _check_same_space(h.rep, b)
+    return TCosetHandle(h.gens, GenPerm._of_word(h.r, h.n, *_act_on_coset_key(h, b)))
 
 
 def coset_size(c: Chain) -> int:

@@ -9,8 +9,12 @@ built straight from the orders of its chain's maximal refinements, with no
 `Chain` built per vertex; `_face_coords` yields their canonical coordinate
 tuples, which every verify suite numbers as they are, and
 `chain_to_face_vertices` wraps each in a `YPoint`.  `DeltaFace.to_json` and
-`act_on_face` read `_face_coords` too, so they build no point.  All tests
-here are exact rational or cyclotomic comparisons.
+`act_on_face` read `_face_coords` too, so they build no point.
+`_face_coords` fills whole coordinate tuples from tables made once per
+chain; it no longer goes through `chains._maximal_orders` and
+`_vertex_coords` one refinement at a time, and the tests compare it with
+that second route on every chain.  All tests here are exact rational or
+cyclotomic comparisons.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import lru_cache
 from operator import index
 from typing import Sequence
 
-from .chains import Chain, _maximal_orders, act_on_chain, enumerate_chains
+from .chains import Chain, act_on_chain, enumerate_chains
 from .cyclo import YPoint, _check_exact, _check_rn, _check_same_space
 from .cyclo import _coords_json, delta, on_hyperplane
 from .group import GenPerm, _act_on_coords
@@ -107,12 +111,36 @@ def vertex_of_maximal_chain(c: Chain) -> YPoint:
 def _face_coords(c: Chain) -> list[tuple[tuple[int, int], ...]]:
     """The canonical coords of each vertex of c's face, one per maximal refinement.
 
-    Listed in `_maximal_orders` order; each entry equals the `coords` of the
-    matching `YPoint` of `chain_to_face_vertices`, so the entries serve as
-    keys without building one.
+    Listed in `_maximal_orders` order: segment orders slowest, then the
+    order of the leftover elements, then their exponents.  Each entry equals
+    `_vertex_coords` of that refinement, so it is the `coords` of the
+    matching `YPoint` of `chain_to_face_vertices` and serves as a key
+    without building one.  Each segment-order prefix is placed once; the
+    leftover element added k-th takes its (magnitude, branch) pair from a
+    table made once per chain.
     """
     r, n = c.r, c.n
-    return [_vertex_coords(r, n, order, exps) for order, exps in _maximal_orders(c)]
+    dec = c.decoration_map()
+    tail = c.complement()
+    m = len(tail)
+    pairs = [[(m - k, -e % r) for e in range(r)] for k in range(m)]
+    words = [
+        tuple([pairs[k][e] for k, e in enumerate(exps)])
+        for exps in itertools.product(range(r), repeat=m)
+    ]
+    tail_orders = list(itertools.permutations(tail))
+    out = []
+    for seg_orders in itertools.product(*(itertools.permutations(s) for s in c.segments())):
+        prefix = [(0, 0)] * n
+        for j, i in enumerate(itertools.chain.from_iterable(seg_orders)):
+            prefix[i - 1] = (n - j, -dec[i] % r)
+        for order in tail_orders:
+            for word in words:
+                coords = prefix[:]
+                for i, pair in zip(order, word):
+                    coords[i - 1] = pair
+                out.append(tuple(coords))
+    return out
 
 
 def chain_to_face_vertices(c: Chain) -> frozenset[YPoint]:

@@ -4,6 +4,13 @@ Elements are n x n matrices with exactly one nonzero entry in each row and
 column, every nonzero entry an r-th root of unity.  An element is encoded by
 columns: column b holds zeta^exp_of_col[b] in row row_of_col[b].  Rows,
 columns and coordinates are 1-based everywhere in the public interface.
+
+Validation runs where input arrives from outside: `GenPerm(...)` and
+`GenPerm.from_json` check every field.  Words the library computes itself
+are wrapped by `GenPerm._of_word` without a second check: the identity, the
+standard generators, products (`_product`), subgroup closures, coset
+elements and the enumeration of the group.  `inverse` keeps the checking
+constructor, which reduces its negated exponents mod r.
 """
 
 from __future__ import annotations
@@ -50,6 +57,21 @@ class GenPerm:
         object.__setattr__(self, "row_of_col", rows)
         object.__setattr__(self, "exp_of_col", exps)
 
+    @staticmethod
+    def _of_word(r: int, n: int, rows: tuple[int, ...], exps: tuple[int, ...]) -> "GenPerm":
+        """The element with a word the library computed, built without `__post_init__`.
+
+        rows must be a permutation of 1..n and every exponent lie in 0..r-1,
+        as `_product` returns them.  The fields are set in field order, so
+        the instance dict shares its keys with validated instances.
+        """
+        g = object.__new__(GenPerm)
+        object.__setattr__(g, "r", r)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "row_of_col", rows)
+        object.__setattr__(g, "exp_of_col", exps)
+        return g
+
     @cached_property
     def _col_of_row(self) -> tuple[int, ...]:
         out = [0] * self.n
@@ -86,7 +108,7 @@ class GenPerm:
 
 def identity(r: int, n: int) -> GenPerm:
     r, n = _check_rn(r, n)
-    return GenPerm(r, n, tuple(range(1, n + 1)), (0,) * n)
+    return GenPerm._of_word(r, n, tuple(range(1, n + 1)), (0,) * n)
 
 
 def generator(r: int, n: int, i: int) -> GenPerm:
@@ -94,10 +116,10 @@ def generator(r: int, n: int, i: int) -> GenPerm:
     r, n = _check_rn(r, n)
     (i,) = _check_indices((i,), 0, n - 1, "generator")
     if i == 0:
-        return GenPerm(r, n, tuple(range(1, n + 1)), (1,) + (0,) * (n - 1))
+        return GenPerm._of_word(r, n, tuple(range(1, n + 1)), (1,) + (0,) * (n - 1))
     rows = list(range(1, n + 1))
     rows[i - 1], rows[i] = rows[i], rows[i - 1]
-    return GenPerm(r, n, tuple(rows), (0,) * n)
+    return GenPerm._of_word(r, n, tuple(rows), (0,) * n)
 
 
 def _product(a: GenPerm, b: GenPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -112,8 +134,7 @@ def _product(a: GenPerm, b: GenPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def multiply(a: GenPerm, b: GenPerm) -> GenPerm:
     """Matrix product a * b."""
     _check_same_space(a, b)
-    rows, exps = _product(a, b)
-    return GenPerm(a.r, a.n, rows, exps)
+    return GenPerm._of_word(a.r, a.n, *_product(a, b))
 
 
 def inverse(a: GenPerm) -> GenPerm:
@@ -156,17 +177,20 @@ def group_order(r: int, n: int) -> int:
 # Keyed by generator set: one stream of the json-queries benchmark closes 56.
 @lru_cache(maxsize=256, typed=True)
 def _subgroup_closure(r: int, n: int, gens: frozenset[int]) -> frozenset[GenPerm]:
+    # Breadth-first on words; each new word is wrapped once, unvalidated.
     seeds = [generator(r, n, i) for i in sorted(gens)]
-    elements = {identity(r, n)}
-    frontier = list(elements)
+    one = identity(r, n)
+    words = {one.sort_key()}
+    elements, frontier = [one], [one]
     while frontier:
         new = []
         for g in frontier:
             for s in seeds:
-                h = multiply(g, s)
-                if h not in elements:
-                    elements.add(h)
-                    new.append(h)
+                word = _product(g, s)
+                if word not in words:
+                    words.add(word)
+                    new.append(GenPerm._of_word(r, n, *word))
+        elements.extend(new)
         frontier = new
     return frozenset(elements)
 
@@ -183,5 +207,5 @@ def enumerate_group(r: int, n: int) -> tuple[GenPerm, ...]:
     out = []
     for rows in itertools.permutations(range(1, n + 1)):
         for exps in itertools.product(range(r), repeat=n):
-            out.append(GenPerm(r, n, rows, exps))
+            out.append(GenPerm._of_word(r, n, rows, exps))
     return tuple(out)

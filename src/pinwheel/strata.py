@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .chains import Chain
-from .cyclo import _check_indices, _check_rn, _check_same_space, json_int
+from .cyclo import _check_indices, _check_rn, _check_same_space
 from .group import GenPerm
 
 __all__ = [
@@ -72,17 +72,6 @@ class PinwheelStratum:
                 [{"orbit": i, "exp": e} for i, e in comp] for comp in self.spoke
             ],
         }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "PinwheelStratum":
-        spoke = tuple(
-            tuple((json_int(p["orbit"]), json_int(p["exp"])) for p in comp)
-            for comp in data["spoke"]
-        )
-        s = PinwheelStratum(json_int(data["r"]), json_int(data["n"]), spoke)
-        if s.k != json_int(data["k"]):
-            raise ValueError(f"stated spoke length {data['k']} differs from {s.k}")
-        return s
 
 
 def chain_to_stratum(c: Chain) -> PinwheelStratum:

@@ -23,9 +23,9 @@ from typing import Callable
 
 from .chains import Chain, _act_on_chain_key, _coarsening_keys, chain_dimension, enumerate_chains
 from .cosets import (
+    _act_on_coset_key,
     _coset_chain_key,
     _coset_words,
-    act_on_coset,
     chain_to_coset,
     coset_block_decomposition,
     coset_size,
@@ -216,6 +216,7 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
 
     index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
     handles = [chain_to_coset(c) for c in chains]
+    reps = [h.rep.sort_key() for h in handles]
     strata = [chain_to_stratum(c) for c in chains]
     element_ids = {g.sort_key(): i for i, g in enumerate(group)}
     vertex_ids: dict[tuple, int] = {}
@@ -225,7 +226,7 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
     # One matrix per id, built once; each element then moves every id through
     # a table, vertices by their coords, so no pair builds a point or a matrix.
     points = list(vertex_ids)
-    members = [GenPerm(r, n, *word) for word in element_ids]
+    members = [GenPerm._of_word(r, n, *word) for word in element_ids]
     orbit = []
     for a in group:
         vmove = [vertex_ids.setdefault(_act_on_coords(p, a), len(vertex_ids)) for p in points]
@@ -238,7 +239,7 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
                 continue
             if frozenset([vmove[v] for v in vs]) != vertices[j]:
                 fail(f"face action broke on {c.to_json()} by {a.to_json()}")
-            if act_on_coset(h, a) != handles[j]:
+            if _act_on_coset_key(h, a) != reps[j]:
                 fail(f"coset action missed the image coset on {c.to_json()} by {a.to_json()}")
             if frozenset([emove[e] for e in els]) != elements[j]:
                 fail(f"coset element action broke on {c.to_json()} by {a.to_json()}")

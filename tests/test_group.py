@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from pinwheel import (
     act_on_stratum,
     base_stratum,
     chain_to_coset,
+    coset_elements,
+    enumerate_chains,
     enumerate_group,
     enumerate_vertices,
     face_membership,
@@ -213,7 +216,7 @@ class TestSubgroups:
     def test_full_generating_set(self, r, n):
         assert len(generate_subgroup(r, n, range(n))) == group_order(r, n)
 
-    @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4)])
     def test_matches_block_diagonal_description(self, r, n):
         for size in range(n + 1):
             for gens in itertools.combinations(range(n), size):
@@ -243,6 +246,46 @@ class TestEnumeration:
             assert inverse(a) in elements
         for a, b in itertools.product(elements, repeat=2):
             assert multiply(a, b) in elements
+
+
+def assert_is_the_checked_element(g: GenPerm) -> None:
+    """g, built from a computed word, equals what the checking constructor makes of its fields."""
+    checked = GenPerm(g.r, g.n, g.row_of_col, g.exp_of_col)
+    assert g == checked and hash(g) == hash(checked)
+    assert g.to_json() == checked.to_json()
+    # A cached `_col_of_row` may follow the fields.
+    assert list(vars(g))[:4] == [f.name for f in fields(GenPerm)] == list(vars(checked))
+
+
+class TestUncheckedWords:
+    """Elements the library wraps with `GenPerm._of_word` match the checking constructor."""
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_coset_subgroup_and_generator_elements(self, r, n):
+        for c in enumerate_chains(r, n):
+            for g in coset_elements(chain_to_coset(c)):
+                assert_is_the_checked_element(g)
+        closure = generate_subgroup(r, n, range(n))
+        assert len(closure) == group_order(r, n)
+        for g in [*closure, identity(r, n), *(generator(r, n, i) for i in range(n))]:
+            assert_is_the_checked_element(g)
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r, n in KEY_RN if group_order(r, n) <= 400])
+    def test_group_elements_and_products(self, r, n):
+        group = enumerate_group(r, n)
+        for g in group:
+            assert_is_the_checked_element(g)
+        sample = group[:: max(1, len(group) // 20)]
+        for a, b in itertools.product(sample, repeat=2):
+            assert_is_the_checked_element(multiply(a, b))
+
+    def test_of_word_skips_the_checks(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("__post_init__ ran")
+
+        monkeypatch.setattr(GenPerm, "__post_init__", refuse)
+        g = GenPerm._of_word(3, 2, (2, 1), (0, 2))
+        assert (g.r, g.n, g.row_of_col, g.exp_of_col) == (3, 2, (2, 1), (0, 2))
 
 
 class TestJson:

@@ -15,6 +15,7 @@ from pinwheel import (
     chain_to_stratum,
     enumerate_chains,
     generator,
+    group_order,
     identity,
     make_chain,
     multiply,
@@ -203,8 +204,16 @@ BROKEN_EQUIVARIANCE_ROUTES = {
         lambda args, key: (OTHER.sets, OTHER.decoration) if args == (TARGET, ONE) else key,
         r"face action broke",
     ),
-    "act_on_coset": (
-        lambda args, h: chain_to_coset(OTHER) if args == (chain_to_coset(TARGET), ONE) else h,
+    "_act_on_coset_key": (
+        lambda args, key: chain_to_coset(OTHER).rep.sort_key()
+        if args == (chain_to_coset(TARGET), ONE)
+        else key,
+        r"coset action missed the image coset",
+    ),
+    "_act_on_coset_key-noncanonical": (
+        lambda args, key: (key[0], (key[1][0] + 2, *key[1][1:]))
+        if args == (chain_to_coset(TARGET), ONE)
+        else key,
         r"coset action missed the image coset",
     ),
     "_product": (
@@ -378,11 +387,12 @@ class TestEquivariance:
             "_act_on_coords": 64,
         }
 
-    @pytest.mark.parametrize("r,n,matrices", [(2, 2, 280), (2, 3, 14160)])
-    def test_builds_no_point_or_element_per_pair(self, monkeypatch, r, n, matrices):
-        # No point at all: the vertex table moves coordinate tuples.  One
-        # matrix per element, plus at most two per (chain, element) pair for
-        # the coset action, |G| + 2 * pairs.  Caches are warmed first.
+    @pytest.mark.parametrize("r,n", [(2, 2), (2, 3)])
+    def test_builds_no_point_or_element_per_pair(self, monkeypatch, r, n):
+        # No point at all: the vertex table moves coordinate tuples, and the
+        # coset action compares rep words.  One matrix per element, checked
+        # or not, plus the one checked rep of each chain's handle.  Caches
+        # are warmed first.
         assert verify_equivariance(r, n).ok
         built = Counter()
         for cls in (YPoint, GenPerm):
@@ -390,9 +400,13 @@ class TestEquivariance:
             monkeypatch.setattr(
                 cls, "__post_init__", lambda x, cls=cls, real=real: built.update([cls]) or real(x)
             )
+        real_of_word = GenPerm._of_word
+        monkeypatch.setattr(
+            GenPerm, "_of_word", staticmethod(lambda *word: built.update([GenPerm]) or real_of_word(*word))
+        )
         assert verify_equivariance(r, n).ok
         assert built[YPoint] == 0
-        assert built[GenPerm] <= matrices
+        assert built[GenPerm] <= group_order(r, n) + len(enumerate_chains(r, n))
 
     def test_builds_no_chain_per_pair(self, monkeypatch):
         # Images are found by their (sets, decoration) key; the chains
