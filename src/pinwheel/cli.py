@@ -56,9 +56,10 @@ def _sorted_elements(elements) -> list[dict]:
 
 
 def _cmd_chains(args) -> int:
+    dim = None if args.dim is None else _check_nonnegative("--dim", args.dim)
     chains = enumerate_chains(args.r, args.n)
-    if args.dim is not None:
-        chains = tuple(c for c in chains if chain_dimension(c) == args.dim)
+    if dim is not None:
+        chains = tuple(c for c in chains if chain_dimension(c) == dim)
     if args.table:
         print(f"{'dim':>3}  {'len':>3}  sets / decoration")
         for c in chains:

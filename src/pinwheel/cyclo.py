@@ -137,11 +137,6 @@ def _check_nonnegative(name: str, value: int) -> int:
     return value
 
 
-def _check_cap(what: str, size: int, r: int, n: int, name: str, cap: int) -> None:
-    if size > cap:
-        raise CapExceeded(f"{what} {size} for (r={r}, n={n}) exceeds {name}={cap}")
-
-
 def _check_exact(value: object, what: str) -> None:
     if type(value) is not int and type(value) is not Fraction:
         raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")

@@ -8,13 +8,11 @@ n + 1 - j on the branch opposite to its decoration.  A face's vertices are
 built straight from the orders of its chain's maximal refinements, with no
 `Chain` built per vertex; `_face_coords` yields their canonical coordinate
 tuples, which every verify suite numbers as they are, and
-`chain_to_face_vertices` wraps each in a `YPoint`.  `DeltaFace.to_json` and
-`act_on_face` read `_face_coords` too, so they build no point.
-`_face_coords` fills whole coordinate tuples from tables made once per
-chain; it no longer goes through `chains._maximal_orders` and
-`_vertex_coords` one refinement at a time, and the tests compare it with
-that second route on every chain.  All tests here are exact rational or
-cyclotomic comparisons.
+`chain_to_face_vertices` wraps each in a `YPoint`.  `DeltaFace.to_json`
+reads `_face_coords` too, so it builds no point.  `act_on_face` is the chain
+action: the face of c moves onto the face of c·a, and `verify --suite
+equivariance` checks that the vertex sets follow.  All tests here are exact
+rational or cyclotomic comparisons.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Sequence
 from .chains import Chain, act_on_chain, enumerate_chains
 from .cyclo import YPoint, _check_exact, _check_rn, _check_same_space
 from .cyclo import _coords_json, delta, on_hyperplane
-from .group import GenPerm, _act_on_coords
+from .group import GenPerm
 
 __all__ = [
     "DecoratedSubset",
@@ -157,14 +155,9 @@ def chain_to_face_vertices(c: Chain) -> frozenset[YPoint]:
 
 @dataclass(frozen=True)
 class DeltaFace:
-    """A face of the complex: its chain, with the vertex set derived from it."""
+    """A face of the complex, held as its chain; `to_json` lists its vertices."""
 
     chain: Chain
-
-    @property
-    def vertices(self) -> frozenset[YPoint]:
-        """Built on each access and not kept: a face holds only its chain."""
-        return chain_to_face_vertices(self.chain)
 
     @staticmethod
     def from_chain(c: Chain) -> "DeltaFace":
@@ -416,17 +409,12 @@ def face_product_decomposition(c: Chain) -> tuple[FaceFactor, ...]:
 
 
 def act_on_face(c: Chain, a: GenPerm) -> Chain:
-    """Image chain of a face under the action, with a vertex-set cross-check.
+    """Image chain of a face under the action: the face of c moves onto that of c·a.
 
-    The check moves the coords of c's vertices (`_face_coords`) by
-    `_act_on_coords` and compares them with the image chain's own vertex
-    coords, so it builds no point.
+    This is `act_on_chain`.  That the vertex sets follow the action is
+    verified by `verify --suite equivariance`, not on every call.
     """
-    image = act_on_chain(c, a)
-    moved = {_act_on_coords(v, a) for v in _face_coords(c)}
-    if moved != set(_face_coords(image)):
-        raise RuntimeError("action moved the vertex set off the image face")
-    return image
+    return act_on_chain(c, a)
 
 
 def hasse_dot(r: int, n: int) -> str:

@@ -30,7 +30,7 @@ from .cosets import (
     coset_block_decomposition,
     coset_size,
 )
-from .cyclo import CapExceeded, YPoint, _check_cap, _check_nonnegative
+from .cyclo import CapExceeded, YPoint, _check_nonnegative
 from .faces import (
     DecoratedSubset,
     _face_coords,
@@ -96,7 +96,9 @@ class Report:
 
 def _check_group_cap(r: int, n: int, config: VerifyConfig) -> None:
     """Refuse (r, n) above the group-order cap, from arithmetic alone, before any enumeration."""
-    _check_cap("group order", group_order(r, n), r, n, "max_group_order", config.max_group_order)
+    order, cap = group_order(r, n), config.max_group_order
+    if order > cap:
+        raise CapExceeded(f"group order {order} for (r={r}, n={n}) exceeds max_group_order={cap}")
 
 
 def _start(suite: str, r: int, n: int, config: VerifyConfig) -> tuple[tuple[Chain, ...], Report]:

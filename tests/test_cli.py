@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pinwheel import faces
 from pinwheel.cli import main
 
 CHAIN_JSON = '{"r":3,"n":4,"sets":[[3],[2,3,4]],"decoration":{"2":1,"3":0,"4":2}}'
@@ -99,6 +100,16 @@ class TestChains:
         assert len(chains) == 8
         assert all(len(c["sets"]) == 2 for c in chains)
 
+    def test_negative_dim_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["chains", "--r", "2", "--n", "2", "--dim", "-1"])
+        assert str(err.value) == "error: --dim must be >= 0, got -1"
+        assert capsys.readouterr().out == ""
+
+    def test_dim_above_n_is_empty(self, capsys):
+        code, out = run(capsys, "chains", "--r", "2", "--n", "2", "--dim", "3")
+        assert (code, out) == (0, "[]\n")
+
     def test_table(self, capsys):
         code, out = run(capsys, "chains", "--r", "2", "--n", "1", "--table")
         assert code == 0
@@ -176,6 +187,24 @@ class TestAct:
         data = json.loads(out)
         assert data["sets"] == [[1], [1, 3], [1, 3, 4], [1, 2, 3, 4]]
         assert data["decoration"] == {"1": 0, "2": 1, "3": 1, "4": 2}
+
+    def test_on_a_full_face_lists_no_vertex(self, capsys, monkeypatch, tmp_path):
+        # The length-0 chain at (2, 8): its face has 10,321,920 vertices,
+        # and the image chain is printed without listing any of them.
+        chain = {"r": 2, "n": 8, "sets": [], "decoration": {}}
+        matrix = {
+            "r": 2,
+            "n": 8,
+            "cols": [{"col": j, "row": j % 8 + 1, "exp": j % 2} for j in range(1, 9)],
+        }
+        (tmp_path / "chain.json").write_text(json.dumps(chain))
+        (tmp_path / "matrix.json").write_text(json.dumps(matrix))
+        monkeypatch.setattr(faces, "_face_coords", lambda c: pytest.fail("listed a face's vertices"))
+        code, out = run(
+            capsys, "act", "--matrix", str(tmp_path / "matrix.json"), "--chain", str(tmp_path / "chain.json")
+        )
+        assert code == 0
+        assert out == json.dumps(chain, separators=(",", ":")) + "\n"
 
     def test_on_vertex(self, capsys, matrix_file, tmp_path):
         path = tmp_path / "vertex.json"
