@@ -4,9 +4,13 @@ An exact scalar is an `int` or a `fractions.Fraction`, kept as given (the two
 compare, hash and serialize alike); floats, bools and strings are refused.
 Zeta stays symbolic, reduced modulo the r-th cyclotomic polynomial, so every
 value has one canonical coefficient tuple and equal values have equal tuples.
-Hyperplane evaluation combines per-power sums of magnitudes through a per-r
-table of the reduced powers zeta^k, whose coefficients are integers, and
-returns a `CycloNum` whose one use is to say whether the sum is rational.
+Hyperplane evaluation has one private per-pair kernel, `_hyperplane_coeffs`:
+it sums magnitudes per power of zeta and combines the sums through a per-r
+table of the reduced powers zeta^k, whose coefficients are integers.  The
+public `hyperplane_eval` and `on_hyperplane` gate their arguments on every
+call and wrap it; the face layer's vertex scan gates each hyperplane once
+and calls `_on_hyperplane_coords` per vertex.  `hyperplane_eval` returns a
+`CycloNum` whose one use is to say whether the sum is rational.
 All types are immutable and all functions are pure.
 """
 
@@ -20,7 +24,6 @@ from operator import index
 from typing import Iterable, Mapping
 
 __all__ = [
-    "CapExceeded",
     "CycloNum",
     "YPoint",
     "cyclotomic_polynomial",
@@ -82,10 +85,6 @@ def _reduce(coeffs: list[int], r: int) -> tuple[int, ...]:
     work = work[:deg]
     work += [0] * (deg - len(work))
     return tuple(work)
-
-
-class CapExceeded(ValueError):
-    """An instance is larger than a configured size cap allows."""
 
 
 def _check_rn(r: int, n: int | None = None, owner: object = None) -> tuple[int, int]:
@@ -260,31 +259,65 @@ def _zeta_powers(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_reduce([0] * k + [1], r) for k in range(r))
 
 
-def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> CycloNum:
-    """Exact value of sum over i in the subset of zeta^{decoration(i)} * x_i.
+def _hyperplane_coeffs(
+    r: int, coords: tuple[tuple[int | Fraction, int], ...], terms: Iterable[tuple[int, int]]
+) -> list[int | Fraction]:
+    """Canonical coefficients of sum over (i, e) in terms of zeta^e * x_(i+1).
 
-    The magnitudes are first summed per power of zeta, then the r sums are
-    combined through the reduced zeta^k table, so one CycloNum is built per
-    call.
+    `coords` are a point's canonical coords and each term a 0-based index
+    into them with its exponent; neither is checked here.  The magnitudes
+    are summed per power of zeta, then the r sums are combined through the
+    reduced zeta^k table.
     """
-    elems = _check_indices(elements, 1, point.n, "element")
-    r = point.r
     by_power = [0] * r
-    for i in elems:
-        if i not in decoration:
-            raise ValueError(f"decoration undefined on element {i}")
-        mag, branch = point.coords[i - 1]
-        by_power[(decoration[i] + branch) % r] += mag
-    coeffs = [0] * _degree(r)
-    for total, power in zip(by_power, _zeta_powers(r)):
+    for i, e in terms:
+        mag, branch = coords[i]
+        by_power[(e + branch) % r] += mag
+    powers = _zeta_powers(r)
+    coeffs = [0] * len(powers[0])
+    for total, power in zip(by_power, powers):
         if total:
             for j, c in enumerate(power):
                 coeffs[j] += total * c
-    return CycloNum(r, tuple(coeffs))
+    return coeffs
+
+
+def _on_hyperplane_coords(
+    r: int, coords: tuple[tuple[int | Fraction, int], ...], terms: Iterable[tuple[int, int]], target: int
+) -> bool:
+    """Whether `_hyperplane_coeffs(r, coords, terms)` is the rational `target`, exactly."""
+    coeffs = _hyperplane_coeffs(r, coords, terms)
+    return coeffs[0] == target and not any(coeffs[1:])
+
+
+def _hyperplane_terms(
+    point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]
+) -> list[tuple[int, int]]:
+    """The kernel's (0-based index, exponent) terms.
+
+    Refused unless the elements are distinct, lie in 1..n and are decorated.
+    """
+    terms = []
+    for i in _check_indices(elements, 1, point.n, "element"):
+        if i not in decoration:
+            raise ValueError(f"decoration undefined on element {i}")
+        terms.append((i - 1, decoration[i]))
+    return terms
+
+
+def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> CycloNum:
+    """Exact value of sum over i in the subset of zeta^{decoration(i)} * x_i.
+
+    Gates the arguments, then wraps `_hyperplane_coeffs`.
+    """
+    terms = _hyperplane_terms(point, elements, decoration)
+    return CycloNum(point.r, tuple(_hyperplane_coeffs(point.r, point.coords, terms)))
 
 
 def on_hyperplane(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> bool:
-    """Whether the decorated-subset sum equals the bound for its size, exactly."""
-    elements = tuple(elements)
-    value = hyperplane_eval(point, elements, decoration).as_rational()
-    return value is not None and value == delta(point.n, len(elements))
+    """Whether the decorated-subset sum equals the bound for its size, exactly.
+
+    Gates the arguments as `hyperplane_eval` does, then wraps `_on_hyperplane_coords`.
+    """
+    terms = _hyperplane_terms(point, elements, decoration)
+    return _on_hyperplane_coords(point.r, point.coords, terms, delta(point.n, len(terms)))

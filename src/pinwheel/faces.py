@@ -11,8 +11,11 @@ tuples, which every verify suite numbers as they are, and
 `chain_to_face_vertices` wraps each in a `YPoint`.  `DeltaFace.to_json`
 reads `_face_coords` too, so it builds no point.  `act_on_face` is the chain
 action: the face of c moves onto the face of c·a, and `verify --suite
-equivariance` checks that the vertex sets follow.  All tests here are exact
-rational or cyclotomic comparisons.
+equivariance` checks that the vertex sets follow.  `hyperplane_vertex_ids`
+gates each hyperplane once and then evaluates every vertex through the
+cyclotomic layer's per-pair kernel, `_on_hyperplane_coords`, so no argument
+is rechecked per vertex.  All tests here are exact rational or cyclotomic
+comparisons.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 
 from .chains import Chain, act_on_chain, enumerate_chains
 from .cyclo import YPoint, _check_exact, _check_rn, _check_same_space
-from .cyclo import _coords_json, delta, on_hyperplane
+from .cyclo import _coords_json, _on_hyperplane_coords, delta
 from .group import GenPerm
 
 __all__ = [
@@ -274,6 +277,14 @@ def _hyperplanes_chain_key(r: int, subsets: Sequence[DecoratedSubset]) -> tuple[
     return tuple([s.elements for s in ordered]), tuple(dec.items())
 
 
+def _check_subset_range(s: DecoratedSubset, n: int) -> tuple[int, ...]:
+    """s's elements, refused unless they lie in 1..n; they are sorted, so the first and last bound them."""
+    elems = s.elements
+    if elems[0] < 1 or elems[-1] > n:
+        raise ValueError(f"element {elems[0] if elems[0] < 1 else elems[-1]} out of range 1..{n}")
+    return elems
+
+
 def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> Chain | None:
     """Assemble a chain from decorated subsets, or None when they cannot nest.
 
@@ -283,14 +294,10 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
     twice (exponents mod r), raises.  The assembly is `_hyperplanes_chain_key`.
     """
     r, n = _check_rn(r, n)
-    # Elements are sorted, so the first and last bound each set; one pass also collects the sets.
+    # One pass checks each set's range and collects the sets.
     distinct = set()
     for s in subsets:
-        elems = s.elements
-        if elems[0] < 1 or elems[-1] > n:
-            bad = elems[0] if elems[0] < 1 else elems[-1]
-            raise ValueError(f"element {bad} out of range 1..{n}")
-        distinct.add(elems)
+        distinct.add(_check_subset_range(s, n))
     if len(distinct) != len(subsets):
         # Equal sets never nest; with exponents equal mod r they are one hyperplane.
         if len({(s.elements, tuple([e % r for e in s.exps])) for s in subsets}) != len(subsets):
@@ -304,11 +311,16 @@ def hyperplane_vertex_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:
     """Positions, within `enumerate_vertices(r, n)`, of the vertices on s's hyperplane.
 
     Exhaustive scan with exact cyclotomic evaluation; independent of the
-    combinatorial nesting test.
+    combinatorial nesting test.  The gate runs once per hyperplane: s's
+    elements are checked against 1..n and its terms and bound built once,
+    then every vertex takes one full evaluation by `_on_hyperplane_coords`.
     """
-    dec = s.mapping()
+    r, n = _check_rn(r, n)
+    elems = _check_subset_range(s, n)
+    terms = tuple(zip([i - 1 for i in elems], s.exps))
+    target = delta(n, len(elems))
     return frozenset(
-        i for i, v in enumerate(enumerate_vertices(r, n)) if on_hyperplane(v, s.elements, dec)
+        i for i, v in enumerate(enumerate_vertices(r, n)) if _on_hyperplane_coords(r, v.coords, terms, target)
     )
 
 

@@ -30,7 +30,7 @@ from .cosets import (
     coset_block_decomposition,
     coset_size,
 )
-from .cyclo import CapExceeded, YPoint, _check_nonnegative
+from .cyclo import YPoint, _check_nonnegative
 from .faces import (
     DecoratedSubset,
     _face_coords,
@@ -62,6 +62,10 @@ __all__ = [
     "verify_all",
     "SUITES",
 ]
+
+
+class CapExceeded(ValueError):
+    """An instance is larger than a configured size cap allows."""
 
 
 @dataclass(frozen=True)

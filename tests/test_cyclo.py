@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -7,8 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pinwheel import CycloNum, YPoint, cyclotomic_polynomial, delta, hyperplane_eval, on_hyperplane
-from pinwheel.cyclo import _zeta_powers
+from pinwheel import (
+    CycloNum,
+    YPoint,
+    cyclotomic_polynomial,
+    delta,
+    enumerate_vertices,
+    hyperplane_eval,
+    on_hyperplane,
+)
+from pinwheel.cyclo import _hyperplane_coeffs, _on_hyperplane_coords, _zeta_powers
 
 from conftest import random_ypoints
 
@@ -169,6 +178,14 @@ class TestDelta:
             delta(3, 4)
 
 
+def decorated_subsets(r, n):
+    """Every decorated subset of 1..n as (elements, decoration), exponents in 0..r-1."""
+    for size in range(1, n + 1):
+        for elems in itertools.combinations(range(1, n + 1), size):
+            for exps in itertools.product(range(r), repeat=size):
+                yield elems, dict(zip(elems, exps))
+
+
 class TestHyperplane:
     def test_worked_cube_root_case(self):
         x = YPoint(3, ((Fraction(1), 1), (Fraction(2), 0)))
@@ -196,20 +213,15 @@ class TestHyperplane:
         # On a decorated subset the sum hits the bound exactly when every
         # positive coordinate sits on the opposite branch and the magnitudes
         # add up to the bound.
-        import itertools
-
         for x in random_ypoints(r, n, 120, seed=1000 * r + n):
-            for size in range(1, n + 1):
-                for elems in itertools.combinations(range(1, n + 1), size):
-                    for exps in itertools.product(range(r), repeat=size):
-                        dec = dict(zip(elems, exps))
-                        branches_ok = all(
-                            x.coords[i - 1][1] == (-dec[i]) % r
-                            for i in elems
-                            if x.coords[i - 1][0]
-                        )
-                        magnitude_ok = sum(x.coords[i - 1][0] for i in elems) == delta(n, size)
-                        assert on_hyperplane(x, elems, dec) == (branches_ok and magnitude_ok)
+            for elems, dec in decorated_subsets(r, n):
+                branches_ok = all(
+                    x.coords[i - 1][1] == (-dec[i]) % r
+                    for i in elems
+                    if x.coords[i - 1][0]
+                )
+                magnitude_ok = sum(x.coords[i - 1][0] for i in elems) == delta(n, len(elems))
+                assert on_hyperplane(x, elems, dec) == (branches_ok and magnitude_ok)
 
 
 def term_by_term_eval(point, elements, decoration):
@@ -251,6 +263,37 @@ class TestHyperplaneKernel:
             assert on_hyperplane(point, elems, dec) == expected
             hits += expected
         assert hits
+
+
+class TestPerPairKernel:
+    """The scan's ungated kernel against the gated public wrappers."""
+
+    @staticmethod
+    def kernel_agrees(point, elems, dec):
+        """Assert that both kernels match their wrappers on one pair; return on_hyperplane."""
+        r, coords, terms = point.r, point.coords, [(i - 1, dec[i]) for i in elems]
+        assert _hyperplane_coeffs(r, coords, terms) == list(hyperplane_eval(point, elems, dec).coeffs)
+        on = on_hyperplane(point, elems, dec)
+        assert _on_hyperplane_coords(r, coords, terms, delta(point.n, len(elems))) == on
+        return on
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+    def test_every_vertex_and_decorated_subset(self, r, n):
+        hits = 0
+        for v in enumerate_vertices(r, n):
+            for elems, dec in decorated_subsets(r, n):
+                hits += self.kernel_agrees(v, elems, dec)
+        # Each vertex lies on exactly its n chain layers.
+        assert hits == n * len(enumerate_vertices(r, n))
+
+    @pytest.mark.parametrize("r", [4, 6])
+    def test_random_fraction_points(self, r):
+        # Phi_4 and Phi_6 are not x^(r-1) + ... + 1, so zeta^k reduces to
+        # other coefficient patterns than at prime r.
+        n = 3
+        for x in random_ypoints(r, n, 25, seed=7000 + r):
+            for elems, dec in decorated_subsets(r, n):
+                self.kernel_agrees(x, elems, dec)
 
 
 class TestYPoint:

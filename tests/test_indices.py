@@ -6,6 +6,7 @@ import pytest
 
 from pinwheel import (
     Chain,
+    DecoratedSubset,
     GenPerm,
     PinwheelStratum,
     TCosetHandle,
@@ -15,6 +16,7 @@ from pinwheel import (
     generate_subgroup,
     generator,
     hyperplane_eval,
+    hyperplane_vertex_ids,
     identity,
 )
 
@@ -26,6 +28,10 @@ def _from_json(cols):
 
 def _hyperplane_eval(elements):
     return hyperplane_eval(YPoint(2, ((1, 0), (1, 0))), elements, {1: 0, 2: 0})
+
+
+def _hyperplane_vertex_ids(elements):
+    return hyperplane_vertex_ids(2, 2, DecoratedSubset(elements, (0,) * len(elements)))
 
 
 # site: (build from a tuple of indices, an out-of-range tuple and its text,
@@ -69,6 +75,10 @@ SITES = {
         _hyperplane_eval,
         (0,), "element 0 out of range 1..2", (2, 2), "repeated element in (2, 2)", (1.0,),
     ),
+    "hyperplane_vertex_ids": (
+        _hyperplane_vertex_ids,
+        (3,), "element 3 out of range 1..2", None, None, (1.0,),
+    ),
 }
 
 
@@ -80,8 +90,9 @@ def test_an_index_outside_its_range_is_refused_with_one_text(site):
     assert str(err.value) == text
 
 
-# generator takes a single index, so it cannot repeat one.
-@pytest.mark.parametrize("site", [site for site in SITES if site != "generator"])
+# generator takes a single index, so it cannot repeat one, and the scan
+# takes a DecoratedSubset, which has refused a repeat before the scan sees it.
+@pytest.mark.parametrize("site", [site for site in SITES if SITES[site][3] is not None])
 def test_a_repeated_index_is_refused_with_one_text(site):
     build, _, _, values, text = SITES[site][:5]
     with pytest.raises(ValueError) as err:

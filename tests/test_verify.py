@@ -110,38 +110,36 @@ BROKEN_ROUTES = {
 # with decoration 2 -> 0 as well, and "-drop" takes it off the top layer of
 # MAXIMAL, so that chain's layers no longer meet.  "-empty" takes every
 # vertex off the hyperplane of {1} with decoration 1 -> 0; that one-set
-# family is then named by the suite's chain side alone.
+# family is then named by the suite's chain side alone.  The "on_hyperplane"
+# cases corrupt the per-pair kernel the scan calls, `_on_hyperplane_coords`,
+# whose arguments are (r, coords, terms, target); a term is a 0-based index
+# with its exponent, so {1} with 1 -> 0 is ((0, 0),).
 ON_SET_ONE = DecoratedSubset((1,), (0,))
 OTHER_KEY = (OTHER.sets, OTHER.decoration)
+MAXIMAL_COORDS = vertex_of_maximal_chain(MAXIMAL).coords
 BROKEN_NONEMPTY_ROUTES = {
     "on_hyperplane": (
         faces,
-        "on_hyperplane",
-        lambda args, on: not on
-        if args[0] == vertex_of_maximal_chain(MAXIMAL) and tuple(args[1]) == (1,) and args[2] == {1: 0}
-        else on,
+        "_on_hyperplane_coords",
+        lambda args, on: not on if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((0, 0),) else on,
         r"hyperplane intersection is not the face's vertex set",
     ),
     "on_hyperplane-add": (
         faces,
-        "on_hyperplane",
-        lambda args, on: True
-        if args[0] == vertex_of_maximal_chain(MAXIMAL) and tuple(args[1]) == (2,) and args[2] == {2: 0}
-        else on,
+        "_on_hyperplane_coords",
+        lambda args, on: True if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((1, 0),) else on,
         r"sortability and vertex scan disagree",
     ),
     "on_hyperplane-drop": (
         faces,
-        "on_hyperplane",
-        lambda args, on: False
-        if args[0] == vertex_of_maximal_chain(MAXIMAL) and tuple(args[1]) == (1, 2) and args[2] == {1: 0, 2: 1}
-        else on,
+        "_on_hyperplane_coords",
+        lambda args, on: False if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((0, 0), (1, 1)) else on,
         r"sortability and vertex scan disagree",
     ),
     "on_hyperplane-empty": (
         faces,
-        "on_hyperplane",
-        lambda args, on: False if args[2] == {1: 0} else on,
+        "_on_hyperplane_coords",
+        lambda args, on: False if tuple(args[2]) == ((0, 0),) else on,
         r"^sortability and vertex scan disagree on \[\{1: 0\}\]$",
     ),
     "_hyperplanes_chain_key-none": (
@@ -445,8 +443,10 @@ class TestNonemptiness:
         # every family of at most n hyperplanes, 2951 at (2,3).
         r, n = 2, 3
         base = faces.enumerate_vertices(r, n)[0]
-        real = faces.on_hyperplane
-        monkeypatch.setattr(faces, "on_hyperplane", lambda v, s, dec: v == base or real(v, s, dec))
+        real = faces._on_hyperplane_coords
+        monkeypatch.setattr(
+            faces, "_on_hyperplane_coords", lambda r, coords, *args: coords == base.coords or real(r, coords, *args)
+        )
         violations = verify_nonemptiness(r, n).violations
         assert violations[0] == f"vertex {base.to_json()} lies on 26 hyperplanes, more than n=3"
         # The one family met only at that vertex: the layers of its maximal chain.
