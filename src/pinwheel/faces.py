@@ -63,15 +63,17 @@ class DecoratedSubset:
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        elems = tuple(map(index, self.elements))
-        if not elems:
+        if not self.elements:
             raise ValueError("decorated subset must be nonempty")
-        if list(elems) != sorted(set(elems)):
-            raise ValueError(f"elements must be sorted and distinct, got {elems}")
-        if len(self.exps) != len(elems):
+        if len(self.exps) != len(self.elements):
             raise ValueError("decoration must cover exactly the elements")
+        # Sorted by element, each keeping its exponent, as a Chain's decoration is.
+        pairs = sorted(zip(map(index, self.elements), map(index, self.exps)))
+        elems = tuple([i for i, _ in pairs])
+        if len(set(elems)) != len(elems):
+            raise ValueError(f"repeated element in {elems}")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "exps", tuple(index(e) for e in self.exps))
+        object.__setattr__(self, "exps", tuple([e for _, e in pairs]))
 
     def mapping(self) -> dict[int, int]:
         return dict(zip(self.elements, self.exps))

@@ -26,7 +26,6 @@ __all__ = [
     "spoke_contractions",
     "StratumFactor",
     "stratum_product_factors",
-    "base_stratum",
     "act_on_stratum",
     "dual_graph_dot",
 ]
@@ -168,13 +167,6 @@ def stratum_product_factors(c: Chain) -> tuple[StratumFactor, ...]:
     for j, seg in enumerate(c.segments(), start=1):
         factors.append(StratumFactor("losev-manin", j, len(seg)))
     return tuple(factors)
-
-
-def base_stratum(r: int, n: int) -> PinwheelStratum:
-    """The distinguished vertex stratum: orbit j sits on component n + 1 - j."""
-    r, n = _check_rn(r, n)
-    spoke = tuple(((n + 1 - j, 0),) for j in range(1, n + 1))
-    return PinwheelStratum(r, n, spoke)
 
 
 def _act_on_spoke(s: PinwheelStratum, a: GenPerm) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -13,6 +13,9 @@ Each key builder is the one its object builder wraps, so a key equals the
 fields of the object it stands for.  One numbering rule holds in every
 suite: a vertex is numbered by its coordinate tuple and a coset element by
 its (rows, exps) word, and sets of those ids are what a suite compares.
+The threeway suite compares its four inclusion relations chain by chain:
+for each chain it builds the chains it lies in four ways and drops them once
+compared, so no relation is held whole.
 """
 
 from __future__ import annotations
@@ -115,31 +118,31 @@ def _start(suite: str, r: int, n: int, config: VerifyConfig) -> tuple[tuple[Chai
     return chains, Report(suite, r, n, counts)
 
 
-def _relation_via_memberships(owned: dict[int, frozenset]) -> frozenset[tuple[int, int]]:
-    # Invert "object index -> items" to "item -> object indices", then a
-    # coset/face is contained in another exactly when every one of its items
-    # is; intersecting the member sets avoids the quadratic pair scan.
-    members: dict[object, set[int]] = {}
-    for idx, items in owned.items():
-        for item in items:
-            members.setdefault(item, set()).add(idx)
-    pairs = set()
-    for idx, items in owned.items():
-        common: set[int] | None = None
-        for item in items:
-            common = members[item] if common is None else common & members[item]
-            if not common:
-                break
-        for other in common or ():
-            pairs.add((idx, other))
-    return frozenset(pairs)
-
-
 def _numbered(items, ids: dict) -> frozenset[int]:
     # One integer per distinct vertex coordinate tuple or (rows, exps) word,
     # so the sets kept for every chain hold no copy of either; a key not yet
     # numbered, such as a broken route's stray one, gets a fresh id.
     return frozenset(ids.setdefault(item, len(ids)) for item in items)
+
+
+def _holders(owned: list[frozenset[int]], count: int) -> list[set[int]]:
+    # Invert "chain index -> ids" to "id -> indices of the chains holding it".
+    holders: list[set[int]] = [set() for _ in range(count)]
+    for i, ids in enumerate(owned):
+        for item in ids:
+            holders[item].add(i)
+    return holders
+
+
+def _holding_all(ids: frozenset[int], holders: list[set[int]]) -> set[int]:
+    # A coset/face lies in another exactly when every one of its ids does, so
+    # intersect the holders of its ids in place.
+    if not ids:
+        return set()
+    common = set(holders[next(iter(ids))])
+    for item in ids:
+        common &= holders[item]
+    return common
 
 
 def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
@@ -150,12 +153,9 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     # are looked up by their keys, and coset elements and face vertices are
     # numbered as (rows, exps) words and coordinate tuples, so no GenPerm,
     # YPoint, Chain or PinwheelStratum is built just to be compared.
-    index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
-
-    strata, elements, vertices, element_ids, vertex_ids = {}, {}, {}, {}, {}
-    refine_pairs = set()
+    strata, elements, vertices, element_ids, vertex_ids = [], [], [], {}, {}
     seen_vertices: dict[YPoint, Chain] = {}
-    for i, c in enumerate(chains):
+    for c in chains:
         key = (c.sets, c.decoration)
         h = chain_to_coset(c)
         if _coset_chain_key(h) != key:
@@ -176,41 +176,42 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
             if v in seen_vertices:
                 fail(f"vertex collision between {seen_vertices[v].to_json()} and {c.to_json()}")
             seen_vertices[v] = c
-        strata[i] = s
-        elements[i] = _numbered(_coset_words(h), element_ids)
-        vertices[i] = _numbered(_face_coords(c), vertex_ids)
-        for coarse in _coarsening_keys(c):
-            j = index.get(coarse)
-            if j is None:
-                fail(f"coarsening is not in the complex on {c.to_json()}")
-            else:
-                refine_pairs.add((i, j))
+        strata.append(s)
+        elements.append(_numbered(_coset_words(h), element_ids))
+        vertices.append(_numbered(_face_coords(c), vertex_ids))
     if len(seen_vertices) != group_order(r, n):
         fail(f"vertex census {len(seen_vertices)} != {group_order(r, n)}")
 
-    relations = {
-        "refinement": refine_pairs,
-        "coset": _relation_via_memberships(elements),
-        "face": _relation_via_memberships(vertices),
-    }
-    # Built last, so its pairs are not held while the membership relations peak.
-    contract_pairs = relations["stratum"] = set()
-    stratum_index = {s.spoke: i for i, s in strata.items()}
-    for i, s in strata.items():
-        for spoke in spoke_contractions(s):
+    # Chain i lies in chain j four ways: j is a coarsening of i, j's coset
+    # holds i's elements, j's face holds i's vertices, and j's stratum is a
+    # contraction of i's.  Each way has its own lookup, and each chain's
+    # three sets are compared with its coarsenings and dropped.
+    index = {(c.sets, c.decoration): i for i, c in enumerate(chains)}
+    stratum_index = {s.spoke: i for i, s in enumerate(strata)}
+    element_holders = _holders(elements, len(element_ids))
+    vertex_holders = _holders(vertices, len(vertex_ids))
+    for i, c in enumerate(chains):
+        coarse = set()
+        for coarsening in _coarsening_keys(c):
+            j = index.get(coarsening)
+            if j is None:
+                fail(f"coarsening is not in the complex on {c.to_json()}")
+            else:
+                coarse.add(j)
+        contracted = set()
+        for spoke in spoke_contractions(strata[i]):
             j = stratum_index.get(spoke)
             if j is None:
-                fail(f"contraction is not in the complex on {chains[i].to_json()}")
+                fail(f"contraction is not in the complex on {c.to_json()}")
             else:
-                contract_pairs.add((i, j))
-
-    base = relations["refinement"]
-    for name in ("coset", "face", "stratum"):
-        if relations[name] != base:
-            for i, j in sorted(base ^ relations[name]):
-                fail(
-                    f"inclusion mismatch ({name}) between {chains[i].to_json()} and {chains[j].to_json()}"
-                )
+                contracted.add(j)
+        for name, other in (
+            ("coset", _holding_all(elements[i], element_holders)),
+            ("face", _holding_all(vertices[i], vertex_holders)),
+            ("stratum", contracted),
+        ):
+            for j in sorted(coarse ^ other):
+                fail(f"inclusion mismatch ({name}) between {c.to_json()} and {chains[j].to_json()}")
     return report
 
 

@@ -9,13 +9,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from pinwheel import Chain, GenPerm, YPoint
+from pinwheel import Chain, GenPerm, PinwheelStratum, YPoint
 
 
 SMALL_RN = [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)]
 
 # Every point on which a key builder is checked against the object builder it wraps.
 KEY_RN = [(r, n) for r in (2, 3, 4) for n in range(4)] + [(2, 4), (3, 4)]
+
+
+def base_stratum(r: int, n: int) -> PinwheelStratum:
+    """The vertex stratum of the identity chain: orbit j sits on component n + 1 - j."""
+    return PinwheelStratum(r, n, tuple(((n + 1 - j, 0),) for j in range(1, n + 1)))
 
 
 def random_genperm(r: int, n: int, rng: random.Random) -> GenPerm:

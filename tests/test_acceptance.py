@@ -6,7 +6,10 @@ limits are asserted with a monotonic clock.
 """
 
 import itertools
+import json
 import math
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -40,10 +43,22 @@ THREEWAY_ENVELOPE = [
 
 SMALL_ENVELOPE = [(r, n) for r in (2, 3) for n in range(4)]
 
-# Scale points above the default group-order cap of 2000; criterion 04 runs
-# with the cap raised to |S(4, 4)| = 6144 explicitly.
-THREEWAY_SCALE = [(2, 5), (4, 4)]
-SCALE_CONFIG = VerifyConfig(max_group_order=6144)
+# Scale points above the default group-order cap of 2000, each with the peak
+# RSS (MB) its fresh child must stay under; criterion 04 runs them with the
+# cap raised to |S(5, 4)| = 15000 explicitly.
+THREEWAY_SCALE = {(2, 5): 150, (4, 4): 130, (5, 4): 260}
+SCALE_CONFIG = VerifyConfig(max_group_order=15000)
+
+# One threeway run in a fresh interpreter, so its peak RSS (ru_maxrss, KiB on
+# Linux) is its own; the child inherits PYTHONPATH.
+THREEWAY_CHILD = """
+import json, resource, sys
+from pinwheel import VerifyConfig, verify_threeway
+r, n, cap = map(int, sys.argv[1:])
+report = verify_threeway(r, n, VerifyConfig(max_group_order=cap))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"ok": report.ok, "violations": report.violations[:3], "maxrss_kib": peak}))
+"""
 
 # Scale points of the nonempty suite, whose cost is the vertex scan; criterion
 # 06 runs them with the group-order cap raised to |S(4, 4)| = 6144 explicitly.
@@ -113,9 +128,15 @@ def test_criterion_03_worked_coset_golden():
 
 def test_criterion_04_threeway_suite():
     with criterion(4, "three-way correspondence suite", limit=60.0):
-        for r, n in THREEWAY_ENVELOPE + THREEWAY_SCALE:
+        for r, n in THREEWAY_ENVELOPE:
             report = verify_threeway(r, n, SCALE_CONFIG)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
+        for (r, n), bound_mb in THREEWAY_SCALE.items():
+            args = [sys.executable, "-c", THREEWAY_CHILD, str(r), str(n), str(SCALE_CONFIG.max_group_order)]
+            child = json.loads(subprocess.run(args, capture_output=True, text=True, check=True).stdout)
+            assert child["ok"], f"violations at (r={r}, n={n}): {child['violations']}"
+            peak_mb = child["maxrss_kib"] / 1024
+            assert peak_mb < bound_mb, f"peak RSS {peak_mb:.0f} MB at (r={r}, n={n}), bound {bound_mb} MB"
 
 
 def test_criterion_05_vertex_count_law():

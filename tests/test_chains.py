@@ -12,7 +12,6 @@ from pinwheel import (
     PinwheelStratum,
     YPoint,
     act_on_chain,
-    base_stratum,
     chain_dimension,
     delta,
     enumerate_chains,
@@ -124,7 +123,6 @@ class TestValidation:
             (lambda: YPoint(2.0, ((1, 0),)), RN_GATE),
             (lambda: identity(2, 2.0), RN_GATE),
             (lambda: generator(2, 2.0, 0), RN_GATE),
-            (lambda: base_stratum(2, 2.0), RN_GATE),
             (lambda: delta(2.0, 1), TypeError),
             (lambda: delta(2, 1.5), TypeError),
         ],
@@ -147,7 +145,6 @@ class TestValidation:
             "YPoint-r",
             "identity-n",
             "generator-n",
-            "base_stratum-n",
             "delta-n",
             "delta-k",
         ],

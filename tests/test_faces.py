@@ -278,8 +278,8 @@ class TestDecoratedSubset:
         "elements,exps,text",
         [
             ((), (), "decorated subset must be nonempty"),
-            ((2, 1), (0, 0), "elements must be sorted and distinct, got (2, 1)"),
-            ((1, 1), (0, 0), "elements must be sorted and distinct, got (1, 1)"),
+            ((2, 1, 2), (0, 0, 1), "repeated element in (1, 2, 2)"),
+            ((1, 1), (0, 0), "repeated element in (1, 1)"),
             ((1, 2), (0,), "decoration must cover exactly the elements"),
             ((1,), (0, 0), "decoration must cover exactly the elements"),
         ],
@@ -288,6 +288,11 @@ class TestDecoratedSubset:
         with pytest.raises(ValueError) as err:
             DecoratedSubset(elements, exps)
         assert str(err.value) == text
+
+    def test_unsorted_elements_are_sorted_with_their_exponents(self):
+        s = DecoratedSubset((3, 1, 2), (0, 1, 2))
+        assert (s.elements, s.exps) == ((1, 2, 3), (1, 2, 0))
+        assert s == DecoratedSubset((1, 2, 3), (1, 2, 0))
 
 
 class TestHyperplanesToChain:

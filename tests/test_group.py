@@ -16,7 +16,6 @@ from pinwheel import (
     act_on_coset,
     act_on_tuple,
     act_on_stratum,
-    base_stratum,
     chain_to_coset,
     coset_elements,
     enumerate_chains,
@@ -35,7 +34,7 @@ from pinwheel import (
 
 from pinwheel.group import _act_on_coords
 
-from conftest import KEY_RN, SMALL_RN, DenseMatrix, genperms, random_genperm, random_ypoints
+from conftest import KEY_RN, SMALL_RN, DenseMatrix, base_stratum, genperms, random_genperm, random_ypoints
 
 
 def dense(g: GenPerm) -> DenseMatrix:

@@ -11,7 +11,6 @@ from pinwheel import (
     PinwheelStratum,
     TCosetHandle,
     YPoint,
-    base_stratum,
     contract_spoke_edges,
     generate_subgroup,
     generator,
@@ -19,6 +18,8 @@ from pinwheel import (
     hyperplane_vertex_ids,
     identity,
 )
+
+from conftest import base_stratum
 
 
 def _from_json(cols):
@@ -77,7 +78,7 @@ SITES = {
     ),
     "hyperplane_vertex_ids": (
         _hyperplane_vertex_ids,
-        (3,), "element 3 out of range 1..2", None, None, (1.0,),
+        (3,), "element 3 out of range 1..2", (1, 1), "repeated element in (1, 1)", (1.0,),
     ),
 }
 
@@ -90,8 +91,8 @@ def test_an_index_outside_its_range_is_refused_with_one_text(site):
     assert str(err.value) == text
 
 
-# generator takes a single index, so it cannot repeat one, and the scan
-# takes a DecoratedSubset, which has refused a repeat before the scan sees it.
+# generator takes a single index, so it cannot repeat one; the scan's repeat
+# is refused by the DecoratedSubset it takes, with the same text.
 @pytest.mark.parametrize("site", [site for site in SITES if SITES[site][3] is not None])
 def test_a_repeated_index_is_refused_with_one_text(site):
     build, _, _, values, text = SITES[site][:5]

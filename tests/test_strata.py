@@ -8,7 +8,6 @@ from pinwheel import (
     PinwheelStratum,
     act_on_chain,
     act_on_stratum,
-    base_stratum,
     chain_to_stratum,
     contract_spoke_edges,
     dual_graph_dot,
@@ -24,7 +23,7 @@ from pinwheel import (
 )
 from pinwheel.strata import _act_on_spoke, _stratum_chain_key, spoke_contractions
 
-from conftest import KEY_RN
+from conftest import KEY_RN, base_stratum
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 EXAMPLE_STRATUM = PinwheelStratum(3, 4, (((3, 0),), ((2, 1), (4, 2))))
