@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .cyclo import _check_indices, _check_rn, _check_same_space, json_int
+from .cyclo import _check_indices, _check_rn, _check_same_space, _json_int
 from .group import GenPerm
 
 __all__ = [
@@ -91,9 +91,9 @@ class Chain:
         decoration = data["decoration"]
         if not isinstance(decoration, Mapping):
             raise ValueError(f"decoration must be an object, got {decoration!r}")
-        dec = [(json_int(i, decimal=True), json_int(e)) for i, e in decoration.items()]
-        sets = [[json_int(i) for i in s] for s in data["sets"]]
-        return make_chain(json_int(data["r"]), json_int(data["n"]), sets, dec)
+        dec = [(_json_int(i, decimal=True), _json_int(e)) for i, e in decoration.items()]
+        sets = [[_json_int(i) for i in s] for s in data["sets"]]
+        return make_chain(_json_int(data["r"]), _json_int(data["n"]), sets, dec)
 
 
 def make_chain(

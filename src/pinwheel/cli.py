@@ -17,7 +17,7 @@ from .cyclo import YPoint, _check_nonnegative
 from .faces import DeltaFace, act_on_face, face_product_decomposition, hasse_dot
 from .group import GenPerm, act_on_tuple
 from .strata import chain_to_stratum, dual_graph_dot
-from .verify import SUITES, CapExceeded, VerifyConfig, verify_all
+from .verify import _MAX_GROUP_ORDER, SUITES, CapExceeded
 
 __all__ = ["main"]
 
@@ -121,12 +121,10 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = VerifyConfig(max_group_order=_check_nonnegative("--max-group-order", args.max_group_order))
+    cap = _check_nonnegative("--max-group-order", args.max_group_order)
+    suites = SUITES.values() if args.suite == "all" else [SUITES[args.suite]]
     try:
-        if args.suite == "all":
-            reports = verify_all(args.r, args.n, config)
-        else:
-            reports = [SUITES[args.suite](args.r, args.n, config)]
+        reports = [suite(args.r, args.n, cap) for suite in suites]
     except CapExceeded as exc:
         raise SystemExit(f"size cap exceeded: {exc}")
     _emit([rep.to_json() for rep in reports])
@@ -183,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(SUITES) + ["all"],
     )
-    p.add_argument("--max-group-order", type=int, default=VerifyConfig.max_group_order)
+    p.add_argument("--max-group-order", type=int, default=_MAX_GROUP_ORDER)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -98,9 +98,9 @@ def chain_to_coset(c: Chain) -> TCosetHandle:
                 rows[col - 1] = row
                 row -= 1
     for col, e in c.decoration:
-        exps[col - 1] = -e
+        exps[col - 1] = -e % c.r
     gens = frozenset(range(n)).difference([n - len(s) for s in c.sets])
-    return TCosetHandle(gens, GenPerm(c.r, n, tuple(rows), tuple(exps)))
+    return TCosetHandle(gens, GenPerm._of_word(c.r, n, tuple(rows), tuple(exps)))
 
 
 def _coset_chain_key(h: TCosetHandle) -> tuple[tuple, tuple]:
@@ -163,7 +163,8 @@ def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:
         if block == 0:
             factors.append(CosetFactor("reflection", 0, rows, cols, m, None))
         else:
-            translation = GenPerm(c.r, m, tuple(range(1, m + 1)), tuple(-dec[col] for col in cols))
+            exps = tuple([-dec[col] % c.r for col in cols])
+            translation = GenPerm._of_word(c.r, m, tuple(range(1, m + 1)), exps)
             factors.append(CosetFactor("symmetric", block, rows, cols, m, translation))
     return tuple(factors)
 
@@ -187,7 +188,7 @@ def block_product_elements(c: Chain) -> frozenset[GenPerm]:
             for col, row, e in zip(f.columns, local_rows, local_exps):
                 rows[col - 1] = f.rows[0] - 1 + row
                 exps[col - 1] = e
-        out.add(GenPerm(c.r, c.n, tuple(rows), tuple(exps)))
+        out.add(GenPerm._of_word(c.r, c.n, tuple(rows), tuple(exps)))
     return frozenset(out)
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "delta",
     "hyperplane_eval",
     "on_hyperplane",
-    "json_int",
 ]
 
 _is_decimal = re.compile(r"-?[0-9]+").fullmatch
@@ -145,7 +144,7 @@ def _int_pair(q: Fraction) -> list[str]:
     return [str(q.numerator), str(q.denominator)]
 
 
-def json_int(value: object, decimal: bool = False) -> int:
+def _json_int(value: object, decimal: bool = False) -> int:
     """One integer field of a JSON input, refused unless it is exact.
 
     A number field takes only a JSON integer (no bool, no float); a
@@ -168,7 +167,7 @@ def _coords_json(coords: tuple[tuple[int | Fraction, int], ...]) -> dict:
 def _pair_to_fraction(pair) -> Fraction:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ValueError(f"expected a [numerator, denominator] pair, got {pair!r}")
-    num, den = (json_int(part, decimal=True) for part in pair)
+    num, den = (_json_int(part, decimal=True) for part in pair)
     if not den:
         raise ValueError(f"zero denominator in {pair!r}")
     return Fraction(num, den)
@@ -238,7 +237,7 @@ class YPoint:
     @staticmethod
     def from_json(data: Mapping, r: int) -> "YPoint":
         coords = tuple(
-            (_pair_to_fraction(c["mag"]), json_int(c["branch"])) for c in data["coords"]
+            (_pair_to_fraction(c["mag"]), _json_int(c["branch"])) for c in data["coords"]
         )
         return YPoint(r, coords)
 

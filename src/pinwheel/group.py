@@ -5,12 +5,12 @@ column, every nonzero entry an r-th root of unity.  An element is encoded by
 columns: column b holds zeta^exp_of_col[b] in row row_of_col[b].  Rows,
 columns and coordinates are 1-based everywhere in the public interface.
 
-Validation runs where input arrives from outside: `GenPerm(...)` and
-`GenPerm.from_json` check every field.  Words the library computes itself
-are wrapped by `GenPerm._of_word` without a second check: the identity, the
-standard generators, products (`_product`), subgroup closures, coset
-elements and the enumeration of the group.  `inverse` keeps the checking
-constructor, which reduces its negated exponents mod r.
+Validation runs where input arrives from outside: the `GenPerm` constructor
+and `GenPerm.from_json` check every field.  Words the library computes
+itself are wrapped by `GenPerm._of_word` without a second check: the
+identity, the standard generators, products (`_product`), inverses,
+subgroup closures, coset elements and representatives, block translations,
+reassembled elements and the enumeration of the group.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterable, Mapping
 
-from .cyclo import YPoint, _check_indices, _check_rn, _check_same_space, json_int
+from .cyclo import YPoint, _check_indices, _check_rn, _check_same_space, _json_int
 
 __all__ = [
     "GenPerm",
@@ -94,11 +94,11 @@ class GenPerm:
 
     @staticmethod
     def from_json(data: Mapping) -> "GenPerm":
-        r, n, cols = json_int(data["r"]), json_int(data["n"]), data["cols"]
+        r, n, cols = _json_int(data["r"]), _json_int(data["n"]), data["cols"]
         if len(cols) != n:
             raise ValueError(f"expected {n} columns, got {len(cols)}")
         entries = sorted(
-            (json_int(entry["col"]), json_int(entry["row"]), json_int(entry["exp"]))
+            (_json_int(entry["col"]), _json_int(entry["row"]), _json_int(entry["exp"]))
             for entry in cols
         )
         _check_indices([col for col, _, _ in entries], 1, n, "column")
@@ -139,8 +139,8 @@ def multiply(a: GenPerm, b: GenPerm) -> GenPerm:
 
 def inverse(a: GenPerm) -> GenPerm:
     rows = a._col_of_row
-    exps = tuple(-a.exp_of_col[col - 1] for col in rows)
-    return GenPerm(a.r, a.n, rows, exps)
+    exps = tuple([-a.exp_of_col[col - 1] % a.r for col in rows])
+    return GenPerm._of_word(a.r, a.n, rows, exps)
 
 
 def _act_on_coords(

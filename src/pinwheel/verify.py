@@ -2,8 +2,9 @@
 
 Each suite exhaustively checks one family of claims at desk scale and
 returns a structured report: object counts per dimension plus a list of
-violation strings (expected empty).  Instances above the configured
-group-order cap are refused unless the cap is raised explicitly.
+violation strings (expected empty).  Each suite takes its group-order cap
+as the int `max_group_order` (default 2000), checks it once, and refuses an
+instance above it with `CapExceeded` before it enumerates anything.
 
 All four suites find a chain's data by its position in `enumerate_chains`
 or by its canonical (sets, decoration) key; the nonempty suite, too, looks
@@ -56,33 +57,21 @@ from .strata import (
 
 __all__ = [
     "CapExceeded",
-    "VerifyConfig",
     "Report",
     "verify_threeway",
     "verify_equivariance",
     "verify_products",
     "verify_nonemptiness",
-    "verify_all",
     "SUITES",
 ]
 
 
 class CapExceeded(ValueError):
-    """An instance is larger than a configured size cap allows."""
+    """An instance is larger than the size cap allows."""
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """The suites' size cap; raise it to verify beyond desk scale."""
-
-    max_group_order: int = 2000
-
-    def __post_init__(self) -> None:
-        cap = _check_nonnegative("max_group_order", self.max_group_order)
-        object.__setattr__(self, "max_group_order", cap)
-
-
-DEFAULT_CONFIG = VerifyConfig()
+# The suites' default size cap; raise it to verify beyond desk scale.
+_MAX_GROUP_ORDER = 2000
 
 
 @dataclass
@@ -101,16 +90,11 @@ class Report:
         return asdict(self)
 
 
-def _check_group_cap(r: int, n: int, config: VerifyConfig) -> None:
-    """Refuse (r, n) above the group-order cap, from arithmetic alone, before any enumeration."""
-    order, cap = group_order(r, n), config.max_group_order
+def _start(suite: str, r: int, n: int, max_group_order: int) -> tuple[tuple[Chain, ...], Report]:
+    """Every suite's prologue: the cap (from arithmetic alone), the chains, and an empty report."""
+    cap, order = _check_nonnegative("max_group_order", max_group_order), group_order(r, n)
     if order > cap:
         raise CapExceeded(f"group order {order} for (r={r}, n={n}) exceeds max_group_order={cap}")
-
-
-def _start(suite: str, r: int, n: int, config: VerifyConfig) -> tuple[tuple[Chain, ...], Report]:
-    """Every suite's prologue: the cap, the chains, and an empty report."""
-    _check_group_cap(r, n, config)
     chains = enumerate_chains(r, n)
     counts = [0] * (n + 1)
     for c in chains:
@@ -145,9 +129,9 @@ def _holding_all(ids: frozenset[int], holders: list[set[int]]) -> set[int]:
     return common
 
 
-def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
+def verify_threeway(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
     """Roundtrips, dimension agreement, and the four-way inclusion equivalence."""
-    chains, report = _start("threeway", r, n, config)
+    chains, report = _start("threeway", r, n, max_group_order)
     fail = report.violations.append
     # Roundtrips compare (sets, decoration) keys, coarsenings and contractions
     # are looked up by their keys, and coset elements and face vertices are
@@ -215,9 +199,9 @@ def verify_threeway(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     return report
 
 
-def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
+def verify_equivariance(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
     """Group action compatibility across chains, cosets, faces and strata."""
-    chains, report = _start("equivariance", r, n, config)
+    chains, report = _start("equivariance", r, n, max_group_order)
     fail = report.violations.append
     group = enumerate_group(r, n)
 
@@ -258,9 +242,9 @@ def verify_equivariance(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
     return report
 
 
-def verify_products(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
+def verify_products(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
     """Factor lists agree across the three families and match the cardinalities."""
-    chains, report = _start("products", r, n, config)
+    chains, report = _start("products", r, n, max_group_order)
     fail = report.violations.append
 
     for c in chains:
@@ -279,9 +263,9 @@ def verify_products(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Re
     return report
 
 
-def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> Report:
+def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
     """Nesting-sortability against the exhaustive vertex scan, on vertex stars."""
-    chains, report = _start("nonempty", r, n, config)
+    chains, report = _start("nonempty", r, n, max_group_order)
     fail = report.violations.append
 
     subsets: list[DecoratedSubset] = []
@@ -346,14 +330,9 @@ def verify_nonemptiness(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -
     return report
 
 
-SUITES: dict[str, Callable[[int, int, VerifyConfig], Report]] = {
+SUITES: dict[str, Callable[[int, int, int], Report]] = {
     "threeway": verify_threeway,
     "equivariance": verify_equivariance,
     "products": verify_products,
     "nonempty": verify_nonemptiness,
 }
-
-
-def verify_all(r: int, n: int, config: VerifyConfig = DEFAULT_CONFIG) -> list[Report]:
-    _check_group_cap(r, n, config)
-    return [suite(r, n, config) for suite in SUITES.values()]

@@ -17,7 +17,6 @@ from fractions import Fraction
 from pinwheel import (
     Chain,
     GenPerm,
-    VerifyConfig,
     chain_to_coset,
     chain_to_face_vertices,
     coset_elements,
@@ -47,15 +46,15 @@ SMALL_ENVELOPE = [(r, n) for r in (2, 3) for n in range(4)]
 # RSS (MB) its fresh child must stay under; criterion 04 runs them with the
 # cap raised to |S(5, 4)| = 15000 explicitly.
 THREEWAY_SCALE = {(2, 5): 150, (4, 4): 130, (5, 4): 260}
-SCALE_CONFIG = VerifyConfig(max_group_order=15000)
+SCALE_CONFIG = 15000
 
 # One threeway run in a fresh interpreter, so its peak RSS (ru_maxrss, KiB on
 # Linux) is its own; the child inherits PYTHONPATH.
 THREEWAY_CHILD = """
 import json, resource, sys
-from pinwheel import VerifyConfig, verify_threeway
+from pinwheel import verify_threeway
 r, n, cap = map(int, sys.argv[1:])
-report = verify_threeway(r, n, VerifyConfig(max_group_order=cap))
+report = verify_threeway(r, n, cap)
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"ok": report.ok, "violations": report.violations[:3], "maxrss_kib": peak}))
 """
@@ -63,7 +62,7 @@ print(json.dumps({"ok": report.ok, "violations": report.violations[:3], "maxrss_
 # Scale points of the nonempty suite, whose cost is the vertex scan; criterion
 # 06 runs them with the group-order cap raised to |S(4, 4)| = 6144 explicitly.
 NONEMPTY_SCALE = [(4, 3), (2, 4), (3, 4), (2, 5), (4, 4)]
-NONEMPTY_SCALE_CONFIG = VerifyConfig(max_group_order=6144)
+NONEMPTY_SCALE_CONFIG = 6144
 
 
 @contextmanager
@@ -132,7 +131,7 @@ def test_criterion_04_threeway_suite():
             report = verify_threeway(r, n, SCALE_CONFIG)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
         for (r, n), bound_mb in THREEWAY_SCALE.items():
-            args = [sys.executable, "-c", THREEWAY_CHILD, str(r), str(n), str(SCALE_CONFIG.max_group_order)]
+            args = [sys.executable, "-c", THREEWAY_CHILD, str(r), str(n), str(SCALE_CONFIG)]
             child = json.loads(subprocess.run(args, capture_output=True, text=True, check=True).stdout)
             assert child["ok"], f"violations at (r={r}, n={n}): {child['violations']}"
             peak_mb = child["maxrss_kib"] / 1024

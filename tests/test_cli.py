@@ -247,6 +247,12 @@ class TestVerify:
             main(["verify", "--r", "4", "--n", "4", "--suite", "threeway"])
         assert "max_group_order" in str(err.value)
 
+    def test_cap_breach_of_all_suites_prints_no_report(self, capsys):
+        with pytest.raises(SystemExit, match="^size cap exceeded: ") as err:
+            main(["verify", "--r", "4", "--n", "4", "--suite", "all"])
+        assert "max_group_order=2000" in str(err.value)
+        assert capsys.readouterr().out == ""
+
     def test_cap_can_be_raised(self, capsys):
         code, _ = run(
             capsys,

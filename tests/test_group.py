@@ -16,7 +16,9 @@ from pinwheel import (
     act_on_coset,
     act_on_tuple,
     act_on_stratum,
+    block_product_elements,
     chain_to_coset,
+    coset_block_decomposition,
     coset_elements,
     enumerate_chains,
     enumerate_group,
@@ -262,11 +264,13 @@ class TestUncheckedWords:
     @pytest.mark.parametrize("r,n", KEY_RN)
     def test_coset_subgroup_and_generator_elements(self, r, n):
         for c in enumerate_chains(r, n):
-            for g in coset_elements(chain_to_coset(c)):
+            h = chain_to_coset(c)
+            translations = [f.translation for f in coset_block_decomposition(c) if f.translation is not None]
+            for g in [h.rep, *translations, *coset_elements(h)]:
                 assert_is_the_checked_element(g)
         closure = generate_subgroup(r, n, range(n))
         assert len(closure) == group_order(r, n)
-        for g in [*closure, identity(r, n), *(generator(r, n, i) for i in range(n))]:
+        for g in [*closure, *map(inverse, closure), identity(r, n), *(generator(r, n, i) for i in range(n))]:
             assert_is_the_checked_element(g)
 
     @pytest.mark.parametrize("r,n", [(r, n) for r, n in KEY_RN if group_order(r, n) <= 400])
@@ -277,6 +281,9 @@ class TestUncheckedWords:
         sample = group[:: max(1, len(group) // 20)]
         for a, b in itertools.product(sample, repeat=2):
             assert_is_the_checked_element(multiply(a, b))
+        for c in enumerate_chains(r, n):
+            for g in block_product_elements(c):
+                assert_is_the_checked_element(g)
 
     def test_of_word_skips_the_checks(self, monkeypatch):
         def refuse(self):

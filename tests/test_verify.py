@@ -9,7 +9,6 @@ from pinwheel import (
     Chain,
     DecoratedSubset,
     GenPerm,
-    VerifyConfig,
     YPoint,
     chain_to_coset,
     chain_to_stratum,
@@ -20,7 +19,6 @@ from pinwheel import (
     make_chain,
     multiply,
     vertex_of_maximal_chain,
-    verify_all,
     verify_equivariance,
     verify_nonemptiness,
     verify_products,
@@ -310,8 +308,7 @@ class TestThreeway:
             verify_threeway(4, 4)
 
     def test_cap_override(self):
-        config = VerifyConfig(max_group_order=10**6)
-        assert verify_threeway(2, 2, config).ok
+        assert verify_threeway(2, 2, max_group_order=10**6).ok
 
     @pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
     def test_a_broken_route_is_reported(self, monkeypatch, route):
@@ -469,18 +466,17 @@ class TestNonemptiness:
         assert verify_nonemptiness(2, 2).ok
         assert verify_nonemptiness(3, 2).ok
 
-    @pytest.mark.parametrize("field", ["max_group_order"])
-    def test_negative_cap_is_refused_by_the_library(self, field):
-        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -5$") as err:
-            VerifyConfig(**{field: -5})
+    def test_negative_cap_is_refused_by_the_library(self):
+        with pytest.raises(ValueError, match="^max_group_order must be >= 0, got -5$") as err:
+            verify_nonemptiness(2, 2, max_group_order=-5)
         assert not isinstance(err.value, CapExceeded)
 
-    @pytest.mark.parametrize("field", ["max_group_order"])
-    def test_non_integer_cap_is_refused_by_the_library(self, field):
+    def test_non_integer_cap_is_refused_by_the_library(self):
         with pytest.raises(TypeError):
-            VerifyConfig(**{field: 2.5})
-        cap = getattr(VerifyConfig(**{field: True}), field)
-        assert cap == 1 and type(cap) is int
+            verify_nonemptiness(2, 2, max_group_order=2.5)
+        # A bool is taken as the int it is: True caps at 1, which (2, 1) exceeds.
+        with pytest.raises(CapExceeded, match=r"^group order 2 for \(r=2, n=1\) exceeds max_group_order=1$"):
+            verify_nonemptiness(2, 1, max_group_order=True)
 
     @pytest.mark.parametrize("route", sorted(BROKEN_NONEMPTY_ROUTES))
     def test_a_broken_route_is_reported(self, monkeypatch, route):
@@ -499,17 +495,18 @@ class TestReports:
         assert data["suite"] == "threeway"
         assert data["violations"] == []
 
-    def test_verify_all_checks_every_cap_before_its_first_suite(self, monkeypatch):
+    def test_every_suite_checks_the_cap_before_enumerating(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a suite ran before the caps were checked")
+            raise AssertionError("enumerated before the cap was checked")
 
-        for name in verify.SUITES:
-            monkeypatch.setitem(verify.SUITES, name, refuse)
-        with pytest.raises(CapExceeded, match="max_group_order"):
-            verify_all(4, 4)
+        monkeypatch.setattr(verify, "enumerate_chains", refuse)
+        refusal = r"^group order 6144 for \(r=4, n=4\) exceeds max_group_order=2000$"
+        for suite in verify.SUITES.values():
+            with pytest.raises(CapExceeded, match=refusal):
+                suite(4, 4)
 
-    def test_verify_all_runs_each_suite_once(self):
-        reports = verify_all(2, 2)
+    def test_suites_run_in_order(self):
+        reports = [suite(2, 2) for suite in verify.SUITES.values()]
         assert [rep.suite for rep in reports] == [
             "threeway",
             "equivariance",
