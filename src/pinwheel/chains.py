@@ -2,8 +2,10 @@
 
 A chain is a strictly nested list of nonempty subsets of {1,..,n} together
 with a branch decoration on the largest set.  Chains are canonical: sets are
-stored sorted, the decoration is stored as sorted (element, exponent) pairs,
-and validation happens at construction, so any Chain in existence is valid.
+stored sorted, the decoration as sorted (element, exponent) pairs.  Any Chain
+in existence is valid: the constructor checks outside input and the loose
+pieces of `make_chain` and `maximal_refinements`, and `_of_fields` builds every
+other chain from canonical fields computed from valid objects.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .cyclo import _check_indices, _check_rn, _check_same_space, _json_int
+from .cyclo import _check_indices, _check_rn, _check_same_space, _json_int, _of_fields
 from .group import GenPerm
 
 __all__ = [
@@ -141,7 +143,7 @@ def enumerate_chains(r: int, n: int) -> tuple[Chain, ...]:
     for sets in _set_chains(n):
         top = sets[-1] if sets else ()
         for exps in itertools.product(range(r), repeat=len(top)):
-            chains.append(Chain(r, n, sets, tuple(zip(top, exps))))
+            chains.append(_of_fields(Chain, r, n, sets, tuple(zip(top, exps))))
     chains.sort(key=Chain.sort_key)
     return tuple(chains)
 
@@ -174,7 +176,7 @@ def act_on_chain(c: Chain, a: GenPerm) -> Chain:
     image element drops the exponent of the matrix entry that carried it.
     """
     _check_same_space(c, a)
-    return Chain(c.r, c.n, *_act_on_chain_key(c, a))
+    return _of_fields(Chain, c.r, c.n, *_act_on_chain_key(c, a))
 
 
 def _maximal_orders(c: Chain) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -227,4 +229,4 @@ def coarsenings(c: Chain) -> Iterator[Chain]:
     These are exactly the chains that c refines.
     """
     for sets, decoration in _coarsening_keys(c):
-        yield Chain(c.r, c.n, sets, decoration)
+        yield _of_fields(Chain, c.r, c.n, sets, decoration)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .chains import Chain
-from .cyclo import _check_indices, _check_same_space
+from .cyclo import _check_indices, _check_same_space, _of_fields
 from .group import GenPerm, _product, enumerate_group, generate_subgroup
 
 __all__ = [
@@ -48,7 +48,7 @@ class TCosetHandle:
         object.__setattr__(self, "gens", gens)
         word = _canonical_word(gens, rep.n, rep.row_of_col, rep.exp_of_col)
         if word != rep.sort_key():
-            object.__setattr__(self, "rep", GenPerm._of_word(rep.r, rep.n, *word))
+            object.__setattr__(self, "rep", _of_fields(GenPerm, rep.r, rep.n, *word))
 
     @property
     def r(self) -> int:
@@ -100,7 +100,7 @@ def chain_to_coset(c: Chain) -> TCosetHandle:
     for col, e in c.decoration:
         exps[col - 1] = -e % c.r
     gens = frozenset(range(n)).difference([n - len(s) for s in c.sets])
-    return TCosetHandle(gens, GenPerm._of_word(c.r, n, tuple(rows), tuple(exps)))
+    return _of_fields(TCosetHandle, gens, _of_fields(GenPerm, c.r, n, tuple(rows), tuple(exps)))
 
 
 def _coset_chain_key(h: TCosetHandle) -> tuple[tuple, tuple]:
@@ -115,7 +115,7 @@ def _coset_chain_key(h: TCosetHandle) -> tuple[tuple, tuple]:
 
 def coset_to_chain(h: TCosetHandle) -> Chain:
     """Read the chain back off a handle; inverse of `chain_to_coset`."""
-    return Chain(h.r, h.n, *_coset_chain_key(h))
+    return _of_fields(Chain, h.r, h.n, *_coset_chain_key(h))
 
 
 def _coset_words(h: TCosetHandle) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -130,7 +130,7 @@ def _coset_words(h: TCosetHandle) -> list[tuple[tuple[int, ...], tuple[int, ...]
 
 def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
     r, n = h.r, h.n
-    return frozenset([GenPerm._of_word(r, n, rows, exps) for rows, exps in _coset_words(h)])
+    return frozenset([_of_fields(GenPerm, r, n, rows, exps) for rows, exps in _coset_words(h)])
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:
             factors.append(CosetFactor("reflection", 0, rows, cols, m, None))
         else:
             exps = tuple([-dec[col] % c.r for col in cols])
-            translation = GenPerm._of_word(c.r, m, tuple(range(1, m + 1)), exps)
+            translation = _of_fields(GenPerm, c.r, m, tuple(range(1, m + 1)), exps)
             factors.append(CosetFactor("symmetric", block, rows, cols, m, translation))
     return tuple(factors)
 
@@ -188,7 +188,7 @@ def block_product_elements(c: Chain) -> frozenset[GenPerm]:
             for col, row, e in zip(f.columns, local_rows, local_exps):
                 rows[col - 1] = f.rows[0] - 1 + row
                 exps[col - 1] = e
-        out.add(GenPerm._of_word(c.r, c.n, tuple(rows), tuple(exps)))
+        out.add(_of_fields(GenPerm, c.r, c.n, tuple(rows), tuple(exps)))
     return frozenset(out)
 
 
@@ -200,7 +200,7 @@ def _act_on_coset_key(h: TCosetHandle, b: GenPerm) -> tuple[tuple[int, ...], tup
 def act_on_coset(h: TCosetHandle, b: GenPerm) -> TCosetHandle:
     """Right action: same generators, representative multiplied by b."""
     _check_same_space(h.rep, b)
-    return TCosetHandle(h.gens, GenPerm._of_word(h.r, h.n, *_act_on_coset_key(h, b)))
+    return _of_fields(TCosetHandle, h.gens, _of_fields(GenPerm, h.r, h.n, *_act_on_coset_key(h, b)))
 
 
 def coset_size(c: Chain) -> int:

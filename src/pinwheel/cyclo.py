@@ -11,7 +11,8 @@ public `hyperplane_eval` and `on_hyperplane` gate their arguments on every
 call and wrap it; the face layer's vertex scan gates each hyperplane once
 and calls `_on_hyperplane_coords` per vertex.  `hyperplane_eval` returns a
 `CycloNum` whose one use is to say whether the sum is rational.
-All types are immutable and all functions are pure.
+All types are immutable and all functions are pure.  Constructors check
+outside input; `_of_fields` builds every value any module computes, unchecked.
 """
 
 from __future__ import annotations
@@ -126,6 +127,15 @@ def _check_same_space(a, b) -> None:
     """Refuse two objects (anything with `r` and `n`) that live over different (r, n)."""
     if a.r != b.r or a.n != b.n:
         raise ValueError(f"objects live over different (r, n): ({a.r}, {a.n}) vs ({b.r}, {b.n})")
+
+
+def _of_fields(cls, *values):
+    """The frozen dataclass `cls` with these canonical fields, built with no check run again."""
+    obj = object.__new__(cls)
+    # In field order, so the instance dict shares its keys with checked instances.
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _check_nonnegative(name: str, value: int) -> int:
@@ -310,7 +320,7 @@ def hyperplane_eval(point: YPoint, elements: Iterable[int], decoration: Mapping[
     Gates the arguments, then wraps `_hyperplane_coeffs`.
     """
     terms = _hyperplane_terms(point, elements, decoration)
-    return CycloNum(point.r, tuple(_hyperplane_coeffs(point.r, point.coords, terms)))
+    return _of_fields(CycloNum, point.r, tuple(_hyperplane_coeffs(point.r, point.coords, terms)))
 
 
 def on_hyperplane(point: YPoint, elements: Iterable[int], decoration: Mapping[int, int]) -> bool:

@@ -30,7 +30,7 @@ from operator import index
 from typing import Sequence
 
 from .chains import Chain, act_on_chain, enumerate_chains
-from .cyclo import YPoint, _check_exact, _check_rn, _check_same_space
+from .cyclo import YPoint, _check_exact, _check_rn, _check_same_space, _of_fields
 from .cyclo import _coords_json, _on_hyperplane_coords, delta
 from .group import GenPerm
 
@@ -82,9 +82,7 @@ class DecoratedSubset:
 def chain_layers(c: Chain) -> tuple[DecoratedSubset, ...]:
     """The decorated subsets (I_j, decoration restricted to I_j) of a chain."""
     dec = c.decoration_map()
-    return tuple(
-        DecoratedSubset(s, tuple(dec[i] for i in s)) for s in c.sets
-    )
+    return tuple(_of_fields(DecoratedSubset, s, tuple(dec[i] for i in s)) for s in c.sets)
 
 
 def _vertex_coords(
@@ -108,7 +106,7 @@ def vertex_of_maximal_chain(c: Chain) -> YPoint:
         raise ValueError(f"chain has length {c.length}, need a maximal chain of length {c.n}")
     order = tuple(i for (i,) in c.segments())
     dec = c.decoration_map()
-    return YPoint(c.r, _vertex_coords(c.r, c.n, order, tuple(dec[i] for i in order)))
+    return _of_fields(YPoint, c.r, _vertex_coords(c.r, c.n, order, tuple(dec[i] for i in order)))
 
 
 def _face_coords(c: Chain) -> list[tuple[tuple[int, int], ...]]:
@@ -155,7 +153,7 @@ def chain_to_face_vertices(c: Chain) -> frozenset[YPoint]:
     per vertex, and no group element either, so this route shares no work
     with the coset route (`coset_elements`) it is compared against.
     """
-    return frozenset(YPoint(c.r, coords) for coords in _face_coords(c))
+    return frozenset(_of_fields(YPoint, c.r, coords) for coords in _face_coords(c))
 
 
 @dataclass(frozen=True)
@@ -240,7 +238,7 @@ def face_membership_product_form(x: YPoint, c: Chain) -> bool:
     """
     _check_same_space(x, c)
     tail = c.complement()
-    sub = YPoint(c.r, tuple(x.coords[i - 1] for i in tail))
+    sub = _of_fields(YPoint, c.r, tuple(x.coords[i - 1] for i in tail))
     if not point_in_complex(sub):
         return False
     for i, a in c.decoration:
@@ -306,7 +304,7 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
             raise ValueError("duplicate decorated subsets")
         return None
     key = _hyperplanes_chain_key(r, subsets)
-    return None if key is None else Chain(r, n, *key)
+    return None if key is None else _of_fields(Chain, r, n, *key)
 
 
 def hyperplane_vertex_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:

@@ -6,11 +6,9 @@ columns: column b holds zeta^exp_of_col[b] in row row_of_col[b].  Rows,
 columns and coordinates are 1-based everywhere in the public interface.
 
 Validation runs where input arrives from outside: the `GenPerm` constructor
-and `GenPerm.from_json` check every field.  Words the library computes
-itself are wrapped by `GenPerm._of_word` without a second check: the
-identity, the standard generators, products (`_product`), inverses,
-subgroup closures, coset elements and representatives, block translations,
-reassembled elements and the enumeration of the group.
+and `GenPerm.from_json` check every field.  Every element the library
+computes itself is built from its word by `cyclo._of_fields`, which checks
+nothing again: such a word is a permutation of 1..n with exponents in 0..r-1.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterable, Mapping
 
-from .cyclo import YPoint, _check_indices, _check_rn, _check_same_space, _json_int
+from .cyclo import YPoint, _check_indices, _check_rn, _check_same_space, _json_int, _of_fields
 
 __all__ = [
     "GenPerm",
@@ -56,21 +54,6 @@ class GenPerm:
         _check_indices(rows, 1, n, "row")
         object.__setattr__(self, "row_of_col", rows)
         object.__setattr__(self, "exp_of_col", exps)
-
-    @staticmethod
-    def _of_word(r: int, n: int, rows: tuple[int, ...], exps: tuple[int, ...]) -> "GenPerm":
-        """The element with a word the library computed, built without `__post_init__`.
-
-        rows must be a permutation of 1..n and every exponent lie in 0..r-1,
-        as `_product` returns them.  The fields are set in field order, so
-        the instance dict shares its keys with validated instances.
-        """
-        g = object.__new__(GenPerm)
-        object.__setattr__(g, "r", r)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "row_of_col", rows)
-        object.__setattr__(g, "exp_of_col", exps)
-        return g
 
     @cached_property
     def _col_of_row(self) -> tuple[int, ...]:
@@ -108,7 +91,7 @@ class GenPerm:
 
 def identity(r: int, n: int) -> GenPerm:
     r, n = _check_rn(r, n)
-    return GenPerm._of_word(r, n, tuple(range(1, n + 1)), (0,) * n)
+    return _of_fields(GenPerm, r, n, tuple(range(1, n + 1)), (0,) * n)
 
 
 def generator(r: int, n: int, i: int) -> GenPerm:
@@ -116,10 +99,10 @@ def generator(r: int, n: int, i: int) -> GenPerm:
     r, n = _check_rn(r, n)
     (i,) = _check_indices((i,), 0, n - 1, "generator")
     if i == 0:
-        return GenPerm._of_word(r, n, tuple(range(1, n + 1)), (1,) + (0,) * (n - 1))
+        return _of_fields(GenPerm, r, n, tuple(range(1, n + 1)), (1,) + (0,) * (n - 1))
     rows = list(range(1, n + 1))
     rows[i - 1], rows[i] = rows[i], rows[i - 1]
-    return GenPerm._of_word(r, n, tuple(rows), (0,) * n)
+    return _of_fields(GenPerm, r, n, tuple(rows), (0,) * n)
 
 
 def _product(a: GenPerm, b: GenPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -134,13 +117,13 @@ def _product(a: GenPerm, b: GenPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def multiply(a: GenPerm, b: GenPerm) -> GenPerm:
     """Matrix product a * b."""
     _check_same_space(a, b)
-    return GenPerm._of_word(a.r, a.n, *_product(a, b))
+    return _of_fields(GenPerm, a.r, a.n, *_product(a, b))
 
 
 def inverse(a: GenPerm) -> GenPerm:
     rows = a._col_of_row
     exps = tuple([-a.exp_of_col[col - 1] % a.r for col in rows])
-    return GenPerm._of_word(a.r, a.n, rows, exps)
+    return _of_fields(GenPerm, a.r, a.n, rows, exps)
 
 
 def _act_on_coords(
@@ -166,7 +149,7 @@ def act_on_tuple(x: YPoint, a: GenPerm) -> YPoint:
     Magnitudes are permuted and branches shifted (see `_act_on_coords`).
     """
     _check_same_space(x, a)
-    return YPoint(x.r, _act_on_coords(x.coords, a))
+    return _of_fields(YPoint, x.r, _act_on_coords(x.coords, a))
 
 
 def group_order(r: int, n: int) -> int:
@@ -189,7 +172,7 @@ def _subgroup_closure(r: int, n: int, gens: frozenset[int]) -> frozenset[GenPerm
                 word = _product(g, s)
                 if word not in words:
                     words.add(word)
-                    new.append(GenPerm._of_word(r, n, *word))
+                    new.append(_of_fields(GenPerm, r, n, *word))
         elements.extend(new)
         frontier = new
     return frozenset(elements)
@@ -207,5 +190,5 @@ def enumerate_group(r: int, n: int) -> tuple[GenPerm, ...]:
     out = []
     for rows in itertools.permutations(range(1, n + 1)):
         for exps in itertools.product(range(r), repeat=n):
-            out.append(GenPerm._of_word(r, n, rows, exps))
+            out.append(_of_fields(GenPerm, r, n, rows, exps))
     return tuple(out)

@@ -15,7 +15,7 @@ from operator import index
 from typing import Iterable, Iterator
 
 from .chains import Chain
-from .cyclo import _check_indices, _check_rn, _check_same_space
+from .cyclo import _check_indices, _check_rn, _check_same_space, _of_fields
 from .group import GenPerm
 
 __all__ = [
@@ -76,10 +76,8 @@ class PinwheelStratum:
 def chain_to_stratum(c: Chain) -> PinwheelStratum:
     """Spoke component j carries the decorated members of the j-th nesting gap."""
     dec = c.decoration_map()
-    spoke = tuple(
-        tuple((i, dec[i]) for i in seg) for seg in c.segments()
-    )
-    return PinwheelStratum(c.r, c.n, spoke)
+    spoke = tuple(tuple((i, dec[i]) for i in seg) for seg in c.segments())
+    return _of_fields(PinwheelStratum, c.r, c.n, spoke)
 
 
 def _stratum_chain_key(s: PinwheelStratum) -> tuple[tuple, tuple]:
@@ -96,7 +94,7 @@ def _stratum_chain_key(s: PinwheelStratum) -> tuple[tuple, tuple]:
 
 def stratum_to_chain(s: PinwheelStratum) -> Chain:
     """Read the chain back: set j indexes the orbits on the outermost j components."""
-    return Chain(s.r, s.n, *_stratum_chain_key(s))
+    return _of_fields(Chain, s.r, s.n, *_stratum_chain_key(s))
 
 
 def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelStratum:
@@ -116,7 +114,7 @@ def contract_spoke_edges(s: PinwheelStratum, edges: Iterable[int]) -> PinwheelSt
             carry = []
         # when j is contracted the points ride inward; past the last
         # component they dissolve into the center
-    return PinwheelStratum(s.r, s.n, tuple(merged))
+    return _of_fields(PinwheelStratum, s.r, s.n, tuple(merged))
 
 
 def spoke_contractions(s: PinwheelStratum) -> Iterator[tuple[tuple[tuple[int, int], ...], ...]]:
@@ -187,7 +185,7 @@ def act_on_stratum(s: PinwheelStratum, a: GenPerm) -> PinwheelStratum:
     exponent reduced by the matrix exponent; central orbits stay central.
     """
     _check_same_space(s, a)
-    return PinwheelStratum(s.r, s.n, _act_on_spoke(s, a))
+    return _of_fields(PinwheelStratum, s.r, s.n, _act_on_spoke(s, a))
 
 
 def dual_graph_dot(s: PinwheelStratum) -> str:

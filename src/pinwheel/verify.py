@@ -4,12 +4,14 @@ Each suite exhaustively checks one family of claims at desk scale and
 returns a structured report: object counts per dimension plus a list of
 violation strings (expected empty).  Each suite takes its group-order cap
 as the int `max_group_order` (default 2000), checks it once, and refuses an
-instance above it with `CapExceeded` before it enumerates anything.
+instance above it with `CapExceeded` before it enumerates anything, in
+bounded time for any (r, n).
 
 All four suites find a chain's data by its position in `enumerate_chains`
 or by its canonical (sets, decoration) key; the nonempty suite, too, looks
 each assembled family up by its key.  A suite builds a library object only
-as a route's output that it compares, never just to look something up.
+as a route's output that it compares, never just to look something up,
+and builds it by `_of_fields`, since its fields are computed and canonical.
 Each key builder is the one its object builder wraps, so a key equals the
 fields of the object it stands for.  One numbering rule holds in every
 suite: a vertex is numbered by its coordinate tuple and a coset element by
@@ -34,7 +36,7 @@ from .cosets import (
     coset_block_decomposition,
     coset_size,
 )
-from .cyclo import YPoint, _check_nonnegative
+from .cyclo import YPoint, _check_nonnegative, _check_rn, _of_fields
 from .faces import (
     DecoratedSubset,
     _face_coords,
@@ -92,9 +94,15 @@ class Report:
 
 def _start(suite: str, r: int, n: int, max_group_order: int) -> tuple[tuple[Chain, ...], Report]:
     """Every suite's prologue: the cap (from arithmetic alone), the chains, and an empty report."""
-    cap, order = _check_nonnegative("max_group_order", max_group_order), group_order(r, n)
+    cap, (r_int, n_int) = _check_nonnegative("max_group_order", max_group_order), _check_rn(r, n)
+    # r^n * n! as the product of r * k over k = 1..n, stopped once past the
+    # cap (about log2(cap) steps); a stop before k = n gives a lower bound.
+    order = k = 1
+    while order <= cap and k <= n_int:
+        order, k = order * r_int * k, k + 1
     if order > cap:
-        raise CapExceeded(f"group order {order} for (r={r}, n={n}) exceeds max_group_order={cap}")
+        bound = order if k > n_int else f"at least {order}"
+        raise CapExceeded(f"group order {bound} for (r={r}, n={n}) exceeds max_group_order={cap}")
     chains = enumerate_chains(r, n)
     counts = [0] * (n + 1)
     for c in chains:
@@ -217,7 +225,7 @@ def verify_equivariance(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
     # One matrix per id, built once; each element then moves every id through
     # a table, vertices by their coords, so no pair builds a point or a matrix.
     points = list(vertex_ids)
-    members = [GenPerm._of_word(r, n, *word) for word in element_ids]
+    members = [_of_fields(GenPerm, r, n, *word) for word in element_ids]
     orbit = []
     for a in group:
         vmove = [vertex_ids.setdefault(_act_on_coords(p, a), len(vertex_ids)) for p in points]
@@ -274,7 +282,7 @@ def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
         for elems in itertools.combinations(range(1, n + 1), size):
             for exps in itertools.product(range(r), repeat=size):
                 position[elems, exps] = len(subsets)
-                subsets.append(DecoratedSubset(elems, exps))
+                subsets.append(_of_fields(DecoratedSubset, elems, exps))
 
     vertices = enumerate_vertices(r, n)
     on_ids = [hyperplane_vertex_ids(r, n, s) for s in subsets]
@@ -312,7 +320,7 @@ def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
         elif key not in face_ids:
             fail(f"assembled chain is not in the complex on {named(family)}")
         elif frozenset.intersection(*[on_ids[i] for i in family]) != face_ids[key]:
-            chain = Chain(r, n, *key)
+            chain = _of_fields(Chain, r, n, *key)
             fail(f"hyperplane intersection is not the face's vertex set on {chain.to_json()}")
 
     # Nesting side: every chain's layers, and every pair the key builder

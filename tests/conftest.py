@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from pinwheel import Chain, GenPerm, PinwheelStratum, YPoint
+from pinwheel.cyclo import _of_fields
 
 
 SMALL_RN = [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)]
@@ -21,6 +24,29 @@ KEY_RN = [(r, n) for r in (2, 3, 4) for n in range(4)] + [(2, 4), (3, 4)]
 def base_stratum(r: int, n: int) -> PinwheelStratum:
     """The vertex stratum of the identity chain: orbit j sits on component n + 1 - j."""
     return PinwheelStratum(r, n, tuple(((n + 1 - j, 0),) for j in range(1, n + 1)))
+
+
+def count_builds(monkeypatch, *classes: type) -> Counter:
+    """Count, per class, each run of its checking constructor and each `_of_fields` build of it.
+
+    `_of_fields` is patched in every pinwheel module that imported it.
+    """
+    built: Counter = Counter()
+    for cls in classes:
+        real = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda x, cls=cls, real=real: built.update([cls]) or real(x)
+        )
+
+    def of_fields(cls, *values):
+        if cls in classes:
+            built[cls] += 1
+        return _of_fields(cls, *values)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pinwheel.") and getattr(module, "_of_fields", None) is _of_fields:
+            monkeypatch.setattr(module, "_of_fields", of_fields)
+    return built
 
 
 def random_genperm(r: int, n: int, rng: random.Random) -> GenPerm:

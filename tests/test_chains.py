@@ -27,7 +27,7 @@ from pinwheel import (
 )
 from pinwheel.chains import _act_on_chain_key, _coarsening_keys, coarsenings
 
-from conftest import KEY_RN, chains_over, genperms
+from conftest import KEY_RN, chains_over, count_builds, genperms
 
 
 def chain_count_oracle(r: int, n: int) -> int:
@@ -298,13 +298,10 @@ class TestAction:
         # The equivariance suite looks images up by key; the key builder must
         # not validate a chain per (chain, element) pair.
         chains, group = enumerate_chains(2, 3), enumerate_group(2, 3)
-
-        def refuse(self):
-            raise AssertionError("the image key built a chain")
-
-        monkeypatch.setattr(Chain, "__post_init__", refuse)
+        built = count_builds(monkeypatch, Chain)
         keys = {_act_on_chain_key(c, a) for c in chains for a in group}
         assert keys == {(c.sets, c.decoration) for c in chains}
+        assert built[Chain] == 0
 
 
 class TestRefinements:

@@ -253,6 +253,12 @@ class TestVerify:
         assert "max_group_order=2000" in str(err.value)
         assert capsys.readouterr().out == ""
 
+    def test_cap_breach_far_above_the_cap_prints_no_report(self, capsys):
+        refusal = r"^size cap exceeded: group order at least 3840 for \(r=2, n=1500\) exceeds max_group_order=2000$"
+        with pytest.raises(SystemExit, match=refusal):
+            main(["verify", "--r", "2", "--n", "1500", "--suite", "threeway"])
+        assert capsys.readouterr().out == ""
+
     def test_cap_can_be_raised(self, capsys):
         code, _ = run(
             capsys,

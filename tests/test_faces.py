@@ -41,7 +41,7 @@ from pinwheel import cosets, faces, group, verify
 from pinwheel.chains import _maximal_orders
 from pinwheel.faces import _affine_rank, _face_coords, _hyperplanes_chain_key, _vertex_coords, chain_layers
 
-from conftest import KEY_RN, brute_force_in_complex, random_ypoints
+from conftest import KEY_RN, brute_force_in_complex, count_builds, random_ypoints
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 EXAMPLE_COARSE = make_chain(3, 4, [[2, 3, 4]], {2: 1, 3: 0, 4: 2})
@@ -553,12 +553,10 @@ class TestActOnFace:
         # The length-0 chain at (2, 8) has 10,321,920 vertices; the action
         # lists none of them.
         c, a = Chain(2, 8, (), ()), GenPerm(2, 8, (8, 1, 2, 3, 4, 5, 6, 7), (1, 0, 1, 0, 0, 0, 0, 1))
-        built = []
-        real = YPoint.__post_init__
-        monkeypatch.setattr(YPoint, "__post_init__", lambda x: built.append(x) or real(x))
+        built = count_builds(monkeypatch, YPoint)
         monkeypatch.setattr(faces, "_face_coords", lambda c: pytest.fail("listed a face's vertices"))
         assert act_on_face(c, a) == c
-        assert built == []
+        assert built[YPoint] == 0
 
 
 class TestVertexIncidence:

@@ -10,16 +10,26 @@ from hypothesis import given, settings
 
 from pinwheel import (
     Chain,
+    CycloNum,
+    DecoratedSubset,
     GenPerm,
+    PinwheelStratum,
+    TCosetHandle,
     YPoint,
     act_on_chain,
     act_on_coset,
     act_on_tuple,
     act_on_stratum,
     block_product_elements,
+    chain_layers,
     chain_to_coset,
+    chain_to_face_vertices,
+    chain_to_stratum,
+    coarsenings,
+    contract_spoke_edges,
     coset_block_decomposition,
     coset_elements,
+    coset_to_chain,
     enumerate_chains,
     enumerate_group,
     enumerate_vertices,
@@ -28,12 +38,17 @@ from pinwheel import (
     generate_subgroup,
     generator,
     group_order,
+    hyperplane_eval,
+    hyperplanes_to_chain,
     identity,
     inverse,
     multiply,
     refines,
+    stratum_to_chain,
+    verify_nonemptiness,
 )
-
+from pinwheel import faces, verify
+from pinwheel.cyclo import _of_fields
 from pinwheel.group import _act_on_coords
 
 from conftest import KEY_RN, SMALL_RN, DenseMatrix, base_stratum, genperms, random_genperm, random_ypoints
@@ -249,49 +264,121 @@ class TestEnumeration:
             assert multiply(a, b) in elements
 
 
-def assert_is_the_checked_element(g: GenPerm) -> None:
-    """g, built from a computed word, equals what the checking constructor makes of its fields."""
-    checked = GenPerm(g.r, g.n, g.row_of_col, g.exp_of_col)
-    assert g == checked and hash(g) == hash(checked)
-    assert g.to_json() == checked.to_json()
-    # A cached `_col_of_row` may follow the fields.
-    assert list(vars(g))[:4] == [f.name for f in fields(GenPerm)] == list(vars(checked))
+def assert_is_the_checked(obj) -> None:
+    """obj, built from computed fields, is what its checking constructor makes of them."""
+    names = [f.name for f in fields(obj)]
+    values = [getattr(obj, name) for name in names]
+    checked = type(obj)(*values)
+    assert obj == checked and hash(obj) == hash(checked)
+    assert [type(v) for v in values] == [type(getattr(checked, name)) for name in names]
+    # A cached property, such as GenPerm's `_col_of_row`, may follow the fields.
+    assert list(vars(obj))[: len(names)] == names == list(vars(checked))
+
+
+def sample(items, count: int = 8) -> tuple:
+    """About `count` items spread over the sequence."""
+    return tuple(items[:: max(1, len(items) // count)])
 
 
 class TestUncheckedWords:
-    """Elements the library wraps with `GenPerm._of_word` match the checking constructor."""
+    """Values the library builds with `_of_fields` match the checking constructor."""
 
     @pytest.mark.parametrize("r,n", KEY_RN)
     def test_coset_subgroup_and_generator_elements(self, r, n):
+        group = sample(enumerate_group(r, n))
         for c in enumerate_chains(r, n):
             h = chain_to_coset(c)
             translations = [f.translation for f in coset_block_decomposition(c) if f.translation is not None]
-            for g in [h.rep, *translations, *coset_elements(h)]:
-                assert_is_the_checked_element(g)
+            images = [act_on_coset(h, a) for a in group]
+            for g in [h, h.rep, *images, *(image.rep for image in images), *translations, *coset_elements(h)]:
+                assert_is_the_checked(g)
         closure = generate_subgroup(r, n, range(n))
         assert len(closure) == group_order(r, n)
         for g in [*closure, *map(inverse, closure), identity(r, n), *(generator(r, n, i) for i in range(n))]:
-            assert_is_the_checked_element(g)
+            assert_is_the_checked(g)
 
     @pytest.mark.parametrize("r,n", [(r, n) for r, n in KEY_RN if group_order(r, n) <= 400])
     def test_group_elements_and_products(self, r, n):
         group = enumerate_group(r, n)
         for g in group:
-            assert_is_the_checked_element(g)
-        sample = group[:: max(1, len(group) // 20)]
-        for a, b in itertools.product(sample, repeat=2):
-            assert_is_the_checked_element(multiply(a, b))
+            assert_is_the_checked(g)
+        for a, b in itertools.product(sample(group, 20), repeat=2):
+            assert_is_the_checked(multiply(a, b))
         for c in enumerate_chains(r, n):
             for g in block_product_elements(c):
-                assert_is_the_checked_element(g)
+                assert_is_the_checked(g)
 
-    def test_of_word_skips_the_checks(self, monkeypatch):
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_chains_and_strata(self, r, n):
+        group = sample(enumerate_group(r, n))
+        for c in enumerate_chains(r, n):
+            s = chain_to_stratum(c)
+            built = [c, *coarsenings(c), coset_to_chain(chain_to_coset(c)), stratum_to_chain(s)]
+            layers = chain_layers(c)
+            # Unreduced exponents, as outside input may give them, fold mod r.
+            shifted = [DecoratedSubset(d.elements, tuple(e + r for e in d.exps)) for d in layers]
+            built += [hyperplanes_to_chain(r, n, layers), hyperplanes_to_chain(r, n, shifted), s]
+            for size in range(s.k + 1):
+                built += [contract_spoke_edges(s, e) for e in itertools.combinations(range(1, s.k + 1), size)]
+            for a in group:
+                built += [act_on_chain(c, a), act_on_stratum(s, a)]
+            for obj in built:
+                assert_is_the_checked(obj)
+
+    @pytest.mark.parametrize("r,n", KEY_RN)
+    def test_points_subsets_and_values(self, r, n, monkeypatch):
+        # Seeded points and one of mixed int and Fraction zeros, for the zero-branch rule.
+        zeros = YPoint(r, tuple((Fraction(0) if i % 2 else i, i % r) for i in range(n)))
+        points = [*random_ypoints(r, n, 4, seed=10 * r + n), zeros]
+        subs = []
+        real = faces.point_in_complex
+        monkeypatch.setattr(faces, "point_in_complex", lambda x: subs.append(x) or real(x))
+        vertices = enumerate_vertices(r, n)
+        built = [act_on_tuple(x, a) for x in [*sample(vertices), *points] for a in sample(enumerate_group(r, n))]
+        for c in enumerate_chains(r, n):
+            face = sorted(chain_to_face_vertices(c), key=lambda v: v.coords)
+            layers = chain_layers(c)
+            built += [*sample(face), *layers]
+            for x in [*sample(face, 2), points[0], zeros]:
+                built += [hyperplane_eval(x, s.elements, s.mapping()) for s in layers]
+            for x in points:
+                face_membership_product_form(x, c)
+        assert len(subs) >= len(points) * len(enumerate_chains(r, n))
+        for obj in [*vertices, *built, *subs]:
+            assert_is_the_checked(obj)
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r, n in KEY_RN if group_order(r, n) <= 400])
+    def test_nonempty_subset_table(self, r, n, monkeypatch):
+        subsets = []
+        real = verify.hyperplane_vertex_ids
+        monkeypatch.setattr(verify, "hyperplane_vertex_ids", lambda r, n, s: subsets.append(s) or real(r, n, s))
+        assert verify_nonemptiness(r, n).ok
+        for s in subsets:
+            assert_is_the_checked(s)
+        assert len(subsets) == (r + 1) ** n - 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (GenPerm, 3, 2, (2, 1), (0, 2)),
+            (Chain, 2, 2, ((1,), (1, 2)), ((1, 0), (2, 1))),
+            (PinwheelStratum, 2, 2, (((2, 0),),)),
+            (TCosetHandle, frozenset({1}), GenPerm(2, 2, (1, 2), (0, 0))),
+            (YPoint, 2, ((1, 1), (0, 0))),
+            (DecoratedSubset, (1, 2), (0, 1)),
+            (CycloNum, 3, (1, 0)),
+        ],
+        ids=lambda values: values[0].__name__,
+    )
+    def test_of_fields_skips_the_checks(self, monkeypatch, values):
+        cls, *fields_in_order = values
+
         def refuse(self):
             raise AssertionError("__post_init__ ran")
 
-        monkeypatch.setattr(GenPerm, "__post_init__", refuse)
-        g = GenPerm._of_word(3, 2, (2, 1), (0, 2))
-        assert (g.r, g.n, g.row_of_col, g.exp_of_col) == (3, 2, (2, 1), (0, 2))
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+        obj = _of_fields(cls, *fields_in_order)
+        assert [getattr(obj, f.name) for f in fields(cls)] == fields_in_order
 
 
 class TestJson:

@@ -1,4 +1,5 @@
 import re
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -25,6 +26,9 @@ from pinwheel import (
     verify_threeway,
 )
 from pinwheel import faces, verify
+
+from conftest import count_builds
+
 
 # Chains over (2, 2) that the fault-injection tests corrupt one route on.
 TARGET = make_chain(2, 2, [[1]], {1: 1})
@@ -386,19 +390,10 @@ class TestEquivariance:
     def test_builds_no_point_or_element_per_pair(self, monkeypatch, r, n):
         # No point at all: the vertex table moves coordinate tuples, and the
         # coset action compares rep words.  One matrix per element, checked
-        # or not, plus the one checked rep of each chain's handle.  Caches
-        # are warmed first.
+        # or not, plus the rep of each chain's handle.  Caches are warmed
+        # first.
         assert verify_equivariance(r, n).ok
-        built = Counter()
-        for cls in (YPoint, GenPerm):
-            real = cls.__post_init__
-            monkeypatch.setattr(
-                cls, "__post_init__", lambda x, cls=cls, real=real: built.update([cls]) or real(x)
-            )
-        real_of_word = GenPerm._of_word
-        monkeypatch.setattr(
-            GenPerm, "_of_word", staticmethod(lambda *word: built.update([GenPerm]) or real_of_word(*word))
-        )
+        built = count_builds(monkeypatch, YPoint, GenPerm)
         assert verify_equivariance(r, n).ok
         assert built[YPoint] == 0
         assert built[GenPerm] <= group_order(r, n) + len(enumerate_chains(r, n))
@@ -407,11 +402,9 @@ class TestEquivariance:
         # Images are found by their (sets, decoration) key; the chains
         # themselves come from the cached enumeration.
         enumerate_chains(2, 2)
-        built = []
-        real = Chain.__post_init__
-        monkeypatch.setattr(Chain, "__post_init__", lambda c: built.append(c) or real(c))
+        built = count_builds(monkeypatch, Chain)
         assert verify_equivariance(2, 2).ok
-        assert len(built) == 0
+        assert built[Chain] == 0
 
 
 class TestProducts:
@@ -477,6 +470,16 @@ class TestNonemptiness:
         # A bool is taken as the int it is: True caps at 1, which (2, 1) exceeds.
         with pytest.raises(CapExceeded, match=r"^group order 2 for \(r=2, n=1\) exceeds max_group_order=1$"):
             verify_nonemptiness(2, 1, max_group_order=True)
+
+    @pytest.mark.parametrize("n", [1500, 10**6])
+    def test_an_order_far_above_the_cap_is_refused_quickly(self, n):
+        # r^n * n! would have more digits than an int may print; the check
+        # stops at k = 5, where 2 * 4 * 6 * 8 * 10 = 3840 first passes 2000.
+        start = time.perf_counter()
+        refusal = rf"^group order at least 3840 for \(r=2, n={n}\) exceeds max_group_order=2000$"
+        with pytest.raises(CapExceeded, match=refusal):
+            verify_nonemptiness(2, n)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("route", sorted(BROKEN_NONEMPTY_ROUTES))
     def test_a_broken_route_is_reported(self, monkeypatch, route):
