@@ -3,8 +3,8 @@
 A chain is a strictly nested list of nonempty subsets of {1,..,n} together
 with a branch decoration on the largest set.  Chains are canonical: sets are
 stored sorted, the decoration as sorted (element, exponent) pairs.  Any Chain
-in existence is valid: the constructor checks outside input and the loose
-pieces of `make_chain` and `maximal_refinements`, and `_of_fields` builds every
+in existence is valid: the constructor runs only on the loose pieces of
+`make_chain` (and so of `Chain.from_json`), and `_of_fields` builds every
 other chain from canonical fields computed from valid objects.
 """
 
@@ -179,34 +179,28 @@ def act_on_chain(c: Chain, a: GenPerm) -> Chain:
     return _of_fields(Chain, c.r, c.n, *_act_on_chain_key(c, a))
 
 
-def _maximal_orders(c: Chain) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every maximal refinement of c as (order, exps), in `maximal_refinements`' order.
-
-    `order` lists the elements in the order the refinement's sets add them
-    and `exps[j]` is the decoration of `order[j]`.  Segment orders vary
-    slowest, then the order of the leftover elements, then their exponents.
-    """
-    dec = c.decoration_map()
-    tail = c.complement()
-    for seg_orders in itertools.product(*(itertools.permutations(s) for s in c.segments())):
-        prefix = tuple(itertools.chain.from_iterable(seg_orders))
-        prefix_exps = tuple(dec[i] for i in prefix)
-        for tail_order in itertools.permutations(tail):
-            order = prefix + tail_order
-            for tail_exps in itertools.product(range(c.r), repeat=len(tail)):
-                yield order, prefix_exps + tail_exps
-
-
 def maximal_refinements(c: Chain) -> tuple[Chain, ...]:
     """All maximal chains refining c.
 
     Orders each nesting gap in every possible way and extends beyond the
-    largest set by every ordering and decoration of the leftover elements.
+    largest set by every ordering and decoration of the leftover elements:
+    segment orders vary slowest, then the leftover order, then its
+    exponents.  Each refinement's prefixes and decoration are sorted here,
+    so its fields are canonical.
     """
-    return tuple(
-        Chain(c.r, c.n, tuple(order[: j + 1] for j in range(c.n)), tuple(zip(order, exps)))
-        for order, exps in _maximal_orders(c)
-    )
+    r, n = c.r, c.n
+    dec = c.decoration_map()
+    tail = c.complement()
+    out = []
+    for seg_orders in itertools.product(*(itertools.permutations(s) for s in c.segments())):
+        prefix = tuple(itertools.chain.from_iterable(seg_orders))
+        for tail_order in itertools.permutations(tail):
+            order = prefix + tail_order
+            sets = tuple([tuple(sorted(order[: j + 1])) for j in range(n)])
+            for tail_exps in itertools.product(range(r), repeat=len(tail)):
+                exps = dec | dict(zip(tail_order, tail_exps))
+                out.append(_of_fields(Chain, r, n, sets, tuple(sorted(exps.items()))))
+    return tuple(out)
 
 
 def _coarsening_keys(c: Chain) -> Iterator[tuple[tuple, tuple]]:

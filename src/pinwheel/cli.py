@@ -143,9 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chains", parents=[rn], help="enumerate decorated nested chains")
     p.add_argument("--dim", type=int, default=None, help="keep only this dimension")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--table", action="store_true")
+    p.add_argument("--table", action="store_true")
     p.set_defaults(func=_cmd_chains)
 
     p = sub.add_parser("coset", help="chain to coset handle")

@@ -254,11 +254,8 @@ class YPoint:
 
 def delta(n: int, k: int) -> int:
     """The descending partial sum n + (n-1) + ... + (n-k+1)."""
-    n, k = index(n), index(k)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
-    if k < 0 or k > n:
-        raise ValueError(f"k must lie in [0, {n}], got {k!r}")
+    n = _check_nonnegative("n", n)
+    (k,) = _check_indices((k,), 0, n, "k")
     return k * n - k * (k - 1) // 2
 
 

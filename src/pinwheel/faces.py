@@ -30,7 +30,7 @@ from operator import index
 from typing import Sequence
 
 from .chains import Chain, act_on_chain, enumerate_chains
-from .cyclo import YPoint, _check_exact, _check_rn, _check_same_space, _of_fields
+from .cyclo import YPoint, _check_exact, _check_indices, _check_rn, _check_same_space, _of_fields
 from .cyclo import _coords_json, _on_hyperplane_coords, delta
 from .group import GenPerm
 
@@ -85,37 +85,30 @@ def chain_layers(c: Chain) -> tuple[DecoratedSubset, ...]:
     return tuple(_of_fields(DecoratedSubset, s, tuple(dec[i] for i in s)) for s in c.sets)
 
 
-def _vertex_coords(
-    r: int, n: int, order: Sequence[int], exps: Sequence[int]
-) -> tuple[tuple[int, int], ...]:
-    """Canonical coords of the vertex of the maximal chain adding order[0], order[1], ... in turn.
-
-    The element added at step j carries magnitude n + 1 - j on the branch
-    opposite to its decoration exps[j - 1], reduced mod r, so the tuple
-    equals the `coords` of the `YPoint` built from it.
-    """
-    coords = [(0, 0)] * n
-    for j, (i, e) in enumerate(zip(order, exps)):
-        coords[i - 1] = (n - j, -e % r)
-    return tuple(coords)
-
-
 def vertex_of_maximal_chain(c: Chain) -> YPoint:
-    """The one point of a maximal chain's face (see `_vertex_coords`)."""
-    if c.length != c.n:
-        raise ValueError(f"chain has length {c.length}, need a maximal chain of length {c.n}")
-    order = tuple(i for (i,) in c.segments())
+    """The one point of a maximal chain's face.
+
+    The element the chain adds at step j carries magnitude n + 1 - j on the
+    branch opposite to its decoration, reduced mod r, so the coordinate
+    tuple is already the `coords` of the `YPoint` built from it.
+    """
+    r, n = c.r, c.n
+    if c.length != n:
+        raise ValueError(f"chain has length {c.length}, need a maximal chain of length {n}")
     dec = c.decoration_map()
-    return _of_fields(YPoint, c.r, _vertex_coords(c.r, c.n, order, tuple(dec[i] for i in order)))
+    coords = [(0, 0)] * n
+    for j, (i,) in enumerate(c.segments()):
+        coords[i - 1] = (n - j, -dec[i] % r)
+    return _of_fields(YPoint, r, tuple(coords))
 
 
 def _face_coords(c: Chain) -> list[tuple[tuple[int, int], ...]]:
     """The canonical coords of each vertex of c's face, one per maximal refinement.
 
-    Listed in `_maximal_orders` order: segment orders slowest, then the
-    order of the leftover elements, then their exponents.  Each entry equals
-    `_vertex_coords` of that refinement, so it is the `coords` of the
-    matching `YPoint` of `chain_to_face_vertices` and serves as a key
+    Listed in `maximal_refinements` order: segment orders slowest, then the
+    order of the leftover elements, then their exponents.  Each entry is
+    the `coords` of `vertex_of_maximal_chain` of that refinement, and so of
+    the matching `YPoint` of `chain_to_face_vertices`; it serves as a key
     without building one.  Each segment-order prefix is placed once; the
     leftover element added k-th takes its (magnitude, branch) pair from a
     table made once per chain.
@@ -277,14 +270,6 @@ def _hyperplanes_chain_key(r: int, subsets: Sequence[DecoratedSubset]) -> tuple[
     return tuple([s.elements for s in ordered]), tuple(dec.items())
 
 
-def _check_subset_range(s: DecoratedSubset, n: int) -> tuple[int, ...]:
-    """s's elements, refused unless they lie in 1..n; they are sorted, so the first and last bound them."""
-    elems = s.elements
-    if elems[0] < 1 or elems[-1] > n:
-        raise ValueError(f"element {elems[0] if elems[0] < 1 else elems[-1]} out of range 1..{n}")
-    return elems
-
-
 def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> Chain | None:
     """Assemble a chain from decorated subsets, or None when they cannot nest.
 
@@ -294,10 +279,7 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
     twice (exponents mod r), raises.  The assembly is `_hyperplanes_chain_key`.
     """
     r, n = _check_rn(r, n)
-    # One pass checks each set's range and collects the sets.
-    distinct = set()
-    for s in subsets:
-        distinct.add(_check_subset_range(s, n))
+    distinct = {_check_indices(s.elements, 1, n, "element") for s in subsets}
     if len(distinct) != len(subsets):
         # Equal sets never nest; with exponents equal mod r they are one hyperplane.
         if len({(s.elements, tuple([e % r for e in s.exps])) for s in subsets}) != len(subsets):
@@ -316,9 +298,10 @@ def hyperplane_vertex_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:
     then every vertex takes one full evaluation by `_on_hyperplane_coords`.
     """
     r, n = _check_rn(r, n)
-    elems = _check_subset_range(s, n)
-    terms = tuple(zip([i - 1 for i in elems], s.exps))
-    target = delta(n, len(elems))
+    # Terms come from s's own fields, which keep each element with its exponent.
+    _check_indices(s.elements, 1, n, "element")
+    terms = tuple(zip([i - 1 for i in s.elements], s.exps))
+    target = delta(n, len(terms))
     return frozenset(
         i for i, v in enumerate(enumerate_vertices(r, n)) if _on_hyperplane_coords(r, v.coords, terms, target)
     )

@@ -29,13 +29,14 @@ def base_stratum(r: int, n: int) -> PinwheelStratum:
 def count_builds(monkeypatch, *classes: type) -> Counter:
     """Count, per class, each run of its checking constructor and each `_of_fields` build of it.
 
+    The checking runs alone are counted again under `(cls, "checked")`.
     `_of_fields` is patched in every pinwheel module that imported it.
     """
     built: Counter = Counter()
     for cls in classes:
         real = cls.__post_init__
         monkeypatch.setattr(
-            cls, "__post_init__", lambda x, cls=cls, real=real: built.update([cls]) or real(x)
+            cls, "__post_init__", lambda x, cls=cls, real=real: built.update([cls, (cls, "checked")]) or real(x)
         )
 
     def of_fields(cls, *values):

@@ -298,10 +298,14 @@ class TestAction:
         # The equivariance suite looks images up by key; the key builder must
         # not validate a chain per (chain, element) pair.
         chains, group = enumerate_chains(2, 3), enumerate_group(2, 3)
+        every_chain = [c for r, n in KEY_RN for c in enumerate_chains(r, n)]
         built = count_builds(monkeypatch, Chain)
         keys = {_act_on_chain_key(c, a) for c in chains for a in group}
         assert keys == {(c.sets, c.decoration) for c in chains}
         assert built[Chain] == 0
+        # Refinements are computed values too: built unchecked, one per refinement.
+        refinements = [m for c in every_chain for m in maximal_refinements(c)]
+        assert built[Chain] == len(refinements) and built[Chain, "checked"] == 0
 
 
 class TestRefinements:

@@ -174,8 +174,15 @@ class TestDelta:
         assert delta(5, 0) == 0
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            delta(3, 4)
+        # The shared nonnegative and index rules, with their texts.
+        for n, k, text in [
+            (-1, 0, "n must be >= 0, got -1"),
+            (3, 4, "k 4 out of range 0..3"),
+            (3, -1, "k -1 out of range 0..3"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                delta(n, k)
+            assert str(err.value) == text
 
 
 def decorated_subsets(r, n):

@@ -38,8 +38,7 @@ from pinwheel import (
     vertex_of_maximal_chain,
 )
 from pinwheel import cosets, faces, group, verify
-from pinwheel.chains import _maximal_orders
-from pinwheel.faces import _affine_rank, _face_coords, _hyperplanes_chain_key, _vertex_coords, chain_layers
+from pinwheel.faces import _affine_rank, _face_coords, _hyperplanes_chain_key, chain_layers
 
 from conftest import KEY_RN, brute_force_in_complex, count_builds, random_ypoints
 
@@ -144,8 +143,7 @@ class TestFaceVertices:
     def test_vertex_coords_are_the_vertices_fields_in_order(self, r, n):
         for c in enumerate_chains(r, n):
             coords = _face_coords(c)
-            orders = _maximal_orders(c)
-            assert coords == [_vertex_coords(r, n, order, exps) for order, exps in orders]
+            assert coords == [vertex_of_maximal_chain(m).coords for m in maximal_refinements(c)]
             assert [YPoint(r, x).coords for x in coords] == coords
             assert len(set(coords)) == len(coords) == len(chain_to_face_vertices(c))
             assert frozenset(YPoint(r, x) for x in coords) == chain_to_face_vertices(c)

@@ -42,6 +42,7 @@ from pinwheel import (
     hyperplanes_to_chain,
     identity,
     inverse,
+    maximal_refinements,
     multiply,
     refines,
     stratum_to_chain,
@@ -313,7 +314,7 @@ class TestUncheckedWords:
         group = sample(enumerate_group(r, n))
         for c in enumerate_chains(r, n):
             s = chain_to_stratum(c)
-            built = [c, *coarsenings(c), coset_to_chain(chain_to_coset(c)), stratum_to_chain(s)]
+            built = [c, *coarsenings(c), *maximal_refinements(c), coset_to_chain(chain_to_coset(c)), stratum_to_chain(s)]
             layers = chain_layers(c)
             # Unreduced exponents, as outside input may give them, fold mod r.
             shifted = [DecoratedSubset(d.elements, tuple(e + r for e in d.exps)) for d in layers]

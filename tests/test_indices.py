@@ -1,6 +1,6 @@
 """Every index the library takes (set elements, orbits, rows, columns,
-generators, spoke edges) is checked by one rule: an integer, in range, and
-distinct, refused with one text per failure."""
+generators, spoke edges, `delta`'s k) is checked by one rule: an integer,
+in range, and distinct, refused with one text per failure."""
 
 import pytest
 
@@ -12,10 +12,12 @@ from pinwheel import (
     TCosetHandle,
     YPoint,
     contract_spoke_edges,
+    delta,
     generate_subgroup,
     generator,
     hyperplane_eval,
     hyperplane_vertex_ids,
+    hyperplanes_to_chain,
     identity,
 )
 
@@ -33,6 +35,10 @@ def _hyperplane_eval(elements):
 
 def _hyperplane_vertex_ids(elements):
     return hyperplane_vertex_ids(2, 2, DecoratedSubset(elements, (0,) * len(elements)))
+
+
+def _hyperplanes_to_chain(elements):
+    return hyperplanes_to_chain(2, 2, [DecoratedSubset(elements, (0,) * len(elements))])
 
 
 # site: (build from a tuple of indices, an out-of-range tuple and its text,
@@ -80,6 +86,14 @@ SITES = {
         _hyperplane_vertex_ids,
         (3,), "element 3 out of range 1..2", (1, 1), "repeated element in (1, 1)", (1.0,),
     ),
+    "hyperplanes_to_chain": (
+        _hyperplanes_to_chain,
+        (3,), "element 3 out of range 1..2", (1, 1), "repeated element in (1, 1)", (1.0,),
+    ),
+    "delta": (
+        lambda v: delta(3, *v),
+        (4,), "k 4 out of range 0..3", None, None, (1.0,),
+    ),
 }
 
 
@@ -91,8 +105,9 @@ def test_an_index_outside_its_range_is_refused_with_one_text(site):
     assert str(err.value) == text
 
 
-# generator takes a single index, so it cannot repeat one; the scan's repeat
-# is refused by the DecoratedSubset it takes, with the same text.
+# generator and delta take a single index, so they cannot repeat one; the
+# repeat of a site taking DecoratedSubsets is refused by the DecoratedSubset,
+# with the same text.
 @pytest.mark.parametrize("site", [site for site in SITES if SITES[site][3] is not None])
 def test_a_repeated_index_is_refused_with_one_text(site):
     build, _, _, values, text = SITES[site][:5]
