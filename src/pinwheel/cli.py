@@ -163,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stratum)
 
     p = sub.add_parser("hasse", parents=[rn], help="refinement poset covering relations")
-    p.add_argument("--dot", action="store_true", required=True)
     p.set_defaults(func=_cmd_hasse)
 
     p = sub.add_parser("act", help="apply a group element")

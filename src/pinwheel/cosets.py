@@ -10,7 +10,6 @@ columns each block hits, and the decoration fixes the column exponents.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .chains import Chain
@@ -22,7 +21,6 @@ __all__ = [
     "chain_to_coset",
     "coset_to_chain",
     "coset_elements",
-    "coset_size",
     "CosetFactor",
     "coset_block_decomposition",
     "block_product_elements",
@@ -201,12 +199,3 @@ def act_on_coset(h: TCosetHandle, b: GenPerm) -> TCosetHandle:
     """Right action: same generators, representative multiplied by b."""
     _check_same_space(h.rep, b)
     return _of_fields(TCosetHandle, h.gens, _of_fields(GenPerm, h.r, h.n, *_act_on_coset_key(h, b)))
-
-
-def coset_size(c: Chain) -> int:
-    """Size of the coset predicted by the factor arithmetic."""
-    m = len(c.complement())
-    size = c.r**m * math.factorial(m)
-    for seg in c.segments():
-        size *= math.factorial(len(seg))
-    return size

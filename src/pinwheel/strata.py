@@ -24,8 +24,6 @@ __all__ = [
     "stratum_to_chain",
     "contract_spoke_edges",
     "spoke_contractions",
-    "StratumFactor",
-    "stratum_product_factors",
     "act_on_stratum",
     "dual_graph_dot",
 ]
@@ -33,10 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PinwheelStratum:
-    """Dual graph of a stratum: spoke assignment of light orbits.
+    """Dual graph of a stratum: a pinwheel factor times Losev-Manin factors.
 
     spoke[j-1] lists the (orbit, exponent) light points on the j-th component
-    of the distinguished spoke, outermost first.  Every spoke component must
+    of the distinguished spoke, outermost first; each such component is a
+    Losev-Manin factor, and the central component, with the remaining orbits,
+    is the pinwheel factor with fewer orbits.  Every spoke component must
     carry at least one light point; orbits appear at most once.
     """
 
@@ -143,28 +143,6 @@ def spoke_contractions(s: PinwheelStratum) -> Iterator[tuple[tuple[tuple[int, in
                     merged.append(runs[start][j - start])
                     start = j + 1
             yield tuple(merged)
-
-
-@dataclass(frozen=True)
-class StratumFactor:
-    """One factor of a stratum: the central piece or one spoke component.
-
-    `kind` is "pinwheel" for the central factor (same moduli type with fewer
-    orbits) and "losev-manin" for each spoke component's chain-of-lines
-    factor.  `block` is 0 for the central factor, else the component index.
-    """
-
-    kind: str
-    block: int
-    size: int
-
-
-def stratum_product_factors(c: Chain) -> tuple[StratumFactor, ...]:
-    """Central factor first, then one factor per spoke component outward-in."""
-    factors = [StratumFactor("pinwheel", 0, len(c.complement()))]
-    for j, seg in enumerate(c.segments(), start=1):
-        factors.append(StratumFactor("losev-manin", j, len(seg)))
-    return tuple(factors)
 
 
 def _act_on_spoke(s: PinwheelStratum, a: GenPerm) -> tuple[tuple[tuple[int, int], ...], ...]:

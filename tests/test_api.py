@@ -50,11 +50,10 @@ def test_package_exposes_exactly_the_union_of_all():
 
 
 def test_names_once_missing_from_the_package_import():
-    from pinwheel import chain_layers, coarsenings, coset_size, spoke_contractions
+    from pinwheel import chain_layers, coarsenings, spoke_contractions
 
     assert chain_layers is pinwheel.faces.chain_layers
     assert coarsenings is pinwheel.chains.coarsenings
-    assert coset_size is pinwheel.cosets.coset_size
     assert spoke_contractions is pinwheel.strata.spoke_contractions
 
 

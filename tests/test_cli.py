@@ -51,7 +51,7 @@ FILES = {
 STDOUT_SHA256 = {
     "chains --r 2 --n 2": "3a81249718ba69b5c95be69701c7ba81e87e3d44b998ced09b53f71e3ad769c8",
     "chains --r 2 --n 2 --table": "f8b9b205468028babb7b590e0c3b519c7a6d40ffd0f080af1dbfd47fd521916e",
-    "hasse --r 2 --n 2 --dot": "16a0a0a3399af886907aaa799ce082a7c748ded5c030d1e98cc1037a321042f5",
+    "hasse --r 2 --n 2": "16a0a0a3399af886907aaa799ce082a7c748ded5c030d1e98cc1037a321042f5",
     "coset --chain CHAIN --elements": "afe60f72221d5226b233e1bc45a5ca2505cfc630c72bc32e92ae50cb960d17b2",
     "face --chain CHAIN --vertices --factors": "fab810b77a904b3f3c8e241f16457a1018c79267c9c75cf523406b115b81e89a",
     "stratum --chain CHAIN": "c5116ead9a3451219473b1be730229fb78b698aaec7dbc94ae88fa16951cf4d7",
@@ -164,9 +164,15 @@ class TestStratum:
 
 class TestHasse:
     def test_dot(self, capsys):
-        code, out = run(capsys, "hasse", "--r", "2", "--n", "2", "--dot")
+        code, out = run(capsys, "hasse", "--r", "2", "--n", "2")
         assert code == 0
         assert out.count("->") == 24
+
+    def test_dot_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["hasse", "--r", "2", "--n", "2", "--dot"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --dot" in capsys.readouterr().err
 
 
 class TestAct:
@@ -383,7 +389,7 @@ class TestErrors:
         assert str(err.value) == "error: need r >= 2 and n >= 0, got r=2, n=-1"
         for argv, pair in (
             (["chains", "--r", "1", "--n", "2"], "r=1, n=2"),
-            (["hasse", "--r", "2", "--n", "-1", "--dot"], "r=2, n=-1"),
+            (["hasse", "--r", "2", "--n", "-1"], "r=2, n=-1"),
         ):
             with pytest.raises(SystemExit) as err:
                 main(argv)
@@ -399,9 +405,11 @@ class TestErrors:
 class TestSharedOptions:
     SUBCOMMANDS = {
         "chains": ["chains", "--r", "2"],
-        "hasse": ["hasse", "--r", "2", "--dot"],
+        "hasse": ["hasse", "--r", "2"],
         "verify": ["verify", "--r", "2", "--suite", "nonempty"],
     }
+    # Each subcommand's options after the shared --r and --n, in help order.
+    OWN_OPTIONS = {"chains": ["--dim", "--table"], "hasse": [], "verify": ["--suite", "--max-group-order"]}
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
     def test_missing_n_is_named(self, capsys, command):
@@ -416,8 +424,7 @@ class TestSharedOptions:
             main([command, "-h"])
         assert err.value.code == 0
         options = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.MULTILINE)
-        assert options[:2] == ["--r", "--n"]
-        assert len(options) > 2
+        assert options == ["--r", "--n", *self.OWN_OPTIONS[command]]
 
 
 # Small arbitrary JSON: integers, short strings, null, and lists and objects

@@ -26,7 +26,7 @@ from pinwheel import (
     refines,
 )
 from pinwheel import cosets, group
-from pinwheel.cosets import _act_on_coset_key, _coset_chain_key, _coset_words, coset_size
+from pinwheel.cosets import _act_on_coset_key, _coset_chain_key, _coset_words
 
 from conftest import KEY_RN, genperms, random_genperm
 
@@ -178,8 +178,13 @@ class TestCanonicalization:
 class TestCosetSizes:
     @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_cardinality_formula(self, r, n):
+        # S(r, m) for the reflection factor, S_m for each symmetric one.
         for c in enumerate_chains(r, n):
-            assert len(coset_elements(chain_to_coset(c))) == coset_size(c)
+            orders = [
+                math.factorial(f.size) * (r**f.size if f.kind == "reflection" else 1)
+                for f in coset_block_decomposition(c)
+            ]
+            assert len(coset_elements(chain_to_coset(c))) == math.prod(orders)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_one_dimensional_cosets(self, r):

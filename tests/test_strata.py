@@ -18,7 +18,6 @@ from pinwheel import (
     make_chain,
     multiply,
     refines,
-    stratum_product_factors,
     stratum_to_chain,
 )
 from pinwheel.strata import _act_on_spoke, _stratum_chain_key, spoke_contractions
@@ -151,27 +150,21 @@ class TestInclusion:
 
 
 class TestProductFactors:
+    """A stratum's factor sizes: its central orbits, then each spoke component."""
+
+    @staticmethod
+    def sizes(s):
+        return len(s.central_orbits()), [len(comp) for comp in s.spoke]
+
     def test_worked_example(self):
-        factors = stratum_product_factors(EXAMPLE)
-        assert [(f.kind, f.block, f.size) for f in factors] == [
-            ("pinwheel", 0, 1),
-            ("losev-manin", 1, 1),
-            ("losev-manin", 2, 2),
-        ]
+        assert self.sizes(chain_to_stratum(EXAMPLE)) == (1, [1, 2])
 
     def test_length_zero_chain(self):
-        factors = stratum_product_factors(Chain(3, 2, (), ()))
-        assert [(f.kind, f.size) for f in factors] == [("pinwheel", 2)]
+        assert self.sizes(chain_to_stratum(Chain(3, 2, (), ()))) == (2, [])
 
     def test_maximal_chain(self):
         c = stratum_to_chain(base_stratum(2, 3))
-        factors = stratum_product_factors(c)
-        assert [(f.kind, f.size) for f in factors] == [
-            ("pinwheel", 0),
-            ("losev-manin", 1),
-            ("losev-manin", 1),
-            ("losev-manin", 1),
-        ]
+        assert self.sizes(chain_to_stratum(c)) == (0, [1, 1, 1])
 
 
 class TestZeroDimAction:

@@ -13,6 +13,7 @@ from pinwheel import (
     YPoint,
     chain_to_coset,
     chain_to_stratum,
+    contract_spoke_edges,
     enumerate_chains,
     generator,
     group_order,
@@ -263,14 +264,14 @@ BROKEN_EQUIVARIANCE_ROUTES = {
 # Route name in `pinwheel.verify`, with a "-<case>" suffix when one route has
 # two cases -> (corruption of its result for one argument tuple at (2, 2), the
 # violation the products suite must then report).  TARGET has a block-0 and a
-# block-1 factor in each family.
+# block-1 factor in each family; MAXIMAL has two spoke components.
 BROKEN_PRODUCT_ROUTES = {
-    "stratum_product_factors-drop-block-0": (
-        lambda args, fs: fs[1:] if args == (TARGET,) else fs,
+    "chain_to_stratum-merge": (
+        lambda args, s: contract_spoke_edges(s, [1]) if args == (MAXIMAL,) else s,
         r"factor lists disagree",
     ),
-    "stratum_product_factors-resize": (
-        lambda args, fs: (replace(fs[0], size=fs[0].size + 1), *fs[1:]) if args == (TARGET,) else fs,
+    "chain_to_stratum-drop": (
+        lambda args, s: contract_spoke_edges(s, [1]) if args == (TARGET,) else s,
         r"factor lists disagree",
     ),
     "coset_block_decomposition": (
@@ -281,8 +282,8 @@ BROKEN_PRODUCT_ROUTES = {
         lambda args, fs: fs[:-1] if args == (TARGET,) else fs,
         r"factor lists disagree",
     ),
-    "coset_size": (
-        lambda args, size: size + 1 if args == (TARGET,) else size,
+    "coset_block_decomposition-kind": (
+        lambda args, fs: (replace(fs[0], kind="symmetric"), *fs[1:]) if args == (TARGET,) else fs,
         r"coset cardinality",
     ),
     "_coset_words": (
