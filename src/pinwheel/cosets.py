@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .chains import Chain
 from .cyclo import _check_indices, _check_same_space, _of_fields
-from .group import GenPerm, _product, enumerate_group, generate_subgroup
+from .group import GenPerm, _product, generate_subgroup
 
 __all__ = [
     "TCosetHandle",
@@ -135,59 +135,59 @@ def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
 class CosetFactor:
     """One block of the block-diagonal decomposition of a coset.
 
-    `kind` is "reflection" for the top block (a full S(r, size)) and
-    "symmetric" for the lower blocks (a symmetric group translated by a
-    fixed diagonal of exponents).  `block` is 0 for the top block, else the
-    1-based index of the chain set that produced it.
+    `kind` is "reflection" for the top block, a full S(r, size) whose `exps`
+    are None as they vary, and "symmetric" for the lower blocks, symmetric
+    groups whose `columns` keep the fixed `exps`.  `block` is 0 for the top
+    block, else the 1-based index of the chain set that produced it.  The
+    blocks take rows 1, 2, ... in list order.
     """
 
     kind: str
     block: int
-    rows: tuple[int, ...]
     columns: tuple[int, ...]
     size: int
-    translation: GenPerm | None
+    exps: tuple[int, ...] | None
 
 
 def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:
     """Factors of the coset, top row block first, then lower blocks downward."""
-    dec = c.decoration_map()
-    factors = []
-    row_hi = 0
-    for block, cols in [(0, c.complement()), *reversed(list(enumerate(c.segments(), start=1)))]:
-        m = len(cols)
-        rows = tuple(range(row_hi + 1, row_hi + 1 + m))
-        row_hi += m
-        if block == 0:
-            factors.append(CosetFactor("reflection", 0, rows, cols, m, None))
-        else:
-            exps = tuple([-dec[col] % c.r for col in cols])
-            translation = _of_fields(GenPerm, c.r, m, tuple(range(1, m + 1)), exps)
-            factors.append(CosetFactor("symmetric", block, rows, cols, m, translation))
+    dec, tail = c.decoration_map(), c.complement()
+    factors = [CosetFactor("reflection", 0, tail, len(tail), None)]
+    for block, cols in reversed(list(enumerate(c.segments(), start=1))):
+        exps = tuple([-dec[col] % c.r for col in cols])
+        factors.append(CosetFactor("symmetric", block, cols, len(cols), exps))
     return tuple(factors)
+
+
+def _block_product_words(
+    c: Chain, factors: tuple[CosetFactor, ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (row_of_col, exp_of_col) words of the product of c's coset blocks, with no group product.
+
+    Each block offers every order of its rows, and every exponent word (reflection)
+    or its `exps`; row and exponent words are placed in the columns, then paired.
+    """
+
+    def placed(local_words: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        word = [0] * c.n
+        for f, local in zip(factors, local_words):
+            for col, x in zip(f.columns, local):
+                word[col - 1] = x
+        return tuple(word)
+
+    orders, exps, low = [], [], 0
+    for f in factors:
+        orders.append(itertools.permutations(range(low + 1, low + f.size + 1)))
+        exps.append(itertools.product(range(c.r), repeat=f.size) if f.kind == "reflection" else [f.exps])
+        low += f.size
+    rows = [placed(p) for p in itertools.product(*orders)]
+    return list(itertools.product(rows, [placed(p) for p in itertools.product(*exps)]))
 
 
 def block_product_elements(c: Chain) -> frozenset[GenPerm]:
     """Reassemble the coset from its factors through the block embedding."""
-    factors = coset_block_decomposition(c)
-    # Each factor offers (row word, exponent word) pairs; no coset product is taken.
-    choices = []
-    for f in factors:
-        if f.kind == "reflection":
-            choices.append([(g.row_of_col, g.exp_of_col) for g in enumerate_group(c.r, f.size)])
-        else:
-            exps = f.translation.exp_of_col
-            choices.append([(rows, exps) for rows in itertools.permutations(range(1, f.size + 1))])
-    out = set()
-    for picks in itertools.product(*choices):
-        rows = [0] * c.n
-        exps = [0] * c.n
-        for f, (local_rows, local_exps) in zip(factors, picks):
-            for col, row, e in zip(f.columns, local_rows, local_exps):
-                rows[col - 1] = f.rows[0] - 1 + row
-                exps[col - 1] = e
-        out.add(_of_fields(GenPerm, c.r, c.n, tuple(rows), tuple(exps)))
-    return frozenset(out)
+    words = _block_product_words(c, coset_block_decomposition(c))
+    return frozenset([_of_fields(GenPerm, c.r, c.n, *word) for word in words])
 
 
 def _act_on_coset_key(h: TCosetHandle, b: GenPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:

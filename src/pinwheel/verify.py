@@ -24,19 +24,19 @@ compared, so no relation is held whole.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .chains import Chain, _act_on_chain_key, _coarsening_keys, chain_dimension, enumerate_chains
 from .cosets import (
     _act_on_coset_key,
+    _block_product_words,
     _coset_chain_key,
     _coset_words,
     chain_to_coset,
     coset_block_decomposition,
 )
-from .cyclo import YPoint, _check_nonnegative, _check_rn, _of_fields
+from .cyclo import _check_nonnegative, _check_rn, _of_fields
 from .faces import (
     DecoratedSubset,
     _face_coords,
@@ -91,22 +91,22 @@ class Report:
         return asdict(self)
 
 
-def _start(suite: str, r: int, n: int, max_group_order: int) -> tuple[tuple[Chain, ...], Report]:
-    """Every suite's prologue: the cap (from arithmetic alone), the chains, and an empty report."""
-    cap, (r_int, n_int) = _check_nonnegative("max_group_order", max_group_order), _check_rn(r, n)
+def _start(suite: str, r: int, n: int, max_group_order: int) -> tuple[int, int, tuple[Chain, ...], Report]:
+    """Every suite's prologue: r and n as ints, the cap (by arithmetic alone), the chains, a report."""
+    cap, (r, n) = _check_nonnegative("max_group_order", max_group_order), _check_rn(r, n)
     # r^n * n! as the product of r * k over k = 1..n, stopped once past the
     # cap (about log2(cap) steps); a stop before k = n gives a lower bound.
     order = k = 1
-    while order <= cap and k <= n_int:
-        order, k = order * r_int * k, k + 1
+    while order <= cap and k <= n:
+        order, k = order * r * k, k + 1
     if order > cap:
-        bound = order if k > n_int else f"at least {order}"
+        bound = order if k > n else f"at least {order}"
         raise CapExceeded(f"group order {bound} for (r={r}, n={n}) exceeds max_group_order={cap}")
     chains = enumerate_chains(r, n)
     counts = [0] * (n + 1)
     for c in chains:
         counts[chain_dimension(c)] += 1
-    return chains, Report(suite, r, n, counts)
+    return r, n, chains, Report(suite, r, n, counts)
 
 
 def _numbered(items, ids: dict) -> frozenset[int]:
@@ -137,15 +137,15 @@ def _holding_all(ids: frozenset[int], holders: list[set[int]]) -> set[int]:
 
 
 def verify_threeway(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
-    """Roundtrips, dimension agreement, and the four-way inclusion equivalence."""
-    chains, report = _start("threeway", r, n, max_group_order)
+    """Roundtrips, dimensions, each vertex against its face, the census, and the four-way inclusions."""
+    r, n, chains, report = _start("threeway", r, n, max_group_order)
     fail = report.violations.append
     # Roundtrips compare (sets, decoration) keys, coarsenings and contractions
     # are looked up by their keys, and coset elements and face vertices are
     # numbered as (rows, exps) words and coordinate tuples, so no GenPerm,
     # YPoint, Chain or PinwheelStratum is built just to be compared.
     strata, elements, vertices, element_ids, vertex_ids = [], [], [], {}, {}
-    seen_vertices: dict[YPoint, Chain] = {}
+    census: set[int] = set()  # the vertex ids of the maximal chains
     for c in chains:
         key = (c.sets, c.decoration)
         h = chain_to_coset(c)
@@ -162,16 +162,16 @@ def verify_threeway(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> 
         }
         if len(set(dims.values())) != 1:
             fail(f"dimension mismatch {dims} on {c.to_json()}")
+        face = _face_coords(c)
+        vertices.append(_numbered(face, vertex_ids))
         if c.length == n:
-            v = vertex_of_maximal_chain(c)
-            if v in seen_vertices:
-                fail(f"vertex collision between {seen_vertices[v].to_json()} and {c.to_json()}")
-            seen_vertices[v] = c
+            if face != [vertex_of_maximal_chain(c).coords]:
+                fail(f"vertex is not the one point of its face on {c.to_json()}")
+            census |= vertices[-1]
         strata.append(s)
         elements.append(_numbered(_coset_words(h), element_ids))
-        vertices.append(_numbered(_face_coords(c), vertex_ids))
-    if len(seen_vertices) != group_order(r, n):
-        fail(f"vertex census {len(seen_vertices)} != {group_order(r, n)}")
+    if len(census) != group_order(r, n):
+        fail(f"vertex census {len(census)} != {group_order(r, n)}")
 
     # Chain i lies in chain j four ways: j is a coarsening of i, j's coset
     # holds i's elements, j's face holds i's vertices, and j's stratum is a
@@ -208,7 +208,7 @@ def verify_threeway(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> 
 
 def verify_equivariance(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
     """Group action compatibility across chains, cosets, faces and strata."""
-    chains, report = _start("equivariance", r, n, max_group_order)
+    r, n, chains, report = _start("equivariance", r, n, max_group_order)
     fail = report.violations.append
     group = enumerate_group(r, n)
 
@@ -250,13 +250,13 @@ def verify_equivariance(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
 
 
 def verify_products(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
-    """Factor lists agree across the three families and match the coset cardinalities.
+    """Factor lists agree across the three families, and each coset is the product of its blocks.
 
     Each list is read where it lives: the stratum's central orbits (block 0) and
-    spoke components, `coset_block_decomposition` (whose r^m * m! and m! factor
-    orders multiply to the coset's size), and `face_product_decomposition`.
+    spoke components, `coset_block_decomposition`, and `face_product_decomposition`.
+    The coset's own words must be those of its blocks' product (`_block_product_words`).
     """
-    chains, report = _start("products", r, n, max_group_order)
+    r, n, chains, report = _start("products", r, n, max_group_order)
     fail = report.violations.append
 
     for c in chains:
@@ -270,15 +270,14 @@ def verify_products(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> 
                 f"factor lists disagree on {c.to_json()}: "
                 f"strata {stratum_sizes}, cosets {coset_sizes}, faces {face_sizes}"
             )
-        orders = [(r**f.size if f.kind == "reflection" else 1) * math.factorial(f.size) for f in blocks]
-        if len(set(_coset_words(chain_to_coset(c)))) != math.prod(orders):
-            fail(f"coset cardinality does not match factor arithmetic on {c.to_json()}")
+        if set(_block_product_words(c, blocks)) != set(_coset_words(chain_to_coset(c))):
+            fail(f"coset is not the product of its blocks on {c.to_json()}")
     return report
 
 
 def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
     """Nesting-sortability against the exhaustive vertex scan, on vertex stars."""
-    chains, report = _start("nonempty", r, n, max_group_order)
+    r, n, chains, report = _start("nonempty", r, n, max_group_order)
     fail = report.violations.append
 
     subsets: list[DecoratedSubset] = []

@@ -36,7 +36,7 @@ from conftest import random_ypoints
 
 THREEWAY_ENVELOPE = [
     (r, n) for r in (2, 3, 4) for n in range(4)
-] + [(2, 4), (3, 4)]
+] + [(2, 4), (3, 4), (5, 3), (6, 3)]
 
 SMALL_ENVELOPE = [(r, n) for r in (2, 3) for n in range(4)]
 
@@ -59,7 +59,8 @@ print(json.dumps({"ok": report.ok, "violations": report.violations[:3], "maxrss_
 
 # Scale points of the nonempty suite, whose cost is the vertex scan; criterion
 # 06 runs them with the group-order cap raised to |S(4, 4)| = 6144 explicitly.
-NONEMPTY_SCALE = [(4, 3), (2, 4), (3, 4), (2, 5), (4, 4)]
+# r = 5 brings a cyclotomic field of degree 4, and r = 6 the first composite r.
+NONEMPTY_SCALE = [(4, 3), (2, 4), (3, 4), (2, 5), (4, 4), (5, 3), (6, 3)]
 NONEMPTY_SCALE_CONFIG = 6144
 
 
@@ -169,7 +170,8 @@ def test_criterion_07_membership_route_equivalence():
 
 def test_criterion_08_equivariance_suite():
     with criterion(8, "equivariance suite", limit=120.0):
-        for r, n in SMALL_ENVELOPE + [(2, 4)]:
+        # r = 5 and 6 join here, not in SMALL_ENVELOPE, which criterion 07 also runs.
+        for r, n in SMALL_ENVELOPE + [(2, 4), (5, 2), (6, 2)]:
             report = verify_equivariance(r, n)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
         # the worked action example: staircase vertex through the sample matrix

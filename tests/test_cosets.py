@@ -244,7 +244,7 @@ class TestBlockDecomposition:
         factors = coset_block_decomposition(EXAMPLE)
         gap = factors[1]
         assert gap.columns == (2, 4)
-        assert gap.translation.exp_of_col == ((-1) % 3, (-2) % 3)
+        assert gap.exps == ((-1) % 3, (-2) % 3)
 
     def test_length_zero_chain_is_single_reflection_factor(self):
         factors = coset_block_decomposition(Chain(3, 2, (), ()))

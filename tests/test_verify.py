@@ -26,7 +26,7 @@ from pinwheel import (
     verify_products,
     verify_threeway,
 )
-from pinwheel import faces, verify
+from pinwheel import cyclo, faces, verify
 
 from conftest import count_builds
 
@@ -64,7 +64,13 @@ BROKEN_ROUTES = {
     ),
     "vertex_of_maximal_chain": (
         lambda c, v: vertex_of_maximal_chain(OTHER_MAXIMAL) if c == MAXIMAL else v,
-        r"vertex (census|collision)",
+        r"vertex is not the one point of its face",
+    ),
+    # Every vertex rotated by one place: the vertex set is closed under
+    # coordinate permutations, so only the comparison with the face sees it.
+    "vertex_of_maximal_chain-rotated": (
+        lambda c, v: replace(v, coords=v.coords[1:] + v.coords[:1]),
+        r"vertex is not the one point of its face",
     ),
     "_coset_words": (
         lambda h, words: sorted(words)[1:] if h == chain_to_coset(TARGET) else words,
@@ -264,7 +270,9 @@ BROKEN_EQUIVARIANCE_ROUTES = {
 # Route name in `pinwheel.verify`, with a "-<case>" suffix when one route has
 # two cases -> (corruption of its result for one argument tuple at (2, 2), the
 # violation the products suite must then report).  TARGET has a block-0 and a
-# block-1 factor in each family; MAXIMAL has two spoke components.
+# block-1 factor in each family; MAXIMAL has two spoke components.  The "-kind"
+# case makes TARGET's reflection block symmetric with exponents 0, which the
+# block product then reads too.
 BROKEN_PRODUCT_ROUTES = {
     "chain_to_stratum-merge": (
         lambda args, s: contract_spoke_edges(s, [1]) if args == (MAXIMAL,) else s,
@@ -283,12 +291,14 @@ BROKEN_PRODUCT_ROUTES = {
         r"factor lists disagree",
     ),
     "coset_block_decomposition-kind": (
-        lambda args, fs: (replace(fs[0], kind="symmetric"), *fs[1:]) if args == (TARGET,) else fs,
-        r"coset cardinality",
+        lambda args, fs: (replace(fs[0], kind="symmetric", exps=(0,) * fs[0].size), *fs[1:])
+        if args == (TARGET,)
+        else fs,
+        r"coset is not the product of its blocks",
     ),
     "_coset_words": (
         lambda args, words: sorted(words)[1:] if args == (chain_to_coset(TARGET),) else words,
-        r"coset cardinality",
+        r"coset is not the product of its blocks",
     ),
 }
 
@@ -422,6 +432,15 @@ class TestProducts:
         report = verify_products(2, 2)
         assert any(re.search(violation, v) for v in report.violations), report.violations
 
+    def test_reversed_segments_are_reported(self, monkeypatch):
+        # A fault every chain-side decomposition shares: the stratum's, the
+        # coset's and the face's factor lists still agree, but the coset's
+        # blocks land on the wrong columns, so their product is another set.
+        real = Chain.segments
+        monkeypatch.setattr(Chain, "segments", lambda c: real(c)[::-1])
+        report = verify_products(2, 2)
+        assert any(re.search("coset is not the product of its blocks", v) for v in report.violations)
+
 
 class TestNonemptiness:
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 1)])
@@ -490,6 +509,18 @@ class TestNonemptiness:
         report = verify_nonemptiness(2, 2)
         assert any(re.search(violation, v) for v in report.violations), report.violations
 
+    def test_a_kernel_that_skips_a_coefficient_is_reported_at_r6(self, monkeypatch):
+        # The kernel tests coeffs[2:] for coeffs[1:], so a sum whose zeta
+        # coefficient is nonzero can pass.  That moves no vertex onto another
+        # hyperplane at (3,3), (4,3), (5,2) or (5,3); at (6,2) it does.
+        def kernel(r, coords, terms, target):
+            coeffs = cyclo._hyperplane_coeffs(r, coords, terms)
+            return coeffs[0] == target and not any(coeffs[2:])
+
+        monkeypatch.setattr(faces, "_on_hyperplane_coords", kernel)
+        report = verify_nonemptiness(6, 2)
+        assert any(re.search("sortability and vertex scan disagree", v) for v in report.violations)
+
 
 class TestReports:
     def test_json_schema(self):
@@ -508,6 +539,24 @@ class TestReports:
         for suite in verify.SUITES.values():
             with pytest.raises(CapExceeded, match=refusal):
                 suite(4, 4)
+
+    def test_every_suite_reports_r_and_n_as_ints(self):
+        # A bool is taken as the int it is; the report holds that int.
+        for suite in verify.SUITES.values():
+            data = suite(2, True).to_json()
+            assert (data["r"], data["n"]) == (2, 1)
+            assert type(data["n"]) is int
+
+    def test_every_suite_takes_r_and_n_by_index(self):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        for suite in verify.SUITES.values():
+            assert suite(Index(2), Index(2)).to_json() == suite(2, 2).to_json()
 
     def test_suites_run_in_order(self):
         reports = [suite(2, 2) for suite in verify.SUITES.values()]
