@@ -11,10 +11,10 @@ import json
 import sys
 from typing import Callable, Sequence
 
-from .chains import Chain, chain_dimension, enumerate_chains
+from .chains import Chain, act_on_chain, chain_dimension, enumerate_chains
 from .cosets import chain_to_coset, coset_elements
 from .cyclo import YPoint, _check_nonnegative
-from .faces import DeltaFace, act_on_face, face_product_decomposition, hasse_dot
+from .faces import DeltaFace, face_product_decomposition, hasse_dot
 from .group import GenPerm, act_on_tuple
 from .strata import chain_to_stratum, dual_graph_dot
 from .verify import _MAX_GROUP_ORDER, SUITES, CapExceeded
@@ -111,7 +111,7 @@ def _cmd_act(args) -> int:
     matrix = _load(args.matrix, "matrix", GenPerm.from_json)
     if args.chain:
         chain = _load(args.chain, "chain", Chain.from_json)
-        _emit(act_on_face(chain, matrix).to_json())
+        _emit(act_on_chain(chain, matrix).to_json())
     else:
         moved = _load(
             args.vertex, "vertex", lambda data: act_on_tuple(YPoint.from_json(data, matrix.r), matrix)

@@ -8,9 +8,9 @@ Hyperplane evaluation has one private per-pair kernel, `_hyperplane_coeffs`:
 it sums magnitudes per power of zeta and combines the sums through a per-r
 table of the reduced powers zeta^k, whose coefficients are integers.  The
 public `hyperplane_eval` and `on_hyperplane` gate their arguments on every
-call and wrap it; the face layer's vertex scan gates each hyperplane once
-and calls `_on_hyperplane_coords` per vertex.  `hyperplane_eval` returns a
-`CycloNum` whose one use is to say whether the sum is rational.
+call and wrap it; `verify --suite nonempty` builds each hyperplane's terms
+once and calls `_on_hyperplane_coords` per vertex.  `hyperplane_eval`
+returns a `CycloNum` whose one use is to say whether the sum is rational.
 All types are immutable and all functions are pure.  Constructors check
 outside input; `_of_fields` builds every value any module computes, unchecked.
 """

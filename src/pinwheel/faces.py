@@ -11,11 +11,10 @@ tuples, which every verify suite numbers as they are, and
 `chain_to_face_vertices` wraps each in a `YPoint`.  `DeltaFace.to_json`
 reads `_face_coords` too, so it builds no point.  `act_on_face` is the chain
 action: the face of c moves onto the face of c·a, and `verify --suite
-equivariance` checks that the vertex sets follow.  `hyperplane_vertex_ids`
-gates each hyperplane once and then evaluates every vertex through the
-cyclotomic layer's per-pair kernel, `_on_hyperplane_coords`, so no argument
-is rechecked per vertex.  All tests here are exact rational or cyclotomic
-comparisons.
+equivariance` checks that the vertex sets follow.  `_hyperplanes_chain_key`
+nests hyperplanes named by their (elements, exps) keys, so `verify --suite
+nonempty` assembles a family with no `DecoratedSubset` built.  All tests
+here are exact rational or cyclotomic comparisons.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Sequence
 
 from .chains import Chain, act_on_chain, enumerate_chains
 from .cyclo import YPoint, _check_exact, _check_indices, _check_rn, _check_same_space, _of_fields
-from .cyclo import _coords_json, _on_hyperplane_coords, delta
+from .cyclo import _coords_json, delta
 from .group import GenPerm
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "face_membership_product_form",
     "shifted_permutohedron_contains",
     "hyperplanes_to_chain",
-    "hyperplane_vertex_ids",
     "face_dimension_bruteforce",
     "FaceFactor",
     "face_product_decomposition",
@@ -245,29 +243,31 @@ def face_membership_product_form(x: YPoint, c: Chain) -> bool:
     return True
 
 
-def _hyperplanes_chain_key(r: int, subsets: Sequence[DecoratedSubset]) -> tuple[tuple, tuple] | None:
+def _hyperplanes_chain_key(
+    r: int, subsets: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> tuple[tuple, tuple] | None:
     """The canonical (sets, decoration) of the chain the subsets nest into, or None.
 
-    Distinct sets nest only if their sizes differ, so the subsets are ordered
-    by size alone and an equal size means None.  Both parts equal the fields
-    of the `Chain` that `hyperplanes_to_chain` builds from them, so they
-    serve as lookup keys without building one.
+    Each subset is the (elements, exps) fields of a `DecoratedSubset`, its
+    elements sorted.  Distinct sets nest only if their sizes differ, so the
+    subsets are ordered by size alone and an equal size means None.  Both
+    parts equal the fields of the `Chain` that `hyperplanes_to_chain` builds
+    from them, so they serve as lookup keys without building one.
     """
-    by_size = {len(s.elements): s for s in subsets}
+    by_size = {len(elements): (elements, exps) for elements, exps in subsets}
     if len(by_size) != len(subsets):
         return None
     ordered = [by_size[size] for size in sorted(by_size)]
-    for prev, cur in zip(ordered, ordered[1:]):
-        if not set(cur.elements).issuperset(prev.elements):
+    for (prev, _), (cur, _) in zip(ordered, ordered[1:]):
+        if not set(cur).issuperset(prev):
             return None
     if not ordered:
         return (), ()
-    top = ordered[-1]
-    dec = {i: e % r for i, e in zip(top.elements, top.exps)}
-    for s in ordered[:-1]:
-        if any(dec[i] != e % r for i, e in zip(s.elements, s.exps)):
+    dec = {i: e % r for i, e in zip(*ordered[-1])}
+    for elements, exps in ordered[:-1]:
+        if any(dec[i] != e % r for i, e in zip(elements, exps)):
             return None
-    return tuple([s.elements for s in ordered]), tuple(dec.items())
+    return tuple([elements for elements, _ in ordered]), tuple(dec.items())
 
 
 def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> Chain | None:
@@ -285,26 +285,8 @@ def hyperplanes_to_chain(r: int, n: int, subsets: Sequence[DecoratedSubset]) -> 
         if len({(s.elements, tuple([e % r for e in s.exps])) for s in subsets}) != len(subsets):
             raise ValueError("duplicate decorated subsets")
         return None
-    key = _hyperplanes_chain_key(r, subsets)
+    key = _hyperplanes_chain_key(r, [(s.elements, s.exps) for s in subsets])
     return None if key is None else _of_fields(Chain, r, n, *key)
-
-
-def hyperplane_vertex_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:
-    """Positions, within `enumerate_vertices(r, n)`, of the vertices on s's hyperplane.
-
-    Exhaustive scan with exact cyclotomic evaluation; independent of the
-    combinatorial nesting test.  The gate runs once per hyperplane: s's
-    elements are checked against 1..n and its terms and bound built once,
-    then every vertex takes one full evaluation by `_on_hyperplane_coords`.
-    """
-    r, n = _check_rn(r, n)
-    # Terms come from s's own fields, which keep each element with its exponent.
-    _check_indices(s.elements, 1, n, "element")
-    terms = tuple(zip([i - 1 for i in s.elements], s.exps))
-    target = delta(n, len(terms))
-    return frozenset(
-        i for i, v in enumerate(enumerate_vertices(r, n)) if _on_hyperplane_coords(r, v.coords, terms, target)
-    )
 
 
 def _affine_rank(vectors: Sequence[tuple[int, ...]]) -> int:

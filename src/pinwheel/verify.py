@@ -8,10 +8,11 @@ instance above it with `CapExceeded` before it enumerates anything, in
 bounded time for any (r, n).
 
 All four suites find a chain's data by its position in `enumerate_chains`
-or by its canonical (sets, decoration) key; the nonempty suite, too, looks
-each assembled family up by its key.  A suite builds a library object only
-as a route's output that it compares, never just to look something up,
-and builds it by `_of_fields`, since its fields are computed and canonical.
+or by its canonical (sets, decoration) key; the nonempty suite, too, names
+each hyperplane by its (elements, exps) key and looks each assembled family
+up by its chain key.  A suite builds a library object only as a route's
+output that it compares, never just to look something up, and builds it by
+`_of_fields`, since its fields are computed and canonical.
 Each key builder is the one its object builder wraps, so a key equals the
 fields of the object it stands for.  One numbering rule holds in every
 suite: a vertex is numbered by its coordinate tuple and a coset element by
@@ -36,16 +37,14 @@ from .cosets import (
     chain_to_coset,
     coset_block_decomposition,
 )
-from .cyclo import _check_nonnegative, _check_rn, _of_fields
+from .cyclo import _check_nonnegative, _check_rn, _of_fields, _on_hyperplane_coords, delta
 from .faces import (
-    DecoratedSubset,
     _face_coords,
     _hyperplanes_chain_key,
     chain_layers,
     enumerate_vertices,
     face_dimension_bruteforce,
     face_product_decomposition,
-    hyperplane_vertex_ids,
     vertex_of_maximal_chain,
 )
 from .group import GenPerm, _act_on_coords, _product, enumerate_group, group_order
@@ -280,21 +279,27 @@ def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
     r, n, chains, report = _start("nonempty", r, n, max_group_order)
     fail = report.violations.append
 
-    subsets: list[DecoratedSubset] = []
-    position: dict[tuple, int] = {}
+    # Each hyperplane is named by its (elements, exps) key.  Its terms and
+    # bound are built once, and then every vertex takes one full evaluation
+    # by the per-pair kernel; no argument is rechecked per pair.
+    vertices = enumerate_vertices(r, n)
+    coords = [v.coords for v in vertices]
+    hyperplanes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    on_ids: list[frozenset[int]] = []
     for size in range(1, n + 1):
+        target = delta(n, size)
         for elems in itertools.combinations(range(1, n + 1), size):
             for exps in itertools.product(range(r), repeat=size):
-                position[elems, exps] = len(subsets)
-                subsets.append(_of_fields(DecoratedSubset, elems, exps))
-
-    vertices = enumerate_vertices(r, n)
-    on_ids = [hyperplane_vertex_ids(r, n, s) for s in subsets]
-    vertex_ids = {v.coords: i for i, v in enumerate(vertices)}
+                terms = tuple(zip([i - 1 for i in elems], exps))
+                hyperplanes.append((elems, exps))
+                on = [v for v, x in enumerate(coords) if _on_hyperplane_coords(r, x, terms, target)]
+                on_ids.append(frozenset(on))
+    position = {key: i for i, key in enumerate(hyperplanes)}
+    vertex_ids = {x: i for i, x in enumerate(coords)}
     face_ids = {(c.sets, c.decoration): _numbered(_face_coords(c), vertex_ids) for c in chains}
 
     def named(family: tuple[int, ...]) -> list[dict[int, int]]:
-        return [subsets[i].mapping() for i in family]
+        return [dict(zip(*hyperplanes[i])) for i in family]
 
     # Scan side: a family meets exactly when it lies in some vertex's star,
     # the hyperplanes the scan puts that vertex on; a star lists them in
@@ -318,7 +323,7 @@ def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
         on_ids = [ids - crowded for ids in on_ids]
         face_ids = {key: ids - crowded for key, ids in face_ids.items()}
     for family in sorted(meeting, key=lambda f: (len(f), f)):
-        key = _hyperplanes_chain_key(r, [subsets[i] for i in family])
+        key = _hyperplanes_chain_key(r, [hyperplanes[i] for i in family])
         if key is None:
             fail(f"sortability and vertex scan disagree on {named(family)}")
         elif key not in face_ids:
@@ -334,8 +339,8 @@ def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
     }
     nesting.update(
         pair
-        for pair in itertools.combinations(range(len(subsets)), 2)
-        if _hyperplanes_chain_key(r, [subsets[i] for i in pair]) is not None
+        for pair in itertools.combinations(range(len(hyperplanes)), 2)
+        if _hyperplanes_chain_key(r, [hyperplanes[i] for i in pair]) is not None
     )
     for family in sorted(nesting - meeting, key=lambda f: (len(f), f)):
         fail(f"sortability and vertex scan disagree on {named(family)}")

@@ -63,6 +63,8 @@ STDOUT_SHA256 = {
     "act --matrix MATRIX_R2N3 --chain EMPTY_CHAIN": "6d79c84361adc0bcc646a07bff72acacd17d92127a88248a093e736f45b5c13f",
     "verify --r 2 --n 2 --suite all": "3ca91032a02de9a98d6f9daca59600d6ce9192c921cf6c81fa1e8b3196a1970d",
     "verify --suite equivariance --r 2 --n 3": "aa122fa62f620027824eb516b897d78037d207e2f4454bbd733a39b2a5eb3260",
+    "verify --r 2 --n 3 --suite all": "d7af48dd0dcdcaba7f8e9984a78a60f60b11aa7fb51d49dd26466f3c9d4f8903",
+    "verify --r 3 --n 3 --suite all": "badea590fdcfd5f9332c06fbd454e6d4b899d712c1def31125a25c5d4b6ff6fe",
 }
 
 

@@ -27,11 +27,11 @@ from pinwheel import (
     face_product_decomposition,
     group_order,
     hasse_dot,
-    hyperplane_vertex_ids,
     hyperplanes_to_chain,
     identity,
     make_chain,
     maximal_refinements,
+    on_hyperplane,
     point_in_complex,
     shifted_permutohedron_contains,
     verify_nonemptiness,
@@ -366,11 +366,26 @@ def hyperplane_families(r: int, n: int):
         yield from itertools.combinations(subsets, size)
 
 
+def hyperplane_keys(family) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (elements, exps) keys that `_hyperplanes_chain_key` takes, as the nonempty suite names hyperplanes."""
+    return [(s.elements, s.exps) for s in family]
+
+
+def scan_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:
+    """Positions, within `enumerate_vertices(r, n)`, of the vertices on s's hyperplane.
+
+    A per-pair scan through the public, gated `on_hyperplane`, which checks
+    s's elements on every call; independent of the combinatorial nesting test.
+    """
+    decoration = s.mapping()
+    return frozenset(i for i, v in enumerate(enumerate_vertices(r, n)) if on_hyperplane(v, s.elements, decoration))
+
+
 def vertex_meet(r: int, n: int, family) -> frozenset[int]:
     """Positions of the vertices on every hyperplane of the family, by the exhaustive scan."""
     hit = frozenset(range(len(enumerate_vertices(r, n))))
     for s in family:
-        hit &= hyperplane_vertex_ids(r, n, s)
+        hit &= scan_ids(r, n, s)
     return hit
 
 
@@ -379,17 +394,15 @@ class TestHyperplanesChainKey:
     def test_key_is_the_assembled_chains_fields(self, r, n):
         for family in hyperplane_families(r, n):
             chain = hyperplanes_to_chain(r, n, family)
-            key = _hyperplanes_chain_key(r, family)
+            key = _hyperplanes_chain_key(r, hyperplane_keys(family))
             assert key == (None if chain is None else (chain.sets, chain.decoration)), family
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_key_ignores_order_and_exponent_shifts(self, r, n, rng):
         for family in hyperplane_families(r, n):
-            moved = [
-                DecoratedSubset(s.elements, tuple([e + rng.choice((-r, r)) for e in s.exps])) for s in family
-            ]
+            moved = [(s.elements, tuple([e + rng.choice((-r, r)) for e in s.exps])) for s in family]
             rng.shuffle(moved)
-            assert _hyperplanes_chain_key(r, moved) == _hyperplanes_chain_key(r, family), family
+            assert _hyperplanes_chain_key(r, moved) == _hyperplanes_chain_key(r, hyperplane_keys(family)), family
 
     def test_violations_name_families_in_combinations_order(self, monkeypatch):
         # A key builder that assembles nothing makes every family that meets
@@ -423,7 +436,7 @@ class TestNonemptyOracle:
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_every_vertex_lies_on_exactly_n_hyperplanes(self, r, n):
         # The nonempty suite reports a larger vertex star instead of taking its subfamilies.
-        on_ids = [hyperplane_vertex_ids(r, n, s) for s in hyperplane_subsets(r, n)]
+        on_ids = [scan_ids(r, n, s) for s in hyperplane_subsets(r, n)]
         stars = Counter(v for ids in on_ids for v in ids)
         assert sorted(set(stars.values())) == [n] and len(stars) == group_order(r, n)
 
@@ -437,7 +450,7 @@ class TestNonemptyOracle:
         # Every family, walked grouped by all but its last hyperplane, so each
         # prefix's vertex ids are intersected once.
         subsets = hyperplane_subsets(r, n)
-        on_ids = [hyperplane_vertex_ids(r, n, s) for s in subsets]
+        on_ids = [scan_ids(r, n, s) for s in subsets]
         vertex_ids = {v: i for i, v in enumerate(enumerate_vertices(r, n))}
         face_ids = {
             (c.sets, c.decoration): frozenset(vertex_ids[v] for v in chain_to_face_vertices(c))
@@ -452,7 +465,7 @@ class TestNonemptyOracle:
                     head &= on_ids[i]
                 for j in range(prefix[-1] + 1 if prefix else 0, len(subsets)):
                     family = [subsets[i] for i in (*prefix, j)]
-                    key = _hyperplanes_chain_key(r, family)
+                    key = _hyperplanes_chain_key(r, hyperplane_keys(family))
                     hit = head & on_ids[j]
                     assert (key is not None) == bool(hit), family
                     assert key is None or hit == face_ids[key], family

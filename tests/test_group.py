@@ -47,11 +47,20 @@ from pinwheel import (
     stratum_to_chain,
     verify_nonemptiness,
 )
-from pinwheel import faces, verify
+from pinwheel import faces
 from pinwheel.cyclo import _of_fields
 from pinwheel.group import _act_on_coords
 
-from conftest import KEY_RN, SMALL_RN, DenseMatrix, base_stratum, genperms, random_genperm, random_ypoints
+from conftest import (
+    KEY_RN,
+    SMALL_RN,
+    DenseMatrix,
+    base_stratum,
+    count_builds,
+    genperms,
+    random_genperm,
+    random_ypoints,
+)
 
 
 def dense(g: GenPerm) -> DenseMatrix:
@@ -348,13 +357,13 @@ class TestUncheckedWords:
 
     @pytest.mark.parametrize("r,n", [(r, n) for r, n in KEY_RN if group_order(r, n) <= 400])
     def test_nonempty_subset_table(self, r, n, monkeypatch):
-        subsets = []
-        real = verify.hyperplane_vertex_ids
-        monkeypatch.setattr(verify, "hyperplane_vertex_ids", lambda r, n, s: subsets.append(s) or real(r, n, s))
+        # The suite names hyperplanes by their keys, so the only decorated
+        # subsets it builds are the `chain_layers` outputs it compares, one
+        # per set of each chain, and it checks none of them.
+        built = count_builds(monkeypatch, DecoratedSubset)
         assert verify_nonemptiness(r, n).ok
-        for s in subsets:
-            assert_is_the_checked(s)
-        assert len(subsets) == (r + 1) ** n - 1
+        assert built[DecoratedSubset] == sum(c.length for c in enumerate_chains(r, n))
+        assert built[DecoratedSubset, "checked"] == 0
 
     @pytest.mark.parametrize(
         "values",

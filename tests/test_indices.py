@@ -16,7 +16,6 @@ from pinwheel import (
     generate_subgroup,
     generator,
     hyperplane_eval,
-    hyperplane_vertex_ids,
     hyperplanes_to_chain,
     identity,
 )
@@ -31,10 +30,6 @@ def _from_json(cols):
 
 def _hyperplane_eval(elements):
     return hyperplane_eval(YPoint(2, ((1, 0), (1, 0))), elements, {1: 0, 2: 0})
-
-
-def _hyperplane_vertex_ids(elements):
-    return hyperplane_vertex_ids(2, 2, DecoratedSubset(elements, (0,) * len(elements)))
 
 
 def _hyperplanes_to_chain(elements):
@@ -81,10 +76,6 @@ SITES = {
     "hyperplane_eval": (
         _hyperplane_eval,
         (0,), "element 0 out of range 1..2", (2, 2), "repeated element in (2, 2)", (1.0,),
-    ),
-    "hyperplane_vertex_ids": (
-        _hyperplane_vertex_ids,
-        (3,), "element 3 out of range 1..2", (1, 1), "repeated element in (1, 1)", (1.0,),
     ),
     "hyperplanes_to_chain": (
         _hyperplanes_to_chain,

@@ -105,78 +105,70 @@ BROKEN_ROUTES = {
 }
 
 
-# Case -> (module and name of a route the nonempty suite reaches, corruption
-# of its result for one argument tuple, the violation the suite must then
-# report).  MAXIMAL's vertex lies on the hyperplane of the set {1} with
-# decoration 1 -> 0, and the one-set family of that hyperplane is sortable.
-# The suite looks assembled chains up by their canonical keys, so the
-# assembly route is the key builder, whose second argument is the family;
-# an "-out-of-range" key names element 3 at n = 2, and a "-noncanonical"
-# one the exponent e + r, which `Chain` would fold into the same chain.  An
+# Case -> (name of a route in `pinwheel.verify` that the nonempty suite
+# reaches, corruption of its result for one argument tuple, the violation the
+# suite must then report).  MAXIMAL's vertex lies on the hyperplane of the set
+# {1} with decoration 1 -> 0, and the one-set family of that hyperplane is
+# sortable.  The suite names each hyperplane by its (elements, exps) key and
+# looks assembled chains up by their canonical keys, so the assembly route is
+# the key builder, whose second argument is the family of hyperplane keys; an
+# "-out-of-range" key names element 3 at n = 2, and a "-noncanonical" one the
+# exponent e + r, which `Chain` would fold into the same chain.  An
 # "-equal-sizes" key accepts every pair of equal-size subsets, which never
 # meet, so only the suite's pairs check calls the key builder on them.  The
-# "on_hyperplane-add" case puts MAXIMAL's vertex on the hyperplane of {2}
-# with decoration 2 -> 0 as well, and "-drop" takes it off the top layer of
-# MAXIMAL, so that chain's layers no longer meet.  "-empty" takes every
-# vertex off the hyperplane of {1} with decoration 1 -> 0; that one-set
-# family is then named by the suite's chain side alone.  The "on_hyperplane"
-# cases corrupt the per-pair kernel the scan calls, `_on_hyperplane_coords`,
-# whose arguments are (r, coords, terms, target); a term is a 0-based index
-# with its exponent, so {1} with 1 -> 0 is ((0, 0),).
-ON_SET_ONE = DecoratedSubset((1,), (0,))
+# "on_hyperplane-add" case puts MAXIMAL's vertex on the hyperplane of {2} with
+# decoration 2 -> 0 as well, and "-drop" takes it off the top layer of
+# MAXIMAL, so that chain's layers no longer meet.  "-empty" takes every vertex
+# off the hyperplane of {1} with decoration 1 -> 0; that one-set family is
+# then named by the suite's chain side alone.  The "on_hyperplane" cases
+# corrupt the per-pair kernel the suite calls, `_on_hyperplane_coords`, whose
+# arguments are (r, coords, terms, target); a term is a 0-based index with its
+# exponent, so {1} with 1 -> 0 is ((0, 0),).
+ON_SET_ONE = ((1,), (0,))
 OTHER_KEY = (OTHER.sets, OTHER.decoration)
 MAXIMAL_COORDS = vertex_of_maximal_chain(MAXIMAL).coords
 BROKEN_NONEMPTY_ROUTES = {
     "on_hyperplane": (
-        faces,
         "_on_hyperplane_coords",
         lambda args, on: not on if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((0, 0),) else on,
         r"hyperplane intersection is not the face's vertex set",
     ),
     "on_hyperplane-add": (
-        faces,
         "_on_hyperplane_coords",
         lambda args, on: True if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((1, 0),) else on,
         r"sortability and vertex scan disagree",
     ),
     "on_hyperplane-drop": (
-        faces,
         "_on_hyperplane_coords",
         lambda args, on: False if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((0, 0), (1, 1)) else on,
         r"sortability and vertex scan disagree",
     ),
     "on_hyperplane-empty": (
-        faces,
         "_on_hyperplane_coords",
         lambda args, on: False if tuple(args[2]) == ((0, 0),) else on,
         r"^sortability and vertex scan disagree on \[\{1: 0\}\]$",
     ),
     "_hyperplanes_chain_key-none": (
-        verify,
         "_hyperplanes_chain_key",
         lambda args, key: None if tuple(args[1]) == (ON_SET_ONE,) else key,
         r"sortability and vertex scan disagree",
     ),
     "_hyperplanes_chain_key-other": (
-        verify,
         "_hyperplanes_chain_key",
         lambda args, key: OTHER_KEY if tuple(args[1]) == (ON_SET_ONE,) else key,
         r"hyperplane intersection is not the face's vertex set",
     ),
     "_face_coords": (
-        verify,
         "_face_coords",
         lambda args, coords: [*coords, ((1, 0), (1, 0))] if args == (MAXIMAL,) else coords,
         r"hyperplane intersection is not the face's vertex set",
     ),
     "_hyperplanes_chain_key-out-of-range": (
-        verify,
         "_hyperplanes_chain_key",
         lambda args, key: (((3,),), ((3, 0),)) if tuple(args[1]) == (ON_SET_ONE,) else key,
         r"assembled chain is not in the complex",
     ),
     "_hyperplanes_chain_key-noncanonical": (
-        verify,
         "_hyperplanes_chain_key",
         lambda args, key: (key[0], tuple((i, e + 2) for i, e in key[1]))
         if tuple(args[1]) == (ON_SET_ONE,)
@@ -184,10 +176,9 @@ BROKEN_NONEMPTY_ROUTES = {
         r"assembled chain is not in the complex",
     ),
     "_hyperplanes_chain_key-equal-sizes": (
-        verify,
         "_hyperplanes_chain_key",
         lambda args, key: OTHER_KEY
-        if len(args[1]) == 2 and len(args[1][0].elements) == len(args[1][1].elements)
+        if len(args[1]) == 2 and len(args[1][0][0]) == len(args[1][1][0])
         else key,
         r"sortability and vertex scan disagree",
     ),
@@ -453,21 +444,37 @@ class TestNonemptiness:
         # every family of at most n hyperplanes, 2951 at (2,3).
         r, n = 2, 3
         base = faces.enumerate_vertices(r, n)[0]
-        real = faces._on_hyperplane_coords
+        real = verify._on_hyperplane_coords
         monkeypatch.setattr(
-            faces, "_on_hyperplane_coords", lambda r, coords, *args: coords == base.coords or real(r, coords, *args)
+            verify, "_on_hyperplane_coords", lambda r, coords, *args: coords == base.coords or real(r, coords, *args)
         )
         violations = verify_nonemptiness(r, n).violations
         assert violations[0] == f"vertex {base.to_json()} lies on 26 hyperplanes, more than n=3"
         # The one family met only at that vertex: the layers of its maximal chain.
         assert violations[1:] == ["sortability and vertex scan disagree on [{1: 0}, {1: 0, 2: 0}, {1: 0, 2: 0, 3: 0}]"]
 
+    @pytest.mark.parametrize("r,n,pairs", [(2, 3, 1248), (3, 3, 10206)])
+    def test_every_pair_takes_one_evaluation(self, monkeypatch, r, n, pairs):
+        # |V| * ((r+1)^n - 1) kernel calls, none on a repeated input: no
+        # prefilter skips a (vertex, hyperplane) pair and none is grouped.
+        inputs = Counter()
+        real = verify._on_hyperplane_coords
+
+        def kernel(r, coords, terms, target):
+            inputs.update([(coords, tuple(terms))])
+            return real(r, coords, terms, target)
+
+        monkeypatch.setattr(verify, "_on_hyperplane_coords", kernel)
+        assert verify_nonemptiness(r, n).ok
+        assert sum(inputs.values()) == group_order(r, n) * ((r + 1) ** n - 1) == pairs
+        assert set(inputs.values()) == {1}
+
     def test_caps_refuse_before_any_enumeration(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("enumerated before the caps were checked")
 
         monkeypatch.setattr(verify, "enumerate_chains", refuse)
-        monkeypatch.setattr(verify, "DecoratedSubset", refuse)
+        monkeypatch.setattr(verify, "enumerate_vertices", refuse)
         with pytest.raises(CapExceeded, match="max_group_order"):
             verify_nonemptiness(4, 4)
 
@@ -503,9 +510,9 @@ class TestNonemptiness:
 
     @pytest.mark.parametrize("route", sorted(BROKEN_NONEMPTY_ROUTES))
     def test_a_broken_route_is_reported(self, monkeypatch, route):
-        module, name, corrupt, violation = BROKEN_NONEMPTY_ROUTES[route]
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: corrupt(args, real(*args)))
+        name, corrupt, violation = BROKEN_NONEMPTY_ROUTES[route]
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args: corrupt(args, real(*args)))
         report = verify_nonemptiness(2, 2)
         assert any(re.search(violation, v) for v in report.violations), report.violations
 
@@ -517,7 +524,7 @@ class TestNonemptiness:
             coeffs = cyclo._hyperplane_coeffs(r, coords, terms)
             return coeffs[0] == target and not any(coeffs[2:])
 
-        monkeypatch.setattr(faces, "_on_hyperplane_coords", kernel)
+        monkeypatch.setattr(verify, "_on_hyperplane_coords", kernel)
         report = verify_nonemptiness(6, 2)
         assert any(re.search("sortability and vertex scan disagree", v) for v in report.violations)
 
