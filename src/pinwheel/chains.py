@@ -131,6 +131,8 @@ def _set_chains(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
+# Cached: every suite starts from this list and `enumerate_vertices` reads it
+# again, so `verify --suite all` takes it 4 times from the cache for 1 build.
 @lru_cache(maxsize=32, typed=True)
 def enumerate_chains(r: int, n: int) -> tuple[Chain, ...]:
     """Every chain for the given (r, n), deduplicated, in deterministic order.

@@ -52,6 +52,8 @@ def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+# Cached: the recursion asks again for the polynomials of each divisor's
+# divisors; (720, 1), under the default cap, asks 241 times for 30 of them.
 @lru_cache(maxsize=128, typed=True)
 def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     """Coefficients (ascending degree) of the r-th cyclotomic polynomial.
@@ -259,6 +261,7 @@ def delta(n: int, k: int) -> int:
     return k * n - k * (k - 1) // 2
 
 
+# Cached: the nonempty scan reads this table once per (vertex, hyperplane) pair.
 @lru_cache(maxsize=64)
 def _zeta_powers(r: int) -> tuple[tuple[int, ...], ...]:
     """Coefficients of zeta^k modulo Phi_r for k = 0..r-1; integers, as Phi_r is monic."""

@@ -24,7 +24,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
 from typing import Sequence
 
@@ -165,7 +164,6 @@ class DeltaFace:
         }
 
 
-@lru_cache(maxsize=32, typed=True)
 def enumerate_vertices(r: int, n: int) -> tuple[YPoint, ...]:
     """All vertices of the complex, ordered by their maximal chains."""
     r, n = _check_rn(r, n)

@@ -157,7 +157,8 @@ def group_order(r: int, n: int) -> int:
     return r**n * math.factorial(n)
 
 
-# Keyed by generator set: one stream of the json-queries benchmark closes 56.
+# Keyed by generator set: one stream of the json-queries benchmark closes 56
+# sets and takes 1162 more closures from the cache.
 @lru_cache(maxsize=256, typed=True)
 def _subgroup_closure(r: int, n: int, gens: frozenset[int]) -> frozenset[GenPerm]:
     # Breadth-first on words; each new word is wrapped once, unvalidated.
@@ -183,7 +184,6 @@ def generate_subgroup(r: int, n: int, gens: Iterable[int]) -> frozenset[GenPerm]
     return _subgroup_closure(r, n, frozenset(_check_indices(gens, 0, n - 1, "generator")))
 
 
-@lru_cache(maxsize=32, typed=True)
 def enumerate_group(r: int, n: int) -> tuple[GenPerm, ...]:
     """All elements of S(r, n), lexicographic on (row word, exponent word)."""
     r, n = _check_rn(r, n)

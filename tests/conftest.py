@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from pinwheel import Chain, GenPerm, PinwheelStratum, YPoint
+from pinwheel import Chain, DecoratedSubset, GenPerm, PinwheelStratum, YPoint
 from pinwheel.cyclo import _of_fields
 
 
@@ -24,6 +24,33 @@ KEY_RN = [(r, n) for r in (2, 3, 4) for n in range(4)] + [(2, 4), (3, 4)]
 def base_stratum(r: int, n: int) -> PinwheelStratum:
     """The vertex stratum of the identity chain: orbit j sits on component n + 1 - j."""
     return PinwheelStratum(r, n, tuple(((n + 1 - j, 0),) for j in range(1, n + 1)))
+
+
+def identity_maximal_chain(r: int, n: int) -> Chain:
+    """The maximal chain {n} < {n-1, n} < ... < {1..n}, every decoration 0."""
+    sets = tuple(tuple(range(n + 1 - j, n + 1)) for j in range(1, n + 1))
+    return Chain(r, n, sets, tuple((i, 0) for i in range(1, n + 1)))
+
+
+def signed(x: YPoint) -> tuple[Fraction, ...]:
+    """An r = 2 point as a real vector: branch 1 negates the magnitude."""
+    assert x.r == 2
+    return tuple(m if b == 0 else -m for m, b in x.coords)
+
+
+def decorated_subsets(r: int, n: int) -> list[DecoratedSubset]:
+    """Every decorated subset of {1..n} with exponents in 0..r-1, in the nonempty suite's order."""
+    return [
+        DecoratedSubset(elems, exps)
+        for size in range(1, n + 1)
+        for elems in itertools.combinations(range(1, n + 1), size)
+        for exps in itertools.product(range(r), repeat=size)
+    ]
+
+
+def sample(items, count: int = 8) -> tuple:
+    """About `count` items spread over the sequence."""
+    return tuple(items[:: max(1, len(items) // count)])
 
 
 def count_builds(monkeypatch, *classes: type) -> Counter:

@@ -32,7 +32,7 @@ from pinwheel import (
     verify_threeway,
 )
 
-from conftest import random_ypoints
+from conftest import random_ypoints, signed
 
 THREEWAY_ENVELOPE = [
     (r, n) for r in (2, 3, 4) for n in range(4)
@@ -76,10 +76,6 @@ def criterion(number: int, name: str, limit: float | None = None):
     print(f"criterion {number:02d} {name}: PASS ({elapsed:.2f}s)")
     if limit is not None:
         assert elapsed < limit, f"criterion {number} took {elapsed:.2f}s, limit {limit}s"
-
-
-def signed(v) -> tuple[Fraction, ...]:
-    return tuple(m if b == 0 else -m for m, b in v.coords)
 
 
 def test_criterion_01_octagon():

@@ -1,5 +1,6 @@
-"""Every lru_cache in the library is bounded, so long-lived use cannot grow without limit,
-and an enumerator's cache never answers a float r or n with an int entry."""
+"""The library caches only where repeated calls hit the cache, and every cache is bounded,
+so long-lived use cannot grow without limit; no enumerator, cached or not, answers a
+float r or n."""
 
 import importlib
 import pkgutil
@@ -23,10 +24,8 @@ def test_every_lru_cache_has_a_finite_maxsize():
         "pinwheel.cyclo.cyclotomic_polynomial",
         "pinwheel.cyclo._zeta_powers",
         "pinwheel.chains.enumerate_chains",
-        "pinwheel.faces.enumerate_vertices",
-        "pinwheel.group.enumerate_group",
         "pinwheel.group._subgroup_closure",
-    } <= set(sizes)
+    } == set(sizes)
     assert [name for name, size in sizes.items() if size is None] == []
 
 
@@ -35,8 +34,10 @@ def test_every_lru_cache_has_a_finite_maxsize():
 )
 def test_cached_enumerators_refuse_a_float_on_a_cold_and_a_warm_cache(enumerate_):
     # A float equal to an int hashes like it, so an untyped cache would
-    # hand back the int entry once that entry is warm.
-    enumerate_.cache_clear()
+    # hand back the int entry once that entry is warm.  Only enumerate_chains
+    # caches; the other two stay here so that a cache put back on them is typed.
+    if hasattr(enumerate_, "cache_clear"):
+        enumerate_.cache_clear()
     for _ in ("cold", "warm"):
         for r, n in ((2.0, 1), (2, 1.0)):
             with pytest.raises(ValueError, match=rf"^need r >= 2 and n >= 0, got r={r}, n={n}$"):

@@ -27,7 +27,7 @@ from pinwheel import (
 )
 from pinwheel.chains import _act_on_chain_key, _coarsening_keys, coarsenings
 
-from conftest import KEY_RN, chains_over, count_builds, genperms
+from conftest import KEY_RN, chains_over, count_builds, genperms, identity_maximal_chain, sample
 
 
 def chain_count_oracle(r: int, n: int) -> int:
@@ -254,11 +254,6 @@ class TestDimension:
 ACTION_MATRIX = GenPerm(3, 4, (4, 1, 3, 2), (0, 2, 2, 1))
 
 
-def identity_maximal_chain(r: int, n: int) -> Chain:
-    sets = tuple(tuple(range(n + 1 - j, n + 1)) for j in range(1, n + 1))
-    return Chain(r, n, sets, tuple((i, 0) for i in range(1, n + 1)))
-
-
 class TestAction:
     def test_identity_fixes_chains(self):
         for c in enumerate_chains(3, 2):
@@ -287,10 +282,9 @@ class TestAction:
 
     @pytest.mark.parametrize("r,n", KEY_RN)
     def test_act_on_chain_key_is_the_images_fields(self, r, n):
-        group = enumerate_group(r, n)
-        sample = group[:: max(1, len(group) // 8)]
+        group = sample(enumerate_group(r, n))
         for c in enumerate_chains(r, n):
-            for a in sample:
+            for a in group:
                 image = act_on_chain(c, a)
                 assert _act_on_chain_key(c, a) == (image.sets, image.decoration)
 

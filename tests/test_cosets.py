@@ -28,7 +28,7 @@ from pinwheel import (
 from pinwheel import cosets, group
 from pinwheel.cosets import _act_on_coset_key, _coset_chain_key, _coset_words
 
-from conftest import KEY_RN, genperms, random_genperm
+from conftest import KEY_RN, genperms, random_genperm, sample
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 
@@ -282,11 +282,10 @@ class TestBlockDecomposition:
 class TestAction:
     @pytest.mark.parametrize("r,n", KEY_RN)
     def test_act_on_coset_key_is_the_images_rep(self, r, n):
-        elements = enumerate_group(r, n)
-        sample = elements[:: max(1, len(elements) // 8)]
+        group = sample(enumerate_group(r, n))
         for c in enumerate_chains(r, n):
             h = chain_to_coset(c)
-            for a in sample:
+            for a in group:
                 key = _act_on_coset_key(h, a)
                 assert key == act_on_coset(h, a).rep.sort_key()
                 assert key == chain_to_coset(act_on_chain(c, a)).rep.sort_key()

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -19,7 +18,7 @@ from pinwheel import (
 )
 from pinwheel.cyclo import _hyperplane_coeffs, _on_hyperplane_coords, _zeta_powers
 
-from conftest import random_ypoints
+from conftest import decorated_subsets, random_ypoints
 
 
 def poly_mul(a, b):
@@ -185,14 +184,6 @@ class TestDelta:
             assert str(err.value) == text
 
 
-def decorated_subsets(r, n):
-    """Every decorated subset of 1..n as (elements, decoration), exponents in 0..r-1."""
-    for size in range(1, n + 1):
-        for elems in itertools.combinations(range(1, n + 1), size):
-            for exps in itertools.product(range(r), repeat=size):
-                yield elems, dict(zip(elems, exps))
-
-
 class TestHyperplane:
     def test_worked_cube_root_case(self):
         x = YPoint(3, ((Fraction(1), 1), (Fraction(2), 0)))
@@ -220,8 +211,10 @@ class TestHyperplane:
         # On a decorated subset the sum hits the bound exactly when every
         # positive coordinate sits on the opposite branch and the magnitudes
         # add up to the bound.
+        subsets = decorated_subsets(r, n)
         for x in random_ypoints(r, n, 120, seed=1000 * r + n):
-            for elems, dec in decorated_subsets(r, n):
+            for s in subsets:
+                elems, dec = s.elements, s.mapping()
                 branches_ok = all(
                     x.coords[i - 1][1] == (-dec[i]) % r
                     for i in elems
@@ -286,10 +279,10 @@ class TestPerPairKernel:
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
     def test_every_vertex_and_decorated_subset(self, r, n):
-        hits = 0
+        hits, subsets = 0, decorated_subsets(r, n)
         for v in enumerate_vertices(r, n):
-            for elems, dec in decorated_subsets(r, n):
-                hits += self.kernel_agrees(v, elems, dec)
+            for s in subsets:
+                hits += self.kernel_agrees(v, s.elements, s.mapping())
         # Each vertex lies on exactly its n chain layers.
         assert hits == n * len(enumerate_vertices(r, n))
 
@@ -298,9 +291,10 @@ class TestPerPairKernel:
         # Phi_4 and Phi_6 are not x^(r-1) + ... + 1, so zeta^k reduces to
         # other coefficient patterns than at prime r.
         n = 3
+        subsets = decorated_subsets(r, n)
         for x in random_ypoints(r, n, 25, seed=7000 + r):
-            for elems, dec in decorated_subsets(r, n):
-                self.kernel_agrees(x, elems, dec)
+            for s in subsets:
+                self.kernel_agrees(x, s.elements, s.mapping())
 
 
 class TestYPoint:

@@ -40,7 +40,15 @@ from pinwheel import (
 from pinwheel import cosets, faces, group, verify
 from pinwheel.faces import _affine_rank, _face_coords, _hyperplanes_chain_key, chain_layers
 
-from conftest import KEY_RN, brute_force_in_complex, count_builds, random_ypoints
+from conftest import (
+    KEY_RN,
+    brute_force_in_complex,
+    count_builds,
+    decorated_subsets,
+    identity_maximal_chain,
+    random_ypoints,
+    signed,
+)
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 EXAMPLE_COARSE = make_chain(3, 4, [[2, 3, 4]], {2: 1, 3: 0, 4: 2})
@@ -48,16 +56,6 @@ EXAMPLE_COARSE = make_chain(3, 4, [[2, 3, 4]], {2: 1, 3: 0, 4: 2})
 
 def ypt(r, *pairs):
     return YPoint(r, tuple((Fraction(m), b) for m, b in pairs))
-
-
-def signed(x: YPoint) -> tuple[Fraction, ...]:
-    assert x.r == 2
-    return tuple(m if b == 0 else -m for m, b in x.coords)
-
-
-def identity_maximal_chain(r: int, n: int) -> Chain:
-    sets = tuple(tuple(range(n + 1 - j, n + 1)) for j in range(1, n + 1))
-    return Chain(r, n, sets, tuple((i, 0) for i in range(1, n + 1)))
 
 
 def reference_affine_rank(vectors) -> int:
@@ -344,24 +342,14 @@ class TestHyperplanesToChain:
         # Exponents 0 and 2 name one branch at r = 2: the scan sees one
         # hyperplane twice, and the assembly refuses it as a repeat.
         family = [DecoratedSubset((1,), (0,)), DecoratedSubset((1,), (2,))]
-        assert vertex_meet(2, 2, family)
+        assert vertex_meet(enumerate_vertices(2, 2), family)
         with pytest.raises(ValueError, match="^duplicate decorated subsets$"):
             hyperplanes_to_chain(2, 2, family)
 
 
-def hyperplane_subsets(r: int, n: int) -> list[DecoratedSubset]:
-    """Every decorated subset of {1..n} with exponents in 0..r-1, in the nonempty suite's order."""
-    return [
-        DecoratedSubset(elems, exps)
-        for size in range(1, n + 1)
-        for elems in itertools.combinations(range(1, n + 1), size)
-        for exps in itertools.product(range(r), repeat=size)
-    ]
-
-
 def hyperplane_families(r: int, n: int):
     """Every family of at most n distinct decorated subsets, in the nonempty suite's order."""
-    subsets = hyperplane_subsets(r, n)
+    subsets = decorated_subsets(r, n)
     for size in range(1, n + 1):
         yield from itertools.combinations(subsets, size)
 
@@ -371,21 +359,21 @@ def hyperplane_keys(family) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(s.elements, s.exps) for s in family]
 
 
-def scan_ids(r: int, n: int, s: DecoratedSubset) -> frozenset[int]:
-    """Positions, within `enumerate_vertices(r, n)`, of the vertices on s's hyperplane.
+def scan_ids(vertices, s: DecoratedSubset) -> frozenset[int]:
+    """Positions, within `vertices` (an `enumerate_vertices` result), of the vertices on s's hyperplane.
 
     A per-pair scan through the public, gated `on_hyperplane`, which checks
     s's elements on every call; independent of the combinatorial nesting test.
     """
     decoration = s.mapping()
-    return frozenset(i for i, v in enumerate(enumerate_vertices(r, n)) if on_hyperplane(v, s.elements, decoration))
+    return frozenset(i for i, v in enumerate(vertices) if on_hyperplane(v, s.elements, decoration))
 
 
-def vertex_meet(r: int, n: int, family) -> frozenset[int]:
+def vertex_meet(vertices, family) -> frozenset[int]:
     """Positions of the vertices on every hyperplane of the family, by the exhaustive scan."""
-    hit = frozenset(range(len(enumerate_vertices(r, n))))
+    hit = frozenset(range(len(vertices)))
     for s in family:
-        hit &= scan_ids(r, n, s)
+        hit &= scan_ids(vertices, s)
     return hit
 
 
@@ -412,7 +400,9 @@ class TestHyperplanesChainKey:
         prefix = "sortability and vertex scan disagree on "
         violations = verify_nonemptiness(r, n).violations
         named = [ast.literal_eval(v[len(prefix) :]) for v in violations if v.startswith(prefix)]
-        expected = [[s.mapping() for s in family] for family in hyperplane_families(r, n) if vertex_meet(r, n, family)]
+        vertices = enumerate_vertices(r, n)
+        families = [family for family in hyperplane_families(r, n) if vertex_meet(vertices, family)]
+        expected = [[s.mapping() for s in family] for family in families]
         assert len(expected) == len(enumerate_chains(r, n)) - 1 == 146
         assert named == expected == [ast.literal_eval(v[len(prefix) :]) for v in violations]
 
@@ -427,31 +417,33 @@ class TestNonemptyOracle:
     """
 
     def test_chain_layers_are_nonempty(self):
-        assert vertex_meet(3, 4, chain_layers(EXAMPLE))
+        assert vertex_meet(enumerate_vertices(3, 4), chain_layers(EXAMPLE))
 
     def test_incomparable_sets_are_empty(self):
         subsets = [DecoratedSubset((1,), (0,)), DecoratedSubset((2,), (0,))]
-        assert not vertex_meet(2, 2, subsets)
+        assert not vertex_meet(enumerate_vertices(2, 2), subsets)
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_every_vertex_lies_on_exactly_n_hyperplanes(self, r, n):
         # The nonempty suite reports a larger vertex star instead of taking its subfamilies.
-        on_ids = [scan_ids(r, n, s) for s in hyperplane_subsets(r, n)]
+        vertices = enumerate_vertices(r, n)
+        on_ids = [scan_ids(vertices, s) for s in decorated_subsets(r, n)]
         stars = Counter(v for ids in on_ids for v in ids)
         assert sorted(set(stars.values())) == [n] and len(stars) == group_order(r, n)
 
     def test_empty_family_is_everything(self):
         assert hyperplanes_to_chain(3, 2, []) == Chain(3, 2, (), ())
-        everything = len(vertex_meet(3, 2, []))
+        everything = len(vertex_meet(enumerate_vertices(3, 2), []))
         assert len(chain_to_face_vertices(Chain(3, 2, (), ()))) == everything == group_order(3, 2)
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_agrees_with_sortability(self, r, n):
         # Every family, walked grouped by all but its last hyperplane, so each
         # prefix's vertex ids are intersected once.
-        subsets = hyperplane_subsets(r, n)
-        on_ids = [scan_ids(r, n, s) for s in subsets]
-        vertex_ids = {v: i for i, v in enumerate(enumerate_vertices(r, n))}
+        subsets = decorated_subsets(r, n)
+        vertices = enumerate_vertices(r, n)
+        on_ids = [scan_ids(vertices, s) for s in subsets]
+        vertex_ids = {v: i for i, v in enumerate(vertices)}
         face_ids = {
             (c.sets, c.decoration): frozenset(vertex_ids[v] for v in chain_to_face_vertices(c))
             for c in enumerate_chains(r, n)

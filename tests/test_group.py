@@ -60,6 +60,7 @@ from conftest import (
     genperms,
     random_genperm,
     random_ypoints,
+    sample,
 )
 
 
@@ -282,11 +283,6 @@ def assert_is_the_checked(obj) -> None:
     assert [type(v) for v in values] == [type(getattr(checked, name)) for name in names]
     # A cached property, such as GenPerm's `_col_of_row`, may follow the fields.
     assert list(vars(obj))[: len(names)] == names == list(vars(checked))
-
-
-def sample(items, count: int = 8) -> tuple:
-    """About `count` items spread over the sequence."""
-    return tuple(items[:: max(1, len(items) // count)])
 
 
 class TestUncheckedWords:

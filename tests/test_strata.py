@@ -22,7 +22,7 @@ from pinwheel import (
 )
 from pinwheel.strata import _act_on_spoke, _stratum_chain_key, spoke_contractions
 
-from conftest import KEY_RN, base_stratum
+from conftest import KEY_RN, base_stratum, sample
 
 EXAMPLE = make_chain(3, 4, [[3], [2, 3, 4]], {2: 1, 3: 0, 4: 2})
 EXAMPLE_STRATUM = PinwheelStratum(3, 4, (((3, 0),), ((2, 1), (4, 2))))
@@ -209,11 +209,10 @@ class TestStratumAction:
 
     @pytest.mark.parametrize("r,n", KEY_RN)
     def test_act_on_spoke_is_the_images_fields(self, r, n):
-        group = enumerate_group(r, n)
-        sample = group[:: max(1, len(group) // 8)]
+        group = sample(enumerate_group(r, n))
         for c in enumerate_chains(r, n):
             s = chain_to_stratum(c)
-            for a in sample:
+            for a in group:
                 assert _act_on_spoke(s, a) == act_on_stratum(s, a).spoke
 
     def test_takes_no_chain(self, monkeypatch):

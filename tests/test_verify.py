@@ -15,6 +15,7 @@ from pinwheel import (
     chain_to_stratum,
     contract_spoke_edges,
     enumerate_chains,
+    enumerate_group,
     generator,
     group_order,
     identity,
@@ -31,270 +32,316 @@ from pinwheel import cyclo, faces, verify
 from conftest import count_builds
 
 
-# Chains over (2, 2) that the fault-injection tests corrupt one route on.
+# Chains over (2, 2) that the fault-injection rows corrupt one route on.
 TARGET = make_chain(2, 2, [[1]], {1: 1})
 OTHER = make_chain(2, 2, [[2]], {2: 0})
 MAXIMAL = make_chain(2, 2, [[1], [1, 2]], {1: 0, 2: 1})
 OTHER_MAXIMAL = make_chain(2, 2, [[2], [1, 2]], {1: 0, 2: 1})
-
-
-# Route name in `pinwheel.verify`, with a "-<case>" suffix when one route
-# has two cases -> (corruption of its result for one argument, the violation
-# the threeway suite must then report).  The suite compares canonical keys,
-# so each route is the key builder it calls.  A "-foreign" case names a chain
-# or stratum outside the complex; a "-noncanonical" case emits an exponent
-# e + r, which names the same object but not its canonical key.
 TARGET_KEY = (TARGET.sets, TARGET.decoration)
-BROKEN_ROUTES = {
-    "_coset_chain_key": (
-        lambda h, key: (OTHER.sets, OTHER.decoration) if key == TARGET_KEY else key,
+OTHER_KEY = (OTHER.sets, OTHER.decoration)
+MAXIMAL_COORDS = vertex_of_maximal_chain(MAXIMAL).coords
+ON_SET_ONE = ((1,), (0,))
+ONE = identity(2, 2)
+BASE = ((1, 0), (2, 0))
+
+
+# One fault table for the four suites: (suite, route, case) -> (corruption,
+# violation).  The harness patches `verify.<route>` to return
+# `corruption(args, result)` for each argument tuple, runs `SUITES[suite]` at
+# (2, 2), and expects a violation matching the regex.  The suites compare
+# canonical keys, so a route is often the key builder the suite calls.  A
+# route's plain case "" swaps in another object's value, leaves one item out
+# or adds one to a count; "foreign" names an object outside the complex, and
+# "noncanonical" writes an exponent e + r, which names the same object but
+# not its key.  A row's test id is its route and case; the kernel's rows take
+# the name of the public `on_hyperplane` it serves.
+#
+# Nonempty: MAXIMAL's vertex lies on the hyperplane of the set {1} with
+# decoration 1 -> 0 (key ON_SET_ONE), whose one-set family is sortable.  The
+# per-pair kernel `_on_hyperplane_coords` takes (r, coords, terms, target), a
+# term being a 0-based index with its exponent, so {1} with 1 -> 0 is
+# ((0, 0),); the plain case takes MAXIMAL's vertex off it, "add" puts that
+# vertex on {2} with 2 -> 0 as well, "drop" takes it off MAXIMAL's top layer,
+# so that chain's layers no longer meet, and "empty" takes every vertex off
+# {1} with 1 -> 0, a family then named by the chain side alone.  The key builder
+# `_hyperplanes_chain_key` takes the family of hyperplane keys; "equal-sizes"
+# accepts every pair of equal-size subsets, which never meet, so only the
+# suite's pairs check calls it on them.
+#
+# Equivariance: the base point is BASE, and "positive" acts on TARGET's
+# stratum, which is not a vertex stratum.  Products: TARGET has a block-0 and
+# a block-1 factor in each family and MAXIMAL two spoke components; "kind"
+# makes TARGET's reflection block symmetric with exponents 0, which the block
+# product then reads too.
+BROKEN = {
+    ("threeway", "_coset_chain_key", ""): (
+        lambda args, key: OTHER_KEY if key == TARGET_KEY else key,
         r"coset roundtrip broke",
     ),
-    "_coset_chain_key-noncanonical": (
-        lambda h, key: (key[0], tuple((i, e + 2) for i, e in key[1])) if key == TARGET_KEY else key,
+    ("threeway", "_coset_chain_key", "noncanonical"): (
+        lambda args, key: (key[0], tuple((i, e + 2) for i, e in key[1])) if key == TARGET_KEY else key,
         r"coset roundtrip broke",
     ),
-    "_stratum_chain_key": (
-        lambda s, key: (OTHER.sets, OTHER.decoration) if key == TARGET_KEY else key,
+    ("threeway", "_stratum_chain_key", ""): (
+        lambda args, key: OTHER_KEY if key == TARGET_KEY else key,
         r"stratum roundtrip broke",
     ),
-    "face_dimension_bruteforce": (
-        lambda c, dim: dim + 1 if c == TARGET else dim,
+    ("threeway", "face_dimension_bruteforce", ""): (
+        lambda args, dim: dim + 1 if args == (TARGET,) else dim,
         r"dimension (mismatch|oracle)",
     ),
-    "vertex_of_maximal_chain": (
-        lambda c, v: vertex_of_maximal_chain(OTHER_MAXIMAL) if c == MAXIMAL else v,
+    ("threeway", "vertex_of_maximal_chain", ""): (
+        lambda args, v: vertex_of_maximal_chain(OTHER_MAXIMAL) if args == (MAXIMAL,) else v,
         r"vertex is not the one point of its face",
     ),
     # Every vertex rotated by one place: the vertex set is closed under
     # coordinate permutations, so only the comparison with the face sees it.
-    "vertex_of_maximal_chain-rotated": (
-        lambda c, v: replace(v, coords=v.coords[1:] + v.coords[:1]),
+    ("threeway", "vertex_of_maximal_chain", "rotated"): (
+        lambda args, v: replace(v, coords=v.coords[1:] + v.coords[:1]),
         r"vertex is not the one point of its face",
     ),
-    "_coset_words": (
-        lambda h, words: sorted(words)[1:] if h == chain_to_coset(TARGET) else words,
+    ("threeway", "_coset_words", ""): (
+        lambda args, words: sorted(words)[1:] if args == (chain_to_coset(TARGET),) else words,
         r"inclusion mismatch \(coset\)",
     ),
-    "_coset_words-noncanonical": (
-        lambda h, words: [(rows, (exps[0] + 2, *exps[1:])) for rows, exps in words]
-        if h == chain_to_coset(TARGET)
+    ("threeway", "_coset_words", "noncanonical"): (
+        lambda args, words: [(rows, (exps[0] + 2, *exps[1:])) for rows, exps in words]
+        if args == (chain_to_coset(TARGET),)
         else words,
         r"inclusion mismatch \(coset\)",
     ),
-    "_face_coords": (
-        lambda c, coords: sorted(coords)[1:] if c == TARGET else coords,
+    ("threeway", "_face_coords", ""): (
+        lambda args, coords: sorted(coords)[1:] if args == (TARGET,) else coords,
         r"inclusion mismatch \(face\)",
     ),
-    "spoke_contractions": (
-        lambda s, out: list(out)[:-1] if s == chain_to_stratum(TARGET) else out,
+    ("threeway", "spoke_contractions", ""): (
+        lambda args, out: list(out)[:-1] if args == (chain_to_stratum(TARGET),) else out,
         r"inclusion mismatch \(stratum\)",
     ),
-    "_coarsening_keys": (
-        lambda c, keys: list(keys)[:-1] if c == TARGET else keys,
-        r"inclusion mismatch \((coset|face|stratum)\)",
-    ),
-    "_coarsening_keys-foreign": (
-        lambda c, keys: [*keys, (((3,),), ((3, 0),))] if c == TARGET else keys,
-        r"coarsening is not in the complex",
-    ),
-    "spoke_contractions-foreign": (
-        lambda s, out: [*out, (((3, 0),),)] if s == chain_to_stratum(TARGET) else out,
+    ("threeway", "spoke_contractions", "foreign"): (
+        lambda args, out: [*out, (((3, 0),),)] if args == (chain_to_stratum(TARGET),) else out,
         r"contraction is not in the complex",
     ),
-}
-
-
-# Case -> (name of a route in `pinwheel.verify` that the nonempty suite
-# reaches, corruption of its result for one argument tuple, the violation the
-# suite must then report).  MAXIMAL's vertex lies on the hyperplane of the set
-# {1} with decoration 1 -> 0, and the one-set family of that hyperplane is
-# sortable.  The suite names each hyperplane by its (elements, exps) key and
-# looks assembled chains up by their canonical keys, so the assembly route is
-# the key builder, whose second argument is the family of hyperplane keys; an
-# "-out-of-range" key names element 3 at n = 2, and a "-noncanonical" one the
-# exponent e + r, which `Chain` would fold into the same chain.  An
-# "-equal-sizes" key accepts every pair of equal-size subsets, which never
-# meet, so only the suite's pairs check calls the key builder on them.  The
-# "on_hyperplane-add" case puts MAXIMAL's vertex on the hyperplane of {2} with
-# decoration 2 -> 0 as well, and "-drop" takes it off the top layer of
-# MAXIMAL, so that chain's layers no longer meet.  "-empty" takes every vertex
-# off the hyperplane of {1} with decoration 1 -> 0; that one-set family is
-# then named by the suite's chain side alone.  The "on_hyperplane" cases
-# corrupt the per-pair kernel the suite calls, `_on_hyperplane_coords`, whose
-# arguments are (r, coords, terms, target); a term is a 0-based index with its
-# exponent, so {1} with 1 -> 0 is ((0, 0),).
-ON_SET_ONE = ((1,), (0,))
-OTHER_KEY = (OTHER.sets, OTHER.decoration)
-MAXIMAL_COORDS = vertex_of_maximal_chain(MAXIMAL).coords
-BROKEN_NONEMPTY_ROUTES = {
-    "on_hyperplane": (
-        "_on_hyperplane_coords",
-        lambda args, on: not on if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((0, 0),) else on,
-        r"hyperplane intersection is not the face's vertex set",
+    ("threeway", "_coarsening_keys", ""): (
+        lambda args, keys: list(keys)[:-1] if args == (TARGET,) else keys,
+        r"inclusion mismatch \((coset|face|stratum)\)",
     ),
-    "on_hyperplane-add": (
-        "_on_hyperplane_coords",
-        lambda args, on: True if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((1, 0),) else on,
-        r"sortability and vertex scan disagree",
+    ("threeway", "_coarsening_keys", "foreign"): (
+        lambda args, keys: [*keys, (((3,),), ((3, 0),))] if args == (TARGET,) else keys,
+        r"coarsening is not in the complex",
     ),
-    "on_hyperplane-drop": (
-        "_on_hyperplane_coords",
-        lambda args, on: False if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((0, 0), (1, 1)) else on,
-        r"sortability and vertex scan disagree",
+    ("threeway", "chain_to_coset", ""): (
+        lambda args, h: chain_to_coset(OTHER) if args == (TARGET,) else h,
+        r"coset roundtrip broke",
     ),
-    "on_hyperplane-empty": (
-        "_on_hyperplane_coords",
-        lambda args, on: False if tuple(args[2]) == ((0, 0),) else on,
-        r"^sortability and vertex scan disagree on \[\{1: 0\}\]$",
+    ("threeway", "chain_dimension", ""): (
+        lambda args, dim: dim + 1 if args == (TARGET,) else dim,
+        r"dimension mismatch",
     ),
-    "_hyperplanes_chain_key-none": (
-        "_hyperplanes_chain_key",
-        lambda args, key: None if tuple(args[1]) == (ON_SET_ONE,) else key,
-        r"sortability and vertex scan disagree",
+    ("threeway", "group_order", ""): (
+        lambda args, order: order + 1,
+        r"vertex census",
     ),
-    "_hyperplanes_chain_key-other": (
-        "_hyperplanes_chain_key",
-        lambda args, key: OTHER_KEY if tuple(args[1]) == (ON_SET_ONE,) else key,
-        r"hyperplane intersection is not the face's vertex set",
-    ),
-    "_face_coords": (
-        "_face_coords",
-        lambda args, coords: [*coords, ((1, 0), (1, 0))] if args == (MAXIMAL,) else coords,
-        r"hyperplane intersection is not the face's vertex set",
-    ),
-    "_hyperplanes_chain_key-out-of-range": (
-        "_hyperplanes_chain_key",
-        lambda args, key: (((3,),), ((3, 0),)) if tuple(args[1]) == (ON_SET_ONE,) else key,
-        r"assembled chain is not in the complex",
-    ),
-    "_hyperplanes_chain_key-noncanonical": (
-        "_hyperplanes_chain_key",
-        lambda args, key: (key[0], tuple((i, e + 2) for i, e in key[1]))
-        if tuple(args[1]) == (ON_SET_ONE,)
-        else key,
-        r"assembled chain is not in the complex",
-    ),
-    "_hyperplanes_chain_key-equal-sizes": (
-        "_hyperplanes_chain_key",
-        lambda args, key: OTHER_KEY
-        if len(args[1]) == 2 and len(args[1][0][0]) == len(args[1][1][0])
-        else key,
-        r"sortability and vertex scan disagree",
-    ),
-}
-
-
-# Route name in `pinwheel.verify`, with a "-<case>" suffix when one route has
-# two cases -> (corruption of its result for one argument tuple at (2, 2), the
-# violation the equivariance suite must then report).  The suite's base point
-# is ((1, 0), (2, 0)); a "-positive" case acts on TARGET's stratum, which is
-# not a vertex stratum.  "-foreign" and "-noncanonical" cases are as above: a
-# stray vertex, or a word whose exponent is e + r.
-ONE = identity(2, 2)
-BASE = ((1, 0), (2, 0))
-BROKEN_EQUIVARIANCE_ROUTES = {
-    "_act_on_coords": (
+    ("equivariance", "_act_on_coords", ""): (
         lambda args, coords: ((1, 1), (2, 0)) if args == (BASE, ONE) else coords,
         r"vertex-orbit reinterpretation broke",
     ),
-    "_act_on_chain_key": (
-        lambda args, key: (OTHER.sets, OTHER.decoration) if args == (TARGET, ONE) else key,
+    ("equivariance", "_act_on_chain_key", ""): (
+        lambda args, key: OTHER_KEY if args == (TARGET, ONE) else key,
         r"face action broke",
     ),
-    "_act_on_coset_key": (
-        lambda args, key: chain_to_coset(OTHER).rep.sort_key()
-        if args == (chain_to_coset(TARGET), ONE)
-        else key,
+    ("equivariance", "_act_on_coset_key", ""): (
+        lambda args, key: chain_to_coset(OTHER).rep.sort_key() if args == (chain_to_coset(TARGET), ONE) else key,
         r"coset action missed the image coset",
     ),
-    "_act_on_coset_key-noncanonical": (
-        lambda args, key: (key[0], (key[1][0] + 2, *key[1][1:]))
-        if args == (chain_to_coset(TARGET), ONE)
-        else key,
+    ("equivariance", "_act_on_coset_key", "noncanonical"): (
+        lambda args, key: (key[0], (key[1][0] + 2, *key[1][1:])) if args == (chain_to_coset(TARGET), ONE) else key,
         r"coset action missed the image coset",
     ),
-    "_product": (
+    ("equivariance", "_product", ""): (
         lambda args, word: multiply(GenPerm(2, 2, *word), generator(2, 2, 0)).sort_key()
         if args == (ONE, ONE)
         else word,
         r"coset element action broke",
     ),
-    "_product-noncanonical": (
+    ("equivariance", "_product", "noncanonical"): (
         lambda args, word: (word[0], (word[1][0] + 2, *word[1][1:])) if args == (ONE, ONE) else word,
         r"coset element action broke",
     ),
-    "_coset_words": (
+    ("equivariance", "_coset_words", ""): (
         lambda args, words: sorted(words)[1:] if args == (chain_to_coset(TARGET),) else words,
         r"coset element action broke",
     ),
-    "_coset_words-noncanonical": (
+    ("equivariance", "_coset_words", "noncanonical"): (
         lambda args, words: [(rows, (exps[0] + 2, *exps[1:])) for rows, exps in words]
         if args == (chain_to_coset(TARGET),)
         else words,
         r"coset element action broke",
     ),
-    "_face_coords": (
+    ("equivariance", "_face_coords", ""): (
         lambda args, coords: sorted(coords)[1:] if args == (TARGET,) else coords,
         r"face action broke",
     ),
-    "_face_coords-foreign": (
+    ("equivariance", "_face_coords", "foreign"): (
         lambda args, coords: [*coords, ((1, 0), (1, 0))] if args == (TARGET,) else coords,
         r"face action broke",
     ),
-    "_act_on_spoke": (
+    ("equivariance", "_act_on_spoke", ""): (
         lambda args, spoke: chain_to_stratum(OTHER_MAXIMAL).spoke
         if args == (chain_to_stratum(MAXIMAL), ONE)
         else spoke,
         r"stratum action broke",
     ),
-    "_act_on_spoke-positive": (
+    ("equivariance", "_act_on_spoke", "positive"): (
         lambda args, spoke: chain_to_stratum(OTHER).spoke if args == (chain_to_stratum(TARGET), ONE) else spoke,
         r"stratum action broke",
     ),
-    "chain_to_stratum": (
+    ("equivariance", "chain_to_stratum", ""): (
         lambda args, s: chain_to_stratum(OTHER) if args == (TARGET,) else s,
         r"stratum action broke",
     ),
-}
-
-# Route name in `pinwheel.verify`, with a "-<case>" suffix when one route has
-# two cases -> (corruption of its result for one argument tuple at (2, 2), the
-# violation the products suite must then report).  TARGET has a block-0 and a
-# block-1 factor in each family; MAXIMAL has two spoke components.  The "-kind"
-# case makes TARGET's reflection block symmetric with exponents 0, which the
-# block product then reads too.
-BROKEN_PRODUCT_ROUTES = {
-    "chain_to_stratum-merge": (
+    ("equivariance", "enumerate_group", ""): (
+        lambda args, group: group[:-1],
+        r"vertex-orbit reinterpretation broke",
+    ),
+    ("products", "chain_to_stratum", "merge"): (
         lambda args, s: contract_spoke_edges(s, [1]) if args == (MAXIMAL,) else s,
         r"factor lists disagree",
     ),
-    "chain_to_stratum-drop": (
+    ("products", "chain_to_stratum", "drop"): (
         lambda args, s: contract_spoke_edges(s, [1]) if args == (TARGET,) else s,
         r"factor lists disagree",
     ),
-    "coset_block_decomposition": (
+    ("products", "coset_block_decomposition", ""): (
         lambda args, fs: fs[:-1] if args == (TARGET,) else fs,
         r"factor lists disagree",
     ),
-    "face_product_decomposition": (
-        lambda args, fs: fs[:-1] if args == (TARGET,) else fs,
-        r"factor lists disagree",
-    ),
-    "coset_block_decomposition-kind": (
+    ("products", "coset_block_decomposition", "kind"): (
         lambda args, fs: (replace(fs[0], kind="symmetric", exps=(0,) * fs[0].size), *fs[1:])
         if args == (TARGET,)
         else fs,
         r"coset is not the product of its blocks",
     ),
-    "_coset_words": (
+    ("products", "face_product_decomposition", ""): (
+        lambda args, fs: fs[:-1] if args == (TARGET,) else fs,
+        r"factor lists disagree",
+    ),
+    ("products", "_coset_words", ""): (
         lambda args, words: sorted(words)[1:] if args == (chain_to_coset(TARGET),) else words,
         r"coset is not the product of its blocks",
     ),
+    ("products", "_block_product_words", ""): (
+        lambda args, words: sorted(words)[1:] if args[0] == TARGET else words,
+        r"coset is not the product of its blocks",
+    ),
+    ("nonempty", "_on_hyperplane_coords", ""): (
+        lambda args, on: not on if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((0, 0),) else on,
+        r"hyperplane intersection is not the face's vertex set",
+    ),
+    ("nonempty", "_on_hyperplane_coords", "add"): (
+        lambda args, on: True if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((1, 0),) else on,
+        r"sortability and vertex scan disagree",
+    ),
+    ("nonempty", "_on_hyperplane_coords", "drop"): (
+        lambda args, on: False if args[1] == MAXIMAL_COORDS and tuple(args[2]) == ((0, 0), (1, 1)) else on,
+        r"sortability and vertex scan disagree",
+    ),
+    ("nonempty", "_on_hyperplane_coords", "empty"): (
+        lambda args, on: False if tuple(args[2]) == ((0, 0),) else on,
+        r"^sortability and vertex scan disagree on \[\{1: 0\}\]$",
+    ),
+    ("nonempty", "_hyperplanes_chain_key", "none"): (
+        lambda args, key: None if tuple(args[1]) == (ON_SET_ONE,) else key,
+        r"sortability and vertex scan disagree",
+    ),
+    ("nonempty", "_hyperplanes_chain_key", "other"): (
+        lambda args, key: OTHER_KEY if tuple(args[1]) == (ON_SET_ONE,) else key,
+        r"hyperplane intersection is not the face's vertex set",
+    ),
+    ("nonempty", "_hyperplanes_chain_key", "out-of-range"): (
+        lambda args, key: (((3,),), ((3, 0),)) if tuple(args[1]) == (ON_SET_ONE,) else key,
+        r"assembled chain is not in the complex",
+    ),
+    ("nonempty", "_hyperplanes_chain_key", "noncanonical"): (
+        lambda args, key: (key[0], tuple((i, e + 2) for i, e in key[1])) if tuple(args[1]) == (ON_SET_ONE,) else key,
+        r"assembled chain is not in the complex",
+    ),
+    ("nonempty", "_hyperplanes_chain_key", "equal-sizes"): (
+        lambda args, key: OTHER_KEY if len(args[1]) == 2 and len(args[1][0][0]) == len(args[1][1][0]) else key,
+        r"sortability and vertex scan disagree",
+    ),
+    ("nonempty", "_face_coords", ""): (
+        lambda args, coords: [*coords, ((1, 0), (1, 0))] if args == (MAXIMAL,) else coords,
+        r"hyperplane intersection is not the face's vertex set",
+    ),
+    ("nonempty", "chain_layers", ""): (
+        lambda args, layers: (replace(layers[0], exps=(1 - layers[0].exps[0],)), *layers[1:])
+        if args == (MAXIMAL,)
+        else layers,
+        r"sortability and vertex scan disagree",
+    ),
+    ("nonempty", "enumerate_vertices", ""): (
+        lambda args, vertices: vertices[1:],
+        r"hyperplane intersection is not the face's vertex set",
+    ),
+    ("nonempty", "delta", ""): (
+        lambda args, bound: bound + 1 if args[1] == 1 else bound,
+        r"sortability and vertex scan disagree",
+    ),
+}
+
+# Library functions the suites call that need no fault row, and why.
+NO_ROW = {
+    "_check_nonnegative": "the cap's input gate: it runs before any route, and the refusal tests pin its texts",
+    "_check_rn": "the (r, n) input gate: it runs before any route, and the refusal tests pin its texts",
+    "_of_fields": "wraps fields a route computed; the suite compares those fields, not the wrapper",
+    "enumerate_chains": "the chain list every route runs over, not one of the routes compared on it",
 }
 
 
-class TestThreeway:
+def assert_reported(monkeypatch, suite, route, corrupt, violation, r=2, n=2):
+    real = getattr(verify, route)
+    monkeypatch.setattr(verify, route, lambda *args: corrupt(args, real(*args)))
+    report = verify.SUITES[suite](r, n)
+    assert any(re.search(violation, v) for v in report.violations), report.violations
+
+
+def row_id(row):
+    _, route, case = row
+    return "-".join(filter(None, ("on_hyperplane" if route == "_on_hyperplane_coords" else route, case)))
+
+
+def pytest_generate_tests(metafunc):
+    # Each suite's class runs the rows of its own suite.
+    if metafunc.function.__name__ == "test_a_broken_route_is_reported":
+        rows = sorted(row for row in BROKEN if row[0] == metafunc.cls.SUITE)
+        metafunc.parametrize("row", rows, ids=row_id)
+
+
+class FaultRows:
+    def test_a_broken_route_is_reported(self, monkeypatch, row):
+        assert_reported(monkeypatch, *row[:2], *BROKEN[row])
+
+
+def test_every_route_a_suite_calls_has_a_fault_row():
+    # Each library function `verify` imports is a route some suite compares,
+    # unless NO_ROW says why not.
+    imported = {
+        name
+        for name, value in vars(verify).items()
+        if callable(value)
+        and not isinstance(value, type)
+        and value.__module__.startswith("pinwheel.")
+        and value.__module__ != verify.__name__
+    }
+    rows = {route for _, route, _ in BROKEN}
+    assert sorted(imported - rows - set(NO_ROW)) == []
+    assert sorted(set(NO_ROW) - (imported - rows)) == []
+
+
+class TestThreeway(FaultRows):
+    SUITE = "threeway"
+
     def test_octagon_counts(self):
         report = verify_threeway(2, 2)
         assert report.ok
@@ -316,17 +363,10 @@ class TestThreeway:
     def test_cap_override(self):
         assert verify_threeway(2, 2, max_group_order=10**6).ok
 
-    @pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
-    def test_a_broken_route_is_reported(self, monkeypatch, route):
-        corrupt, violation = BROKEN_ROUTES[route]
-        name = route.partition("-")[0]
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda arg: corrupt(arg, real(arg)))
-        report = verify_threeway(2, 2)
-        assert any(re.search(violation, v) for v in report.violations), report.violations
 
+class TestEquivariance(FaultRows):
+    SUITE = "equivariance"
 
-class TestEquivariance:
     def test_octagon(self):
         report = verify_equivariance(2, 2)
         assert report.ok and report.counts_by_dim == [8, 8, 1]
@@ -337,15 +377,6 @@ class TestEquivariance:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             verify_equivariance(3, 5)
-
-    @pytest.mark.parametrize("route", sorted(BROKEN_EQUIVARIANCE_ROUTES))
-    def test_a_broken_route_is_reported(self, monkeypatch, route):
-        corrupt, violation = BROKEN_EQUIVARIANCE_ROUTES[route]
-        name = route.partition("-")[0]
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args: corrupt(args, real(*args)))
-        report = verify_equivariance(2, 2)
-        assert any(re.search(violation, v) for v in report.violations), report.violations
 
     def test_an_image_outside_the_complex_is_reported(self, monkeypatch):
         stray = make_chain(2, 3, [[3]], {3: 0})
@@ -392,9 +423,11 @@ class TestEquivariance:
     def test_builds_no_point_or_element_per_pair(self, monkeypatch, r, n):
         # No point at all: the vertex table moves coordinate tuples, and the
         # coset action compares rep words.  One matrix per element, checked
-        # or not, plus the rep of each chain's handle.  Caches are warmed
-        # first.
+        # or not, plus the rep of each chain's handle.  Caches are warmed and
+        # the group is built first.
         assert verify_equivariance(r, n).ok
+        group = enumerate_group(r, n)
+        monkeypatch.setattr(verify, "enumerate_group", lambda r, n: group)
         built = count_builds(monkeypatch, YPoint, GenPerm)
         assert verify_equivariance(r, n).ok
         assert built[YPoint] == 0
@@ -409,19 +442,12 @@ class TestEquivariance:
         assert built[Chain] == 0
 
 
-class TestProducts:
+class TestProducts(FaultRows):
+    SUITE = "products"
+
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
     def test_envelope_cases(self, r, n):
         assert verify_products(r, n).ok
-
-    @pytest.mark.parametrize("route", sorted(BROKEN_PRODUCT_ROUTES))
-    def test_a_broken_route_is_reported(self, monkeypatch, route):
-        corrupt, violation = BROKEN_PRODUCT_ROUTES[route]
-        name = route.partition("-")[0]
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args: corrupt(args, real(*args)))
-        report = verify_products(2, 2)
-        assert any(re.search(violation, v) for v in report.violations), report.violations
 
     def test_reversed_segments_are_reported(self, monkeypatch):
         # A fault every chain-side decomposition shares: the stratum's, the
@@ -433,7 +459,9 @@ class TestProducts:
         assert any(re.search("coset is not the product of its blocks", v) for v in report.violations)
 
 
-class TestNonemptiness:
+class TestNonemptiness(FaultRows):
+    SUITE = "nonempty"
+
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 1)])
     def test_small_cases(self, r, n):
         assert verify_nonemptiness(r, n).ok
@@ -452,6 +480,18 @@ class TestNonemptiness:
         assert violations[0] == f"vertex {base.to_json()} lies on 26 hyperplanes, more than n=3"
         # The one family met only at that vertex: the layers of its maximal chain.
         assert violations[1:] == ["sortability and vertex scan disagree on [{1: 0}, {1: 0, 2: 0}, {1: 0, 2: 0, 3: 0}]"]
+
+    def test_a_kernel_that_skips_a_coefficient_is_reported_at_r6(self, monkeypatch):
+        # The kernel tests coeffs[2:] for coeffs[1:], so a sum whose zeta
+        # coefficient is nonzero can pass.  That moves no vertex onto another
+        # hyperplane at (3,3), (4,3), (5,2) or (5,3); at (6,2) it does.
+        def kernel(args, on):
+            coeffs = cyclo._hyperplane_coeffs(*args[:3])
+            return coeffs[0] == args[3] and not any(coeffs[2:])
+
+        assert_reported(
+            monkeypatch, "nonempty", "_on_hyperplane_coords", kernel, "sortability and vertex scan disagree", 6, 2
+        )
 
     @pytest.mark.parametrize("r,n,pairs", [(2, 3, 1248), (3, 3, 10206)])
     def test_every_pair_takes_one_evaluation(self, monkeypatch, r, n, pairs):
@@ -507,26 +547,6 @@ class TestNonemptiness:
         with pytest.raises(CapExceeded, match=refusal):
             verify_nonemptiness(2, n)
         assert time.perf_counter() - start < 1
-
-    @pytest.mark.parametrize("route", sorted(BROKEN_NONEMPTY_ROUTES))
-    def test_a_broken_route_is_reported(self, monkeypatch, route):
-        name, corrupt, violation = BROKEN_NONEMPTY_ROUTES[route]
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args: corrupt(args, real(*args)))
-        report = verify_nonemptiness(2, 2)
-        assert any(re.search(violation, v) for v in report.violations), report.violations
-
-    def test_a_kernel_that_skips_a_coefficient_is_reported_at_r6(self, monkeypatch):
-        # The kernel tests coeffs[2:] for coeffs[1:], so a sum whose zeta
-        # coefficient is nonzero can pass.  That moves no vertex onto another
-        # hyperplane at (3,3), (4,3), (5,2) or (5,3); at (6,2) it does.
-        def kernel(r, coords, terms, target):
-            coeffs = cyclo._hyperplane_coeffs(r, coords, terms)
-            return coeffs[0] == target and not any(coeffs[2:])
-
-        monkeypatch.setattr(verify, "_on_hyperplane_coords", kernel)
-        report = verify_nonemptiness(6, 2)
-        assert any(re.search("sortability and vertex scan disagree", v) for v in report.violations)
 
 
 class TestReports:
