@@ -8,9 +8,10 @@ Hyperplane evaluation has one private per-pair kernel, `_hyperplane_coeffs`:
 it sums magnitudes per power of zeta and combines the sums through a per-r
 table of the reduced powers zeta^k, whose coefficients are integers.  The
 public `hyperplane_eval` and `on_hyperplane` gate their arguments on every
-call and wrap it; `verify --suite nonempty` builds each hyperplane's terms
-once and calls `_on_hyperplane_coords` per vertex.  `hyperplane_eval`
-returns a `CycloNum` whose one use is to say whether the sum is rational.
+call and wrap it; `verify --suite nonempty` calls `_on_hyperplane_coords`
+once per distinct restriction of the vertices to a hyperplane's subset.
+`hyperplane_eval` returns a `CycloNum` whose one use is to say whether the
+sum is rational.
 All types are immutable and all functions are pure.  Constructors check
 outside input; `_of_fields` builds every value any module computes, unchecked.
 """
@@ -261,7 +262,7 @@ def delta(n: int, k: int) -> int:
     return k * n - k * (k - 1) // 2
 
 
-# Cached: the nonempty scan reads this table once per (vertex, hyperplane) pair.
+# Cached: the nonempty scan reads this table once per kernel call.
 @lru_cache(maxsize=64)
 def _zeta_powers(r: int) -> tuple[tuple[int, ...], ...]:
     """Coefficients of zeta^k modulo Phi_r for k = 0..r-1; integers, as Phi_r is monic."""

@@ -274,29 +274,48 @@ def verify_products(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> 
     return report
 
 
+def _hyperplane_scan(
+    r: int, n: int, coords: list[tuple]
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[frozenset[int]]]:
+    """Every hyperplane's (elements, exps) key, by size, subset and exponent word, with its on-set.
+
+    The on-set holds the positions in `coords` of the vertices on the
+    hyperplane.  A hyperplane on the subset S reads only the coordinates in S,
+    so the vertices are grouped once per S by their restriction to S.  Each
+    exponent word on S then takes one full evaluation by the kernel per
+    distinct restriction, its terms rebased to 0..|S|-1, and its on-set is the
+    union of the groups that pass.  Nothing is carried from one S to the next.
+    """
+    keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    on_ids: list[frozenset[int]] = []
+    for size in range(1, n + 1):
+        target = delta(n, size)
+        for elems in itertools.combinations(range(1, n + 1), size):
+            groups: dict[tuple, list[int]] = {}
+            for v, x in enumerate(coords):
+                groups.setdefault(tuple([x[i - 1] for i in elems]), []).append(v)
+            for exps in itertools.product(range(r), repeat=size):
+                terms = tuple(enumerate(exps))
+                keys.append((elems, exps))
+                passed = [ids for part, ids in groups.items() if _on_hyperplane_coords(r, part, terms, target)]
+                on_ids.append(frozenset(itertools.chain.from_iterable(passed)))
+    return keys, on_ids
+
+
 def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
     """Nesting-sortability against the exhaustive vertex scan, on vertex stars."""
     r, n, chains, report = _start("nonempty", r, n, max_group_order)
     fail = report.violations.append
 
-    # Each hyperplane is named by its (elements, exps) key.  Its terms and
-    # bound are built once, and then every vertex takes one full evaluation
-    # by the per-pair kernel; no argument is rechecked per pair.
+    # Each hyperplane is named by its (elements, exps) key, and the scan gives
+    # each its on-set.
     vertices = enumerate_vertices(r, n)
     coords = [v.coords for v in vertices]
-    hyperplanes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    on_ids: list[frozenset[int]] = []
-    for size in range(1, n + 1):
-        target = delta(n, size)
-        for elems in itertools.combinations(range(1, n + 1), size):
-            for exps in itertools.product(range(r), repeat=size):
-                terms = tuple(zip([i - 1 for i in elems], exps))
-                hyperplanes.append((elems, exps))
-                on = [v for v, x in enumerate(coords) if _on_hyperplane_coords(r, x, terms, target)]
-                on_ids.append(frozenset(on))
+    hyperplanes, on_ids = _hyperplane_scan(r, n, coords)
     position = {key: i for i, key in enumerate(hyperplanes)}
     vertex_ids = {x: i for i, x in enumerate(coords)}
-    face_ids = {(c.sets, c.decoration): _numbered(_face_coords(c), vertex_ids) for c in chains}
+    index = {(c.sets, c.decoration): j for j, c in enumerate(chains)}
+    face_ids = [_numbered(_face_coords(c), vertex_ids) for c in chains]
 
     def named(family: tuple[int, ...]) -> list[dict[int, int]]:
         return [dict(zip(*hyperplanes[i])) for i in family]
@@ -311,38 +330,46 @@ def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
     for i, ids in enumerate(on_ids):
         for v in ids:
             stars[v].append(i)
-    meeting: set[tuple[int, ...]] = set()
+    # Each family that meets, with the index of the chain it assembles into
+    # (None if none of the complex), which the nesting side reads.
+    meeting: dict[tuple[int, ...], int | None] = {}
     crowded = {v for v, star in enumerate(stars) if len(star) > n}
     for v, star in enumerate(stars):
         if v in crowded:
             fail(f"vertex {vertices[v].to_json()} lies on {len(star)} hyperplanes, more than n={n}")
             continue
         for size in range(1, len(star) + 1):
-            meeting.update(itertools.combinations(star, size))
+            meeting.update(dict.fromkeys(itertools.combinations(star, size)))
     if crowded:
         on_ids = [ids - crowded for ids in on_ids]
-        face_ids = {key: ids - crowded for key, ids in face_ids.items()}
+        face_ids = [ids - crowded for ids in face_ids]
     for family in sorted(meeting, key=lambda f: (len(f), f)):
         key = _hyperplanes_chain_key(r, [hyperplanes[i] for i in family])
+        j = meeting[family] = index.get(key)
         if key is None:
             fail(f"sortability and vertex scan disagree on {named(family)}")
-        elif key not in face_ids:
+        elif j is None:
             fail(f"assembled chain is not in the complex on {named(family)}")
-        elif frozenset.intersection(*[on_ids[i] for i in family]) != face_ids[key]:
-            chain = _of_fields(Chain, r, n, *key)
-            fail(f"hyperplane intersection is not the face's vertex set on {chain.to_json()}")
+        elif frozenset.intersection(*[on_ids[i] for i in family]) != face_ids[j]:
+            fail(f"hyperplane intersection is not the face's vertex set on {chains[j].to_json()}")
 
     # Nesting side: every chain's layers, and every pair the key builder
-    # accepts, must meet; a family found by both is reported once.
-    nesting = {
-        tuple(sorted([position[s.elements, s.exps] for s in chain_layers(c)])) for c in chains if c.length
-    }
+    # accepts, must meet; a family found by both is reported once.  Layers
+    # that meet must assemble into their own chain; a family that assembled
+    # into nothing of the complex was reported above.
+    nesting = set()
+    for i, c in enumerate(chains):
+        if c.length:
+            family = tuple(sorted([position[s.elements, s.exps] for s in chain_layers(c)]))
+            nesting.add(family)
+            if meeting.get(family) not in (None, i):
+                fail(f"layers do not nest into their chain on {c.to_json()}")
     nesting.update(
         pair
         for pair in itertools.combinations(range(len(hyperplanes)), 2)
         if _hyperplanes_chain_key(r, [hyperplanes[i] for i in pair]) is not None
     )
-    for family in sorted(nesting - meeting, key=lambda f: (len(f), f)):
+    for family in sorted(nesting - meeting.keys(), key=lambda f: (len(f), f)):
         fail(f"sortability and vertex scan disagree on {named(family)}")
     return report
 

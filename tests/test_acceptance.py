@@ -5,7 +5,6 @@ lines.  Every comparison is exact (rational or cyclotomic); the runtime
 limits are asserted with a monotonic clock.
 """
 
-import itertools
 import json
 import subprocess
 import sys
@@ -14,13 +13,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from pinwheel import (
-    Chain,
     GenPerm,
     chain_to_coset,
     chain_to_face_vertices,
     coset_elements,
     enumerate_chains,
-    enumerate_group,
     enumerate_vertices,
     face_membership,
     face_membership_product_form,
@@ -57,11 +54,20 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"ok": report.ok, "violations": report.violations[:3], "maxrss_kib": peak}))
 """
 
-# Scale points of the nonempty suite, whose cost is the vertex scan; criterion
-# 06 runs them with the group-order cap raised to |S(4, 4)| = 6144 explicitly.
-# r = 5 brings a cyclotomic field of degree 4, and r = 6 the first composite r.
-NONEMPTY_SCALE = [(4, 3), (2, 4), (3, 4), (2, 5), (4, 4), (5, 3), (6, 3)]
-NONEMPTY_SCALE_CONFIG = 6144
+# Scale points of the nonempty suite, whose cost is the vertex scan, each with
+# the group-order cap criterion 06 raises to for it explicitly: |S(4, 4)| =
+# 6144, and |S(3, 5)| = 29160 for (3, 5).  r = 5 brings a cyclotomic field of
+# degree 4, and r = 6 the first composite r.
+NONEMPTY_SCALE = {
+    (4, 3): 6144,
+    (2, 4): 6144,
+    (3, 4): 6144,
+    (2, 5): 6144,
+    (4, 4): 6144,
+    (5, 3): 6144,
+    (6, 3): 6144,
+    (3, 5): 29160,
+}
 
 
 @contextmanager
@@ -147,8 +153,8 @@ def test_criterion_06_nonemptiness_equivalence():
         for r, n in SMALL_ENVELOPE:
             report = verify_nonemptiness(r, n)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
-        for r, n in NONEMPTY_SCALE:
-            report = verify_nonemptiness(r, n, NONEMPTY_SCALE_CONFIG)
+        for (r, n), cap in NONEMPTY_SCALE.items():
+            report = verify_nonemptiness(r, n, cap)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
 
 

@@ -431,6 +431,16 @@ class TestNonemptyOracle:
         stars = Counter(v for ids in on_ids for v in ids)
         assert sorted(set(stars.values())) == [n] and len(stars) == group_order(r, n)
 
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_grouped_scan_is_the_per_pair_scan(self, r, n):
+        # The suite's scan evaluates each distinct restriction once per
+        # subset; each on-set must be the gated per-pair scan's.
+        vertices = enumerate_vertices(r, n)
+        keys, on_ids = verify._hyperplane_scan(r, n, [v.coords for v in vertices])
+        subsets = decorated_subsets(r, n)
+        assert keys == hyperplane_keys(subsets)
+        assert on_ids == [scan_ids(vertices, s) for s in subsets]
+
     def test_empty_family_is_everything(self):
         assert hyperplanes_to_chain(3, 2, []) == Chain(3, 2, (), ())
         everything = len(vertex_meet(enumerate_vertices(3, 2), []))

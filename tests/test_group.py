@@ -1,12 +1,11 @@
 import itertools
-import math
 import random
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from pinwheel import (
     Chain,

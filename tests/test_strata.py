@@ -16,7 +16,6 @@ from pinwheel import (
     identity,
     inverse,
     make_chain,
-    multiply,
     refines,
     stratum_to_chain,
 )
