@@ -103,10 +103,11 @@ def chain_to_coset(c: Chain) -> TCosetHandle:
 
 def _coset_chain_key(h: TCosetHandle) -> tuple[tuple, tuple]:
     """The canonical (sets, decoration) of `coset_to_chain(h)`, with no `Chain` built."""
-    n, r, rows, exps = h.n, h.r, h.rep.row_of_col, h.rep.exp_of_col
-    # Each missing generator j cuts off the columns in rows above j as one set.
-    cuts = sorted((j for j in range(n) if j not in h.gens), reverse=True)
-    sets = tuple(tuple(c for c in range(1, n + 1) if rows[c - 1] > j) for j in cuts)
+    n, r, cols, exps = h.n, h.r, h.rep._col_of_row, h.rep.exp_of_col
+    # Each missing generator j cuts off the columns in rows above j, that is
+    # cols[j:] (cols lists the columns by row), as one set.
+    cuts = sorted([j for j in range(n) if j not in h.gens], reverse=True)
+    sets = tuple([tuple(sorted(cols[j:])) for j in cuts])
     dec = tuple((c, -exps[c - 1] % r) for c in sets[-1]) if sets else ()
     return sets, dec
 

@@ -38,6 +38,7 @@ from pinwheel import (
     vertex_of_maximal_chain,
 )
 from pinwheel import cosets, faces, group, verify
+from pinwheel.chains import _set_chains
 from pinwheel.faces import _affine_rank, _face_coords, _hyperplanes_chain_key, chain_layers
 
 from conftest import (
@@ -495,6 +496,20 @@ class TestDimension:
     def test_equals_colength(self, r, n):
         for c in enumerate_chains(r, n):
             assert face_dimension_bruteforce(c) == n - c.length
+
+    @pytest.mark.parametrize("r,n,distinct", [(2, 3, 26), (3, 3, 26), (2, 4, 150)])
+    def test_face_dimension_once_per_set_chain(self, r, n, distinct):
+        # The oracle reads only n and the sets, so over every chain it takes
+        # one rank per set chain, and each is the rank a cold cache takes.
+        cache = faces._face_dimension
+        cache.cache_clear()
+        chains = enumerate_chains(r, n)
+        dims = [face_dimension_bruteforce(c) for c in chains]
+        assert cache.cache_info().misses == len(_set_chains(n)) == distinct
+        for c, dim in zip(chains, dims):
+            cache.cache_clear()
+            assert face_dimension_bruteforce(c) == dim
+            assert cache.cache_info().misses == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_affine_rank_matches_rational_elimination(self, seed):
