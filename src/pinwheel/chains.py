@@ -60,10 +60,6 @@ class Chain:
     def length(self) -> int:
         return len(self.sets)
 
-    @property
-    def top(self) -> tuple[int, ...]:
-        return self.sets[-1] if self.sets else ()
-
     def decoration_map(self) -> dict[int, int]:
         return dict(self.decoration)
 

@@ -10,8 +10,8 @@ table of the reduced powers zeta^k, whose coefficients are integers.  The
 public `hyperplane_eval` and `on_hyperplane` gate their arguments on every
 call and wrap it; `verify --suite nonempty` calls `_on_hyperplane_coords`
 once per distinct restriction of the vertices to a hyperplane's subset.
-`hyperplane_eval` returns a `CycloNum` whose one use is to say whether the
-sum is rational.
+`hyperplane_eval` returns a `CycloNum`, read through its coefficient tuple:
+the value is rational exactly when every coefficient past the first is 0.
 All types are immutable and all functions are pure.  Constructors check
 outside input; `_of_fields` builds every value any module computes, unchecked.
 """
@@ -193,7 +193,7 @@ class CycloNum:
     Stored as the remainder modulo the r-th cyclotomic polynomial in the
     power basis 1, zeta, ..., zeta^(phi(r)-1) with exact scalar coefficients,
     so two values are equal exactly when their coefficient tuples are equal.
-    It carries no arithmetic and no JSON form; `as_rational` is all a caller reads.
+    It carries no arithmetic and no JSON form; `coeffs` is all a caller reads.
     """
 
     r: int
@@ -207,12 +207,6 @@ class CycloNum:
         if len(coeffs) != _degree(r):
             raise ValueError(f"need {_degree(r)} coefficients for r={r}, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def as_rational(self) -> int | Fraction | None:
-        """The value as a rational number, or None if it is irrational."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,6 @@ class DecoratedSubset:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "exps", tuple([e for _, e in pairs]))
 
-    def mapping(self) -> dict[int, int]:
-        return dict(zip(self.elements, self.exps))
-
 
 def chain_layers(c: Chain) -> tuple[DecoratedSubset, ...]:
     """The decorated subsets (I_j, decoration restricted to I_j) of a chain."""

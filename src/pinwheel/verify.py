@@ -102,9 +102,10 @@ def _start(suite: str, r: int, n: int, max_group_order: int) -> tuple[int, int, 
         bound = order if k > n else f"at least {order}"
         raise CapExceeded(f"group order {bound} for (r={r}, n={n}) exceeds max_group_order={cap}")
     chains = enumerate_chains(r, n)
+    # Counted by each chain's length, not by `chain_dimension`, a compared route.
     counts = [0] * (n + 1)
     for c in chains:
-        counts[chain_dimension(c)] += 1
+        counts[n - c.length] += 1
     return r, n, chains, Report(suite, r, n, counts)
 
 
@@ -356,11 +357,16 @@ def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
     # Nesting side: every chain's layers, and every pair the key builder
     # accepts, must meet; a family found by both is reported once.  Layers
     # that meet must assemble into their own chain; a family that assembled
-    # into nothing of the complex was reported above.
+    # into nothing of the complex was reported above.  A layer that is not
+    # one of the scan's hyperplane keys is reported on its chain.
     nesting = set()
     for i, c in enumerate(chains):
         if c.length:
-            family = tuple(sorted([position[s.elements, s.exps] for s in chain_layers(c)]))
+            ids = [position.get((s.elements, s.exps)) for s in chain_layers(c)]
+            if None in ids:
+                fail(f"layer is not a hyperplane of the complex on {c.to_json()}")
+                continue
+            family = tuple(sorted(ids))
             nesting.add(family)
             if meeting.get(family) not in (None, i):
                 fail(f"layers do not nest into their chain on {c.to_json()}")

@@ -1,4 +1,8 @@
-"""Shared strategies and independent oracles for the test suite."""
+"""Shared seeded samplers and independent oracles for the test suite.
+
+Tests draw their inputs one way: a finite space enumerated whole, or a
+`random.Random` with a fixed seed, so every run tests the same inputs.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,6 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import strategies as st
 
 from pinwheel import Chain, DecoratedSubset, GenPerm, PinwheelStratum, YPoint
 from pinwheel.cyclo import _of_fields
@@ -82,28 +85,6 @@ def random_genperm(r: int, n: int, rng: random.Random) -> GenPerm:
     rng.shuffle(rows)
     exps = tuple(rng.randrange(r) for _ in range(n))
     return GenPerm(r, n, tuple(rows), exps)
-
-
-@st.composite
-def genperms(draw, r: int | None = None, n: int | None = None):
-    r = r if r is not None else draw(st.integers(min_value=2, max_value=5))
-    n = n if n is not None else draw(st.integers(min_value=0, max_value=4))
-    rows = draw(st.permutations(list(range(1, n + 1))))
-    exps = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
-    return GenPerm(r, n, tuple(rows), tuple(exps))
-
-
-@st.composite
-def chains_over(draw, r: int | None = None, n: int | None = None):
-    r = r if r is not None else draw(st.integers(min_value=2, max_value=4))
-    n = n if n is not None else draw(st.integers(min_value=0, max_value=4))
-    order = draw(st.permutations(list(range(1, n + 1))))
-    k = draw(st.integers(min_value=0, max_value=n))
-    cuts = sorted(draw(st.sets(st.integers(1, n), min_size=0, max_size=k))) if n else []
-    sets = tuple(tuple(sorted(order[:cut])) for cut in cuts)
-    top = sets[-1] if sets else ()
-    dec = tuple((i, draw(st.integers(0, r - 1))) for i in top)
-    return Chain(r, n, sets, dec)
 
 
 class DenseMatrix:

@@ -105,8 +105,8 @@ def test_criterion_02_r3_census():
         assert len(enumerate_vertices(3, 2)) == 18
         one_dim = [c for c in enumerate_chains(3, 2) if c.length == 1]
         assert len(one_dim) == 15
-        segments = [c for c in one_dim if len(c.top) == 2]
-        y_faces = [c for c in one_dim if len(c.top) == 1]
+        segments = [c for c in one_dim if len(c.sets[-1]) == 2]
+        y_faces = [c for c in one_dim if len(c.sets[-1]) == 1]
         assert len(segments) == 9
         assert all(len(chain_to_face_vertices(c)) == 2 for c in segments)
         assert len(y_faces) == 6

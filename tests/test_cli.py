@@ -1,10 +1,10 @@
 import hashlib
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from pinwheel import faces
 from pinwheel.cli import main
@@ -430,31 +430,44 @@ class TestSharedOptions:
 
 
 # Small arbitrary JSON: integers, short strings, null, and lists and objects
-# keyed by the field names the loaders read.
+# keyed by the field names the loaders read, at most 12 leaves in all.
 FIELDS = ["r", "n", "sets", "decoration", "cols", "col", "row", "exp", "coords", "mag", "branch", "1", "2"]
-JSON_VALUES = st.recursive(
-    st.integers(-3, 5) | st.sampled_from(["1", "2", "-1", "x"]) | st.none(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=4),
-    max_leaves=12,
-)
+LEAVES = [*range(-3, 6), "1", "2", "-1", "x", None]
 ONE_MATRIX = '{"r":2,"n":1,"cols":[{"col":1,"row":1,"exp":0}]}'
 ONE_CHAIN = '{"r":2,"n":1,"sets":[[1]],"decoration":{"1":1}}'
 
 
+def json_value(rng: random.Random, leaves: list[int]):
+    """A value of the grammar above; `leaves` holds the count of leaves still allowed."""
+    shape = rng.choice(("leaf", "list", "object")) if leaves[0] > 1 else "leaf"
+    if shape == "leaf":
+        leaves[0] -= 1
+        return rng.choice(LEAVES)
+    size = rng.randint(0, 3 if shape == "list" else 4)
+    if shape == "list":
+        return [json_value(rng, leaves) for _ in range(size) if leaves[0]]
+    return {rng.choice(FIELDS): json_value(rng, leaves) for _ in range(size) if leaves[0]}
+
+
 class TestLoaderFuzz:
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(what=st.sampled_from(["chain", "matrix", "vertex"]), data=JSON_VALUES)
-    def test_arbitrary_json_exits_cleanly(self, tmp_path, what, data):
-        fixed = tmp_path / "fixed.json"
-        fixed.write_text(ONE_CHAIN if what == "matrix" else ONE_MATRIX)
-        fuzzed = tmp_path / "fuzzed.json"
-        fuzzed.write_text(json.dumps(data))
+    def test_arbitrary_json_exits_cleanly(self, tmp_path):
+        # 600 seeded values, each fed to one of the three loaders.
+        rng = random.Random(36)
+        fixed_chain, fixed_matrix, fuzzed = tmp_path / "chain.json", tmp_path / "matrix.json", tmp_path / "fuzzed.json"
+        fixed_chain.write_text(ONE_CHAIN)
+        fixed_matrix.write_text(ONE_MATRIX)
         argv = {
             "chain": ["face", "--chain", str(fuzzed)],
-            "matrix": ["act", "--matrix", str(fuzzed), "--chain", str(fixed)],
-            "vertex": ["act", "--matrix", str(fixed), "--vertex", str(fuzzed)],
-        }[what]
-        try:
-            assert main(argv) == 0
-        except SystemExit as exc:
-            assert "\n" not in str(exc)
+            "matrix": ["act", "--matrix", str(fuzzed), "--chain", str(fixed_chain)],
+            "vertex": ["act", "--matrix", str(fixed_matrix), "--vertex", str(fuzzed)],
+        }
+        kinds = Counter()
+        for _ in range(600):
+            what = rng.choice(sorted(argv))
+            kinds[what] += 1
+            fuzzed.write_text(json.dumps(json_value(rng, [12])))
+            try:
+                assert main(argv[what]) == 0
+            except SystemExit as exc:
+                assert "\n" not in str(exc)
+        assert sorted(kinds) == sorted(argv), kinds

@@ -366,7 +366,7 @@ def scan_ids(vertices, s: DecoratedSubset) -> frozenset[int]:
     A per-pair scan through the public, gated `on_hyperplane`, which checks
     s's elements on every call; independent of the combinatorial nesting test.
     """
-    decoration = s.mapping()
+    decoration = dict(zip(s.elements, s.exps))
     return frozenset(i for i, v in enumerate(vertices) if on_hyperplane(v, s.elements, decoration))
 
 
@@ -403,7 +403,7 @@ class TestHyperplanesChainKey:
         named = [ast.literal_eval(v[len(prefix) :]) for v in violations if v.startswith(prefix)]
         vertices = enumerate_vertices(r, n)
         families = [family for family in hyperplane_families(r, n) if vertex_meet(vertices, family)]
-        expected = [[s.mapping() for s in family] for family in families]
+        expected = [[dict(zip(s.elements, s.exps)) for s in family] for family in families]
         assert len(expected) == len(enumerate_chains(r, n)) - 1 == 146
         assert named == expected == [ast.literal_eval(v[len(prefix) :]) for v in violations]
 
@@ -603,7 +603,7 @@ class TestVertexIncidence:
                 for elems in itertools.combinations(range(1, n + 1), size):
                     for exps in itertools.product(range(r), repeat=size):
                         subset = DecoratedSubset(elems, exps)
-                        assert on_hyperplane(v, elems, subset.mapping()) == (subset in layers)
+                        assert on_hyperplane(v, elems, dict(zip(elems, exps))) == (subset in layers)
 
 
 class TestHasseDot:

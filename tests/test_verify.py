@@ -286,6 +286,16 @@ BROKEN = {
         else layers,
         r"sortability and vertex scan disagree",
     ),
+    ("nonempty", "chain_layers", "noncanonical"): (
+        lambda args, layers: (replace(layers[0], exps=(layers[0].exps[0] + 2,)), *layers[1:])
+        if args == (MAXIMAL,)
+        else layers,
+        r"^layer is not a hyperplane of the complex on ",
+    ),
+    ("nonempty", "chain_layers", "foreign"): (
+        lambda args, layers: (DecoratedSubset((3,), (0,)), *layers[1:]) if args == (MAXIMAL,) else layers,
+        r"^layer is not a hyperplane of the complex on ",
+    ),
     # A coarsening's layers still meet, so only the check that they assemble
     # into their own chain sees the top layer go.
     ("nonempty", "chain_layers", "drop-last"): (
@@ -614,3 +624,12 @@ class TestReports:
             "nonempty",
         ]
         assert all(rep.ok for rep in reports)
+
+    def test_the_census_reads_no_compared_route(self, monkeypatch):
+        # `chain_dimension` is one of the four dimensions threeway compares;
+        # every report's census counts chains by their own length.
+        real = verify.chain_dimension
+        monkeypatch.setattr(verify, "chain_dimension", lambda c: real(c) + 1)
+        reports = {name: suite(2, 2) for name, suite in verify.SUITES.items()}
+        assert any("dimension mismatch" in v for v in reports["threeway"].violations)
+        assert {name: rep.counts_by_dim for name, rep in reports.items()} == dict.fromkeys(verify.SUITES, [8, 8, 1])
