@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chains import Chain
 from .cyclo import _check_indices, _check_same_space, _of_fields
@@ -87,18 +88,29 @@ def _canonical_word(
 
 def chain_to_coset(c: Chain) -> TCosetHandle:
     """The coset whose row blocks and column exponents realize the chain."""
-    n = row = c.n
-    rows, exps = [0] * n, [0] * n
+    rows, gens = _coset_rows(c.n, c.sets)
+    exps = [0] * c.n
+    for col, e in c.decoration:
+        exps[col - 1] = -e % c.r
+    return _of_fields(TCosetHandle, gens, _of_fields(GenPerm, c.r, c.n, rows, tuple(exps)))
+
+
+# Cached: rows and generators read only n and the sets, and `enumerate_chains`
+# lists the chains of one set chain next to each other: threeway (2,4) 1,547
+# hits, 150 misses; (4,4) 22,683 hits, 150 misses.  Kept small, as
+# `faces._face_shape` is.
+@lru_cache(maxsize=4, typed=True)
+def _coset_rows(n: int, sets: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The representative's row_of_col and the generators of the coset of (n, sets)."""
+    row = n
+    rows = [0] * n
     # I_1 takes the top rows, then each later set its new columns, then the rest.
-    for s in c.sets + (range(1, n + 1),):
+    for s in sets + (range(1, n + 1),):
         for col in s:
             if not rows[col - 1]:
                 rows[col - 1] = row
                 row -= 1
-    for col, e in c.decoration:
-        exps[col - 1] = -e % c.r
-    gens = frozenset(range(n)).difference([n - len(s) for s in c.sets])
-    return _of_fields(TCosetHandle, gens, _of_fields(GenPerm, c.r, n, tuple(rows), tuple(exps)))
+    return tuple(rows), frozenset(range(n)).difference([n - len(s) for s in sets])
 
 
 def _coset_chain_key(h: TCosetHandle) -> tuple[tuple, tuple]:

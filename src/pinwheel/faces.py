@@ -8,7 +8,9 @@ n + 1 - j on the branch opposite to its decoration.  A face's vertices are
 built straight from the orders of its chain's maximal refinements, with no
 `Chain` built per vertex; `_face_coords` yields their canonical coordinate
 tuples, which every verify suite numbers as they are, and
-`chain_to_face_vertices` wraps each in a `YPoint`.  `DeltaFace.to_json`
+`chain_to_face_vertices` wraps each in a `YPoint`.  Everything in them but
+the decorated prefix comes from `_face_shape`, a small table made once per
+set chain and keyed on exactly (r, n, sets).  `DeltaFace.to_json`
 reads `_face_coords` too, so it builds no point.  `act_on_face` is the chain
 action: the face of c moves onto the face of c·a, and `verify --suite
 equivariance` checks that the vertex sets follow.  `_hyperplanes_chain_key`
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import index
+from operator import index, itemgetter
 from typing import Sequence
 
 from .chains import Chain, _complement, _segments, act_on_chain, enumerate_chains
@@ -107,32 +109,54 @@ def _face_coords(c: Chain) -> list[tuple[tuple[int, int], ...]]:
     order of the leftover elements, then their exponents.  Each entry is
     the `coords` of `vertex_of_maximal_chain` of that refinement, and so of
     the matching `YPoint` of `chain_to_face_vertices`; it serves as a key
-    without building one.  Each segment-order prefix is placed once; the
-    leftover element added k-th takes its (magnitude, branch) pair from a
-    table made once per chain.
+    without building one.  Everything but the decoration comes from a table
+    made once per set chain (`_face_shape`): each vertex is one getter
+    applied to the decorated prefix's (magnitude, branch) pairs followed by
+    one tail word.
     """
     r, n = c.r, c.n
-    dec = c.decoration_map()
-    tail = c.complement()
+    branch = {i: -e % r for i, e in c.decoration}
+    flats, words = _face_shape(r, n, c.sets)
+    out = []
+    for flat, getters in flats:
+        prefix = tuple([(n - j, branch[i]) for j, i in enumerate(flat)])
+        out += [get(prefix + word) for get in getters for word in words]
+    return out
+
+
+# Cached: the table reads only r, n and the sets, and `enumerate_chains` lists
+# the chains of one set chain next to each other, so the suites' per-chain
+# calls mostly hit: threeway (2,4) 1,547 hits, 150 misses; (4,4) 22,683 hits,
+# 150 misses.  Callers that visit set chains in random order (one face per
+# JSON request) rarely hit, so the table is kept small.
+@lru_cache(maxsize=4, typed=True)
+def _face_shape(r: int, n: int, sets: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """The decoration-free part of `_face_coords` for the chains on (r, n, sets).
+
+    One entry per segment-order flat order: the order, and one getter per
+    order of the leftover elements that puts a vertex's pairs, listed in
+    flat-then-leftover order, in coordinate order.  Then the leftover
+    (magnitude, branch) words, one per exponent word: the element added k-th
+    of m takes magnitude m - k on the branch opposite to its exponent.
+    """
+    tail = _complement(n, sets)
     m = len(tail)
     pairs = [[(m - k, -e % r) for e in range(r)] for k in range(m)]
-    words = [
-        tuple([pairs[k][e] for k, e in enumerate(exps)])
-        for exps in itertools.product(range(r), repeat=m)
-    ]
+    words = tuple(
+        [tuple([pairs[k][e] for k, e in enumerate(exps)]) for exps in itertools.product(range(r), repeat=m)]
+    )
     tail_orders = list(itertools.permutations(tail))
-    out = []
-    for seg_orders in itertools.product(*(itertools.permutations(s) for s in c.segments())):
-        prefix = [(0, 0)] * n
-        for j, i in enumerate(itertools.chain.from_iterable(seg_orders)):
-            prefix[i - 1] = (n - j, -dec[i] % r)
+    flats = []
+    for seg_orders in itertools.product(*(itertools.permutations(s) for s in _segments(sets))):
+        flat = tuple(itertools.chain.from_iterable(seg_orders))
+        getters = []
         for order in tail_orders:
-            for word in words:
-                coords = prefix[:]
-                for i, pair in zip(order, word):
-                    coords[i - 1] = pair
-                out.append(tuple(coords))
-    return out
+            place = {i: p for p, i in enumerate(flat + order)}
+            # With under 2 indices an itemgetter returns no tuple; the one
+            # order of 0 or 1 elements is the coordinate order already.
+            getters.append(itemgetter(*[place[i] for i in range(1, n + 1)]) if n > 1 else tuple)
+        flats.append((flat, tuple(getters)))
+    return tuple(flats), words
 
 
 def chain_to_face_vertices(c: Chain) -> frozenset[YPoint]:

@@ -28,7 +28,7 @@ from pinwheel import (
     verify_products,
     verify_threeway,
 )
-from pinwheel import cyclo, faces, verify
+from pinwheel import chains, cosets, cyclo, faces, verify
 
 from conftest import count_builds
 
@@ -312,6 +312,22 @@ BROKEN = {
     ),
 }
 
+# Faults in the per-set-chain tables behind three threeway routes, on one set
+# chain each: (module, table, set chain, corruption, violation).  The empty
+# set chain's face has two leftover orders at (2, 2), so "drop one getter"
+# leaves half its vertices; TARGET's representative takes rows (2, 1).
+TABLE_FAULTS = [
+    (
+        faces,
+        "_face_shape",
+        (),
+        lambda shape: (tuple([(flat, getters[:-1]) for flat, getters in shape[0]]), shape[1]),
+        r"inclusion mismatch \(face\)",
+    ),
+    (cosets, "_coset_rows", TARGET.sets, lambda table: (table[0][::-1], table[1]), r"coset roundtrip broke"),
+    (chains, "_coarsening_sets", TARGET.sets, lambda kept: kept[:-1], r"inclusion mismatch"),
+]
+
 # Library functions the suites call that need no fault row, and why.
 NO_ROW = {
     "_check_nonnegative": "the cap's input gate: it runs before any route, and the refusal tests pin its texts",
@@ -384,6 +400,21 @@ class TestThreeway(FaultRows):
 
     def test_cap_override(self):
         assert verify_threeway(2, 2, max_group_order=10**6).ok
+
+    @pytest.mark.parametrize(
+        "module,table,sets,corrupt,violation", TABLE_FAULTS, ids=[fault[1] for fault in TABLE_FAULTS]
+    )
+    def test_a_broken_table_is_reported(self, monkeypatch, module, table, sets, corrupt, violation):
+        # Every table is keyed with the set chain last; cleared before and
+        # after, so no warm entry hides the fault or outlives it.
+        real = getattr(module, table)
+        real.cache_clear()
+        monkeypatch.setattr(module, table, lambda *args: corrupt(real(*args)) if args[-1] == sets else real(*args))
+        try:
+            report = verify_threeway(2, 2)
+        finally:
+            real.cache_clear()
+        assert any(re.search(violation, v) for v in report.violations), report.violations
 
 
 class TestEquivariance(FaultRows):
