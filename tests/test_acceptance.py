@@ -38,10 +38,9 @@ THREEWAY_ENVELOPE = [
 SMALL_ENVELOPE = [(r, n) for r in (2, 3) for n in range(4)]
 
 # Scale points above the default group-order cap of 2000, each with the peak
-# RSS (MB) its fresh child must stay under; criterion 04 runs them with the
-# cap raised to |S(5, 4)| = 15000 explicitly.
+# RSS (MB) its fresh child must stay under.  Every point of criteria 04 and
+# 06 runs with the cap at its own group order, which the cap admits.
 THREEWAY_SCALE = {(2, 5): 150, (4, 4): 130, (5, 4): 260}
-SCALE_CONFIG = 15000
 
 # One threeway run in a fresh interpreter, so its peak RSS (ru_maxrss, KiB on
 # Linux) is its own; the child inherits PYTHONPATH.
@@ -54,20 +53,9 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"ok": report.ok, "violations": report.violations[:3], "maxrss_kib": peak}))
 """
 
-# Scale points of the nonempty suite, whose cost is the vertex scan, each with
-# the group-order cap criterion 06 raises to for it explicitly: |S(4, 4)| =
-# 6144, and |S(3, 5)| = 29160 for (3, 5).  r = 5 brings a cyclotomic field of
-# degree 4, and r = 6 the first composite r.
-NONEMPTY_SCALE = {
-    (4, 3): 6144,
-    (2, 4): 6144,
-    (3, 4): 6144,
-    (2, 5): 6144,
-    (4, 4): 6144,
-    (5, 3): 6144,
-    (6, 3): 6144,
-    (3, 5): 29160,
-}
+# Scale points of the nonempty suite, whose cost is the vertex scan.  r = 5
+# brings a cyclotomic field of degree 4, and r = 6 the first composite r.
+NONEMPTY_SCALE = [(4, 3), (2, 4), (3, 4), (2, 5), (4, 4), (5, 3), (6, 3), (3, 5)]
 
 
 @contextmanager
@@ -129,10 +117,10 @@ def test_criterion_03_worked_coset_golden():
 def test_criterion_04_threeway_suite():
     with criterion(4, "three-way correspondence suite", limit=60.0):
         for r, n in THREEWAY_ENVELOPE:
-            report = verify_threeway(r, n, SCALE_CONFIG)
+            report = verify_threeway(r, n, group_order(r, n))
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
         for (r, n), bound_mb in THREEWAY_SCALE.items():
-            args = [sys.executable, "-c", THREEWAY_CHILD, str(r), str(n), str(SCALE_CONFIG)]
+            args = [sys.executable, "-c", THREEWAY_CHILD, str(r), str(n), str(group_order(r, n))]
             child = json.loads(subprocess.run(args, capture_output=True, text=True, check=True).stdout)
             assert child["ok"], f"violations at (r={r}, n={n}): {child['violations']}"
             peak_mb = child["maxrss_kib"] / 1024
@@ -153,8 +141,8 @@ def test_criterion_06_nonemptiness_equivalence():
         for r, n in SMALL_ENVELOPE:
             report = verify_nonemptiness(r, n)
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
-        for (r, n), cap in NONEMPTY_SCALE.items():
-            report = verify_nonemptiness(r, n, cap)
+        for r, n in NONEMPTY_SCALE:
+            report = verify_nonemptiness(r, n, group_order(r, n))
             assert report.ok, f"violations at (r={r}, n={n}): {report.violations[:3]}"
 
 

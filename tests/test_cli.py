@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -37,17 +41,38 @@ MATRIX_R2N3_JSON = json.dumps(
         ],
     }
 )
+# The length-0 chain at (3, 4): 1944 face vertices and coset elements.
+EMPTY_CHAIN_R3N4_JSON = '{"r":3,"n":4,"sets":[],"decoration":{}}'
+# An n = 1 chain, whose face vertices take `faces._face_shape`'s fallback
+# for fewer than two coordinates.
+CHAIN_R3N1_JSON = '{"r":3,"n":1,"sets":[[1]],"decoration":{"1":2}}'
+# The length-0 chain at (2, 8): its face has 10,321,920 vertices, and `act`
+# prints the image chain without listing any of them.
+EMPTY_CHAIN_R2N8_JSON = '{"r":2,"n":8,"sets":[],"decoration":{}}'
+MATRIX_R2N8_JSON = json.dumps(
+    {
+        "r": 2,
+        "n": 8,
+        "cols": [{"col": j, "row": j % 8 + 1, "exp": j % 2} for j in range(1, 9)],
+    }
+)
 FILES = {
     "CHAIN": CHAIN_JSON,
     "MATRIX": MATRIX_JSON,
     "VERTEX": VERTEX_JSON,
     "EMPTY_CHAIN": EMPTY_CHAIN_JSON,
     "MATRIX_R2N3": MATRIX_R2N3_JSON,
+    "EMPTY_CHAIN_R3N4": EMPTY_CHAIN_R3N4_JSON,
+    "CHAIN_R3N1": CHAIN_R3N1_JSON,
+    "EMPTY_CHAIN_R2N8": EMPTY_CHAIN_R2N8_JSON,
+    "MATRIX_R2N8": MATRIX_R2N8_JSON,
 }
 
 # sha256 of each command's stdout.  Each name in FILES stands for a file
 # holding its JSON.  The digests pin the output byte for byte, so a
-# change to any of them has to be deliberate.
+# change to any of them has to be deliberate.  This is the one list of
+# checked CLI commands: TestOutputBytes runs each row in process and again
+# in a stdlib-only child.
 STDOUT_SHA256 = {
     "chains --r 2 --n 2": "3a81249718ba69b5c95be69701c7ba81e87e3d44b998ced09b53f71e3ad769c8",
     "chains --r 2 --n 2 --table": "f8b9b205468028babb7b590e0c3b519c7a6d40ffd0f080af1dbfd47fd521916e",
@@ -61,10 +86,15 @@ STDOUT_SHA256 = {
     "face --chain EMPTY_CHAIN --vertices --factors": "d1eab36046ac946a6757290214b30b94b9822275b75fdf84644214397bb3a8d9",
     "coset --chain EMPTY_CHAIN --elements": "f1b9d45e459f878e00038ec888fe1d4345f30521b8ed10a81d7a966a97686030",
     "act --matrix MATRIX_R2N3 --chain EMPTY_CHAIN": "6d79c84361adc0bcc646a07bff72acacd17d92127a88248a093e736f45b5c13f",
+    "coset --chain EMPTY_CHAIN_R3N4 --elements": "618018c04f5e11691192c648f30c24e87a7e2fe171d1bc6c74259c3244fa7454",
+    "face --chain EMPTY_CHAIN_R3N4 --vertices --factors": "438ba96a600618cb69ba51012433f48a72e2661b629fc29b7e3aa944bc5efe05",
+    "face --chain CHAIN_R3N1 --vertices": "82a46a130520e6b554a5a041d06f0b944fedfcd443a06425e33a3c0e45e04062",
+    "act --matrix MATRIX_R2N8 --chain EMPTY_CHAIN_R2N8": "8a52b25d60842c027f6dd6cac1356fcdef7ec2079312674c8abfb175071217a7",
     "verify --r 2 --n 2 --suite all": "3ca91032a02de9a98d6f9daca59600d6ce9192c921cf6c81fa1e8b3196a1970d",
     "verify --suite equivariance --r 2 --n 3": "aa122fa62f620027824eb516b897d78037d207e2f4454bbd733a39b2a5eb3260",
     "verify --r 2 --n 3 --suite all": "d7af48dd0dcdcaba7f8e9984a78a60f60b11aa7fb51d49dd26466f3c9d4f8903",
     "verify --r 3 --n 3 --suite all": "badea590fdcfd5f9332c06fbd454e6d4b899d712c1def31125a25c5d4b6ff6fe",
+    "verify --r 6 --n 2 --suite all": "6f93f6739e3e00e81a37c1b3b91f391c08bd72197fbbe544e9a85516b243d46a",
 }
 
 
@@ -80,6 +110,14 @@ def matrix_file(tmp_path):
     path = tmp_path / "matrix.json"
     path.write_text(MATRIX_JSON)
     return str(path)
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A directory holding each FILES entry as `<name>.json`."""
+    for name, text in FILES.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return tmp_path
 
 
 def run(capsys, *argv):
@@ -197,22 +235,14 @@ class TestAct:
         assert data["decoration"] == {"1": 0, "2": 1, "3": 1, "4": 2}
 
     def test_on_a_full_face_lists_no_vertex(self, capsys, monkeypatch, tmp_path):
-        # The length-0 chain at (2, 8): its face has 10,321,920 vertices,
-        # and the image chain is printed without listing any of them.
-        chain = {"r": 2, "n": 8, "sets": [], "decoration": {}}
-        matrix = {
-            "r": 2,
-            "n": 8,
-            "cols": [{"col": j, "row": j % 8 + 1, "exp": j % 2} for j in range(1, 9)],
-        }
-        (tmp_path / "chain.json").write_text(json.dumps(chain))
-        (tmp_path / "matrix.json").write_text(json.dumps(matrix))
+        (tmp_path / "chain.json").write_text(EMPTY_CHAIN_R2N8_JSON)
+        (tmp_path / "matrix.json").write_text(MATRIX_R2N8_JSON)
         monkeypatch.setattr(faces, "_face_coords", lambda c: pytest.fail("listed a face's vertices"))
         code, out = run(
             capsys, "act", "--matrix", str(tmp_path / "matrix.json"), "--chain", str(tmp_path / "chain.json")
         )
         assert code == 0
-        assert out == json.dumps(chain, separators=(",", ":")) + "\n"
+        assert out == EMPTY_CHAIN_R2N8_JSON + "\n"
 
     def test_on_vertex(self, capsys, matrix_file, tmp_path):
         path = tmp_path / "vertex.json"
@@ -276,15 +306,43 @@ class TestVerify:
         assert code == 0
 
 
+def command_argv(command: str, inputs) -> list[str]:
+    """`command` split into arguments, each name in FILES replaced by its file's path."""
+    return [str(inputs / f"{a}.json") if a in FILES else a for a in command.split()]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def stdlib_child(cwd, *args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter in dev mode with every warning an error.
+
+    `-S` keeps site-packages, pytest included, off `sys.path`, and
+    PYTHONPATH holds the source tree alone.
+    """
+    argv = [sys.executable, "-S", "-X", "dev", "-W", "error", *args]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=60)
+
+
 class TestOutputBytes:
     @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
-    def test_stdout_digest(self, capsys, tmp_path, command):
-        for name, text in FILES.items():
-            (tmp_path / f"{name}.json").write_text(text)
-        argv = [str(tmp_path / f"{a}.json") if a in FILES else a for a in command.split()]
-        code, out = run(capsys, *argv)
+    def test_stdout_digest(self, capsys, inputs, command):
+        code, out = run(capsys, *command_argv(command, inputs))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+    def test_every_command_runs_stdlib_only(self, inputs):
+        probe = stdlib_child(inputs, "-c", "import importlib.util; assert importlib.util.find_spec('pytest') is None")
+        assert probe.returncode == 0, f"pytest is importable without site-packages: {probe.stderr.decode()}"
+        for command in sorted(STDOUT_SHA256):
+            child = stdlib_child(inputs, "-m", "pinwheel.cli", *command_argv(command, inputs))
+            assert (child.returncode, child.stderr) == (0, b""), command
+            assert hashlib.sha256(child.stdout).hexdigest() == STDOUT_SHA256[command], command
+        refused = stdlib_child(inputs, "-m", "pinwheel.cli", "verify", "--r", "4", "--n", "4", "--suite", "all")
+        assert refused.returncode == 1
+        assert refused.stdout == b""
+        assert b"size cap exceeded" in refused.stderr
 
 
 def reading(what, path, chain_file, matrix_file):
