@@ -77,7 +77,8 @@ class GenPerm:
 
     @staticmethod
     def from_json(data: Mapping) -> "GenPerm":
-        r, n, cols = _json_int(data["r"]), _json_int(data["n"]), data["cols"]
+        r, n = _check_rn(_json_int(data["r"]), _json_int(data["n"]))
+        cols = data["cols"]
         if len(cols) != n:
             raise ValueError(f"expected {n} columns, got {len(cols)}")
         entries = sorted(

@@ -6,14 +6,18 @@ Tests draw their inputs one way: a finite space enumerated whole, or a
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
+import pinwheel
 from pinwheel import Chain, DecoratedSubset, GenPerm, PinwheelStratum, YPoint
 from pinwheel.cyclo import _of_fields
 
@@ -54,6 +58,17 @@ def decorated_subsets(r: int, n: int) -> list[DecoratedSubset]:
 def sample(items, count: int = 8) -> tuple:
     """About `count` items spread over the sequence."""
     return tuple(items[:: max(1, len(items) // count)])
+
+
+def library_caches() -> dict[str, Callable]:
+    """Every `lru_cache` a pinwheel module defines, by module and name, as in `faces._face_shape`."""
+    caches = {}
+    for info in pkgutil.iter_modules(pinwheel.__path__):
+        module = importlib.import_module(f"pinwheel.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = obj
+    return caches
 
 
 def count_builds(monkeypatch, *classes: type) -> Counter:

@@ -2,9 +2,7 @@
 so long-lived use cannot grow without limit; no enumerator, cached or not, answers a
 float r or n; and no per-set-chain table hands one chain's decoration to another."""
 
-import importlib
 import itertools
-import pkgutil
 import random
 
 import pytest
@@ -22,31 +20,25 @@ from pinwheel.chains import _coarsening_keys, _coarsening_sets
 from pinwheel.cosets import _coset_rows
 from pinwheel.faces import _face_coords, _face_shape
 
-
-def _caches():
-    for info in pkgutil.iter_modules(pinwheel.__path__):
-        module = importlib.import_module(f"pinwheel.{info.name}")
-        for name, obj in vars(module).items():
-            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
-                yield f"{module.__name__}.{name}", obj.cache_parameters()["maxsize"]
+from conftest import library_caches
 
 
 def test_every_lru_cache_has_a_finite_maxsize():
-    sizes = dict(_caches())
+    sizes = {name: cache.cache_parameters()["maxsize"] for name, cache in library_caches().items()}
     assert {
-        "pinwheel.cyclo.cyclotomic_polynomial",
-        "pinwheel.cyclo._zeta_powers",
-        "pinwheel.chains.enumerate_chains",
-        "pinwheel.group._subgroup_closure",
+        "cyclo.cyclotomic_polynomial",
+        "cyclo._zeta_powers",
+        "chains.enumerate_chains",
+        "group._subgroup_closure",
         # threeway (2,4): 1,547 hits, 150 misses; (4,4): 22,683 hits, 150 misses.
-        "pinwheel.faces._face_dimension",
+        "faces._face_dimension",
         # Each read by one route and keyed on the set chain; threeway (2,4):
         # 1,547 hits, 150 misses; (4,4): 22,683 hits, 150 misses.
-        "pinwheel.faces._face_shape",
-        "pinwheel.cosets._coset_rows",
-        "pinwheel.chains._coarsening_sets",
+        "faces._face_shape",
+        "cosets._coset_rows",
+        "chains._coarsening_sets",
         # threeway (2,4): 1,692 hits, 5 misses, one per spoke length.
-        "pinwheel.strata._contraction_runs",
+        "strata._contraction_runs",
     } == set(sizes)
     assert [name for name, size in sizes.items() if size is None] == []
 

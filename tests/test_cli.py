@@ -56,6 +56,14 @@ MATRIX_R2N8_JSON = json.dumps(
         "cols": [{"col": j, "row": j % 8 + 1, "exp": j % 2} for j in range(1, 9)],
     }
 )
+# The identity's maximal chain {4} < {3, 4} < {2, 3, 4} < {1..4} at (3, 4).
+IDENTITY_CHAIN_JSON = json.dumps(
+    {"r": 3, "n": 4, "sets": [[4], [3, 4], [2, 3, 4], [1, 2, 3, 4]], "decoration": {"1": 0, "2": 0, "3": 0, "4": 0}}
+)
+# The smallest inputs: the second file a command needs when it reads a
+# malformed or fuzzed one.
+CHAIN_R2N1_JSON = '{"r":2,"n":1,"sets":[[1]],"decoration":{"1":1}}'
+MATRIX_R2N1_JSON = '{"r":2,"n":1,"cols":[{"col":1,"row":1,"exp":0}]}'
 FILES = {
     "CHAIN": CHAIN_JSON,
     "MATRIX": MATRIX_JSON,
@@ -66,6 +74,9 @@ FILES = {
     "CHAIN_R3N1": CHAIN_R3N1_JSON,
     "EMPTY_CHAIN_R2N8": EMPTY_CHAIN_R2N8_JSON,
     "MATRIX_R2N8": MATRIX_R2N8_JSON,
+    "IDENTITY_CHAIN": IDENTITY_CHAIN_JSON,
+    "CHAIN_R2N1": CHAIN_R2N1_JSON,
+    "MATRIX_R2N1": MATRIX_R2N1_JSON,
 }
 
 # sha256 of each command's stdout.  Each name in FILES stands for a file
@@ -99,25 +110,29 @@ STDOUT_SHA256 = {
 
 
 @pytest.fixture
-def chain_file(tmp_path):
-    path = tmp_path / "chain.json"
-    path.write_text(CHAIN_JSON)
-    return str(path)
-
-
-@pytest.fixture
-def matrix_file(tmp_path):
-    path = tmp_path / "matrix.json"
-    path.write_text(MATRIX_JSON)
-    return str(path)
-
-
-@pytest.fixture
 def inputs(tmp_path):
     """A directory holding each FILES entry as `<name>.json`."""
     for name, text in FILES.items():
         (tmp_path / f"{name}.json").write_text(text)
     return tmp_path
+
+
+def command_argv(command: str, inputs) -> list[str]:
+    """`command` split into arguments, each name in FILES replaced by its file's path."""
+    return [str(inputs / f"{a}.json") if a in FILES else a for a in command.split()]
+
+
+# The command that reads a file of each kind, "{}" standing for that file.
+READING = {
+    "chain": "face --chain {}",
+    "matrix": "act --matrix {} --chain CHAIN_R2N1",
+    "vertex": "act --matrix MATRIX_R2N1 --vertex {}",
+}
+
+
+def reading(what: str, path, inputs) -> list[str]:
+    """A command line that reads `path` as a `what` file."""
+    return [str(path) if a == "{}" else a for a in command_argv(READING[what], inputs)]
 
 
 def run(capsys, *argv):
@@ -166,8 +181,8 @@ class TestChains:
 
 
 class TestCoset:
-    def test_worked_example_elements(self, capsys, chain_file):
-        code, out = run(capsys, "coset", "--chain", chain_file, "--elements")
+    def test_worked_example_elements(self, capsys, inputs):
+        code, out = run(capsys, *command_argv("coset --chain CHAIN --elements", inputs))
         assert code == 0
         data = json.loads(out)
         assert data["gens"] == [0, 2]
@@ -177,8 +192,8 @@ class TestCoset:
 
 
 class TestFace:
-    def test_vertices_and_factors(self, capsys, chain_file):
-        code, out = run(capsys, "face", "--chain", chain_file, "--vertices", "--factors")
+    def test_vertices_and_factors(self, capsys, inputs):
+        code, out = run(capsys, *command_argv("face --chain CHAIN --vertices --factors", inputs))
         assert code == 0
         data = json.loads(out)
         assert data["dimension"] == 2
@@ -191,13 +206,13 @@ class TestFace:
 
 
 class TestStratum:
-    def test_json(self, capsys, chain_file):
-        code, out = run(capsys, "stratum", "--chain", chain_file)
+    def test_json(self, capsys, inputs):
+        code, out = run(capsys, *command_argv("stratum --chain CHAIN", inputs))
         assert code == 0
         assert json.loads(out)["k"] == 2
 
-    def test_dot(self, capsys, chain_file):
-        code, out = run(capsys, "stratum", "--chain", chain_file, "--dot")
+    def test_dot(self, capsys, inputs):
+        code, out = run(capsys, *command_argv("stratum --chain CHAIN --dot", inputs))
         assert code == 0
         assert out.startswith("graph") and "y^0" in out
 
@@ -216,42 +231,21 @@ class TestHasse:
 
 
 class TestAct:
-    def test_on_chain(self, capsys, matrix_file, tmp_path):
-        path = tmp_path / "identity_chain.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "r": 3,
-                    "n": 4,
-                    "sets": [[4], [3, 4], [2, 3, 4], [1, 2, 3, 4]],
-                    "decoration": {"1": 0, "2": 0, "3": 0, "4": 0},
-                }
-            )
-        )
-        code, out = run(capsys, "act", "--matrix", matrix_file, "--chain", str(path))
+    def test_on_chain(self, capsys, inputs):
+        code, out = run(capsys, *command_argv("act --matrix MATRIX --chain IDENTITY_CHAIN", inputs))
         assert code == 0
         data = json.loads(out)
         assert data["sets"] == [[1], [1, 3], [1, 3, 4], [1, 2, 3, 4]]
         assert data["decoration"] == {"1": 0, "2": 1, "3": 1, "4": 2}
 
-    def test_on_a_full_face_lists_no_vertex(self, capsys, monkeypatch, tmp_path):
-        (tmp_path / "chain.json").write_text(EMPTY_CHAIN_R2N8_JSON)
-        (tmp_path / "matrix.json").write_text(MATRIX_R2N8_JSON)
+    def test_on_a_full_face_lists_no_vertex(self, capsys, monkeypatch, inputs):
         monkeypatch.setattr(faces, "_face_coords", lambda c: pytest.fail("listed a face's vertices"))
-        code, out = run(
-            capsys, "act", "--matrix", str(tmp_path / "matrix.json"), "--chain", str(tmp_path / "chain.json")
-        )
+        code, out = run(capsys, *command_argv("act --matrix MATRIX_R2N8 --chain EMPTY_CHAIN_R2N8", inputs))
         assert code == 0
         assert out == EMPTY_CHAIN_R2N8_JSON + "\n"
 
-    def test_on_vertex(self, capsys, matrix_file, tmp_path):
-        path = tmp_path / "vertex.json"
-        path.write_text(
-            json.dumps(
-                {"coords": [{"mag": [str(i), "1"], "branch": 0} for i in (1, 2, 3, 4)]}
-            )
-        )
-        code, out = run(capsys, "act", "--matrix", matrix_file, "--vertex", str(path))
+    def test_on_vertex(self, capsys, inputs):
+        code, out = run(capsys, *command_argv("act --matrix MATRIX --vertex VERTEX", inputs))
         assert code == 0
         data = json.loads(out)
         assert data["coords"] == [
@@ -306,11 +300,6 @@ class TestVerify:
         assert code == 0
 
 
-def command_argv(command: str, inputs) -> list[str]:
-    """`command` split into arguments, each name in FILES replaced by its file's path."""
-    return [str(inputs / f"{a}.json") if a in FILES else a for a in command.split()]
-
-
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -343,15 +332,6 @@ class TestOutputBytes:
         assert refused.returncode == 1
         assert refused.stdout == b""
         assert b"size cap exceeded" in refused.stderr
-
-
-def reading(what, path, chain_file, matrix_file):
-    """A command line that reads `path` as a `what` file."""
-    return {
-        "matrix": ["act", "--matrix", str(path), "--chain", chain_file],
-        "chain": ["face", "--chain", str(path)],
-        "vertex": ["act", "--matrix", matrix_file, "--vertex", str(path)],
-    }[what]
 
 
 class TestErrors:
@@ -402,20 +382,20 @@ class TestErrors:
             "number-mag", "string-mag",
         ],
     )
-    def test_inexact_input_is_refused(self, tmp_path, capsys, chain_file, matrix_file, what, text):
-        path = tmp_path / "bad.json"
+    def test_inexact_input_is_refused(self, capsys, inputs, what, text):
+        path = inputs / "bad.json"
         path.write_text(text)
         with pytest.raises(SystemExit) as err:
-            main(reading(what, path, chain_file, matrix_file))
+            main(reading(what, path, inputs))
         assert f"malformed {what} in {path}" in str(err.value)
 
     @pytest.mark.parametrize("what", ["chain", "matrix", "vertex"])
     @pytest.mark.parametrize("text", ["[1,2]", '"x"', "3"], ids=["list", "string", "number"])
-    def test_top_level_non_object_is_named(self, tmp_path, capsys, chain_file, matrix_file, what, text):
-        path = tmp_path / "bad.json"
+    def test_top_level_non_object_is_named(self, capsys, inputs, what, text):
+        path = inputs / "bad.json"
         path.write_text(text)
         with pytest.raises(SystemExit) as err:
-            main(reading(what, path, chain_file, matrix_file))
+            main(reading(what, path, inputs))
         assert str(err.value) == f"malformed {what} in {path}: expected a JSON object"
         assert capsys.readouterr().out == ""
 
@@ -427,15 +407,11 @@ class TestErrors:
         ],
         ids=["chain", "matrix"],
     )
-    def test_repeated_key_is_refused(self, tmp_path, capsys, chain_file, what, text, key):
-        path = tmp_path / "repeated.json"
+    def test_repeated_key_is_refused(self, capsys, inputs, what, text, key):
+        path = inputs / "repeated.json"
         path.write_text(text)
-        argv = {
-            "chain": ["stratum", "--chain", str(path)],
-            "matrix": ["act", "--matrix", str(path), "--chain", chain_file],
-        }[what]
         with pytest.raises(SystemExit) as err:
-            main(argv)
+            main(reading(what, path, inputs))
         assert str(err.value) == f"cannot read JSON from {path}: repeated key {key!r}"
         assert capsys.readouterr().out == ""
 
@@ -491,8 +467,6 @@ class TestSharedOptions:
 # keyed by the field names the loaders read, at most 12 leaves in all.
 FIELDS = ["r", "n", "sets", "decoration", "cols", "col", "row", "exp", "coords", "mag", "branch", "1", "2"]
 LEAVES = [*range(-3, 6), "1", "2", "-1", "x", None]
-ONE_MATRIX = '{"r":2,"n":1,"cols":[{"col":1,"row":1,"exp":0}]}'
-ONE_CHAIN = '{"r":2,"n":1,"sets":[[1]],"decoration":{"1":1}}'
 
 
 def json_value(rng: random.Random, leaves: list[int]):
@@ -508,24 +482,17 @@ def json_value(rng: random.Random, leaves: list[int]):
 
 
 class TestLoaderFuzz:
-    def test_arbitrary_json_exits_cleanly(self, tmp_path):
+    def test_arbitrary_json_exits_cleanly(self, inputs):
         # 600 seeded values, each fed to one of the three loaders.
         rng = random.Random(36)
-        fixed_chain, fixed_matrix, fuzzed = tmp_path / "chain.json", tmp_path / "matrix.json", tmp_path / "fuzzed.json"
-        fixed_chain.write_text(ONE_CHAIN)
-        fixed_matrix.write_text(ONE_MATRIX)
-        argv = {
-            "chain": ["face", "--chain", str(fuzzed)],
-            "matrix": ["act", "--matrix", str(fuzzed), "--chain", str(fixed_chain)],
-            "vertex": ["act", "--matrix", str(fixed_matrix), "--vertex", str(fuzzed)],
-        }
+        fuzzed = inputs / "fuzzed.json"
         kinds = Counter()
         for _ in range(600):
-            what = rng.choice(sorted(argv))
+            what = rng.choice(sorted(READING))
             kinds[what] += 1
             fuzzed.write_text(json.dumps(json_value(rng, [12])))
             try:
-                assert main(argv[what]) == 0
+                assert main(reading(what, fuzzed, inputs)) == 0
             except SystemExit as exc:
                 assert "\n" not in str(exc)
-        assert sorted(kinds) == sorted(argv), kinds
+        assert sorted(kinds) == sorted(READING), kinds

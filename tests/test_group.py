@@ -415,6 +415,13 @@ class TestJson:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_r_and_n_are_checked_before_the_column_count(self):
+        # The text `Chain.from_json` gives for the same pair.
+        with pytest.raises(ValueError, match=r"^need r >= 2 and n >= 0, got r=2, n=-1$"):
+            GenPerm.from_json({"r": 2, "n": -1, "cols": []})
+        with pytest.raises(ValueError, match=r"^need r >= 2 and n >= 0, got r=1, n=1$"):
+            GenPerm.from_json({"r": 1, "n": 1, "cols": []})
+
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             GenPerm(2, 2, (1, 1), (0, 0))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import pinwheel
 from pinwheel import (
     CapExceeded,
     Chain,
@@ -28,9 +29,9 @@ from pinwheel import (
     verify_products,
     verify_threeway,
 )
-from pinwheel import chains, cosets, cyclo, faces, verify
+from pinwheel import cyclo, faces, verify
 
-from conftest import count_builds
+from conftest import count_builds, library_caches
 
 
 # Chains over (2, 2) that the fault-injection rows corrupt one route on.
@@ -48,15 +49,18 @@ BASE = ((1, 0), (2, 0))
 
 
 # One fault table for the four suites: (suite, route, case) -> (corruption,
-# violation).  The harness patches `verify.<route>` to return
+# violation[, r, n]).  The harness patches the route to return
 # `corruption(args, result)` for each argument tuple, runs `SUITES[suite]` at
-# (2, 2), and expects a violation matching the regex.  The suites compare
-# canonical keys, so a route is often the key builder the suite calls.  A
-# route's plain case "" swaps in another object's value, leaves one item out
-# or adds one to a count; "foreign" names an object outside the complex, and
-# "noncanonical" writes an exponent e + r, which names the same object but
-# not its key.  A row's test id is its route and case; the kernel's rows take
-# the name of the public `on_hyperplane` it serves.
+# the row's point, (2, 2) unless it names one, and expects a violation
+# matching the regex.  A route is a name in `verify`, or an attribute its
+# owner names: a library table or accessor such as `faces._face_shape` or
+# `Chain.segments`.  The suites compare canonical keys, so a route is often
+# the key builder the suite calls.  A route's plain case "" swaps in another
+# object's value, leaves one item out or adds one to a count; "foreign" names
+# an object outside the complex, and "noncanonical" writes an exponent e + r,
+# which names the same object but not its key.  A row's test id is its route
+# and case; the kernel's rows take the name of the public `on_hyperplane` it
+# serves.
 #
 # Nonempty: MAXIMAL's vertex lies on the hyperplane of the set {1} with
 # decoration 1 -> 0 (key ON_SET_ONE), whose one-set family is sortable.  The
@@ -147,6 +151,39 @@ BROKEN = {
     ("threeway", "group_order", ""): (
         lambda args, order: order + 1,
         r"vertex census",
+    ),
+    # The per-set-chain tables behind three threeway routes, each keyed with
+    # the set chain last and corrupted on one.  The empty set chain's face has
+    # two leftover orders at (2, 2), so dropping one getter leaves half its
+    # vertices; TARGET's representative takes rows (2, 1).
+    ("threeway", "faces._face_shape", ""): (
+        lambda args, shape: (tuple([(flat, getters[:-1]) for flat, getters in shape[0]]), shape[1])
+        if args[-1] == ()
+        else shape,
+        r"inclusion mismatch \(face\)",
+    ),
+    ("threeway", "cosets._coset_rows", ""): (
+        lambda args, table: (table[0][::-1], table[1]) if args[-1] == TARGET.sets else table,
+        r"coset roundtrip broke",
+    ),
+    ("threeway", "chains._coarsening_sets", ""): (
+        lambda args, kept: kept[:-1] if args[-1] == TARGET.sets else kept,
+        r"inclusion mismatch",
+    ),
+    ("threeway", "faces._face_dimension", ""): (
+        lambda args, dim: dim + 1 if args == (2, TARGET.sets) else dim,
+        r"dimension (mismatch|oracle)",
+    ),
+    # Every spoke of length 1, TARGET's among them, loses its full contraction.
+    ("threeway", "strata._contraction_runs", ""): (
+        lambda args, runs: runs[:-1] if args == (1,) else runs,
+        r"inclusion mismatch \(stratum\)",
+    ),
+    # <s_0> loses s_0, so every coset whose generator set is {0}, TARGET's
+    # among them, loses an element.
+    ("threeway", "group._subgroup_closure", ""): (
+        lambda args, elements: elements - {generator(2, 2, 0)} if args == (2, 2, frozenset({0})) else elements,
+        r"inclusion mismatch \(coset\)",
     ),
     ("equivariance", "_act_on_coords", ""): (
         lambda args, coords: ((1, 1), (2, 0)) if args == (BASE, ONE) else coords,
@@ -240,6 +277,13 @@ BROKEN = {
         lambda args, words: sorted(words)[1:] if args[0] == TARGET else words,
         r"coset is not the product of its blocks",
     ),
+    # A fault every chain-side decomposition shares: the stratum's, the
+    # coset's and the face's factor lists still agree, but the coset's blocks
+    # land on the wrong columns, so their product is another set.
+    ("products", "Chain.segments", "reversed"): (
+        lambda args, segments: segments[::-1],
+        r"coset is not the product of its blocks",
+    ),
     ("nonempty", "_on_hyperplane_coords", ""): (
         lambda args, on: not on if args[1] == OTHER_MAXIMAL_COORDS and tuple(args[2]) == ((0, 0), (1, 1)) else on,
         r"hyperplane intersection is not the face's vertex set",
@@ -255,6 +299,15 @@ BROKEN = {
     ("nonempty", "_on_hyperplane_coords", "empty"): (
         lambda args, on: False if tuple(args[2]) == ((0, 0),) else on,
         r"^sortability and vertex scan disagree on \[\{1: 0\}\]$",
+    ),
+    # The kernel tests coeffs[2:] for coeffs[1:], so a sum whose zeta
+    # coefficient is nonzero can pass.  That moves no vertex onto another
+    # hyperplane at (3,3), (4,3), (5,2) or (5,3); at (6,2) it does.
+    ("nonempty", "_on_hyperplane_coords", "skip-coefficient"): (
+        lambda args, on: (coeffs := cyclo._hyperplane_coeffs(*args[:3]))[0] == args[3] and not any(coeffs[2:]),
+        r"sortability and vertex scan disagree",
+        6,
+        2,
     ),
     ("nonempty", "_hyperplanes_chain_key", "none"): (
         lambda args, key: None if tuple(args[1]) == (ON_SET_ONE,) else key,
@@ -310,37 +363,50 @@ BROKEN = {
         lambda args, bound: bound + 1 if args[1] == 1 else bound,
         r"sortability and vertex scan disagree",
     ),
-}
-
-# Faults in the per-set-chain tables behind three threeway routes, on one set
-# chain each: (module, table, set chain, corruption, violation).  The empty
-# set chain's face has two leftover orders at (2, 2), so "drop one getter"
-# leaves half its vertices; TARGET's representative takes rows (2, 1).
-TABLE_FAULTS = [
-    (
-        faces,
-        "_face_shape",
-        (),
-        lambda shape: (tuple([(flat, getters[:-1]) for flat, getters in shape[0]]), shape[1]),
-        r"inclusion mismatch \(face\)",
+    # zeta's entry flipped at r = 2, so zeta * x reads as x.  Swapping zeta
+    # and zeta^2 at r = 3 would be no row: the swap is complex conjugation, a
+    # field automorphism that keeps rational sums rational, so it moves no
+    # vertex on or off a hyperplane (0 violations at (3, 2)).
+    ("nonempty", "cyclo._zeta_powers", ""): (
+        lambda args, powers: (powers[0], tuple([-c for c in powers[1]])) if args == (2,) else powers,
+        r"more than n=2",
     ),
-    (cosets, "_coset_rows", TARGET.sets, lambda table: (table[0][::-1], table[1]), r"coset roundtrip broke"),
-    (chains, "_coarsening_sets", TARGET.sets, lambda kept: kept[:-1], r"inclusion mismatch"),
-]
+    # Phi_3 read as x^2 - 1, so zeta^2 reduces to 1 and zeta^2 * x reads as x.
+    ("nonempty", "cyclo.cyclotomic_polynomial", ""): (
+        lambda args, poly: (-1, 0, 1) if args == (3,) else poly,
+        r"more than n=2",
+        3,
+        2,
+    ),
+}
 
 # Library functions the suites call that need no fault row, and why.
 NO_ROW = {
     "_check_nonnegative": "the cap's input gate: it runs before any route, and the refusal tests pin its texts",
     "_check_rn": "the (r, n) input gate: it runs before any route, and the refusal tests pin its texts",
     "_of_fields": "wraps fields a route computed; the suite compares those fields, not the wrapper",
-    "enumerate_chains": "the chain list every route runs over, not one of the routes compared on it",
+    "enumerate_chains": (
+        "the chain list every route runs over, not one of the routes compared on it; its cache holds that list"
+    ),
 }
 
 
 def assert_reported(monkeypatch, suite, route, corrupt, violation, r=2, n=2):
-    real = getattr(verify, route)
-    monkeypatch.setattr(verify, route, lambda *args: corrupt(args, real(*args)))
-    report = verify.SUITES[suite](r, n)
+    # The route is patched on its owner, `verify` unless the route names one.
+    # Every library cache is cleared before and after the suite runs, so no
+    # warm entry hides the fault and none carries it past the row.
+    caches = library_caches().values()
+    owner, _, name = route.rpartition(".")
+    owner = getattr(pinwheel, owner) if owner else verify
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: corrupt(args, real(*args)))
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        report = verify.SUITES[suite](r, n)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
     assert any(re.search(violation, v) for v in report.violations), report.violations
 
 
@@ -363,18 +429,21 @@ class FaultRows:
 
 def test_every_route_a_suite_calls_has_a_fault_row():
     # Each library function `verify` imports is a route some suite compares,
-    # unless NO_ROW says why not.
+    # and each library cache serves one entry to many calls, so each needs a
+    # row unless NO_ROW says why not.  A cache that `verify` imports goes by
+    # its name there.
     imported = {
-        name
+        value: name
         for name, value in vars(verify).items()
         if callable(value)
         and not isinstance(value, type)
         and value.__module__.startswith("pinwheel.")
         and value.__module__ != verify.__name__
     }
+    routes = set(imported.values()) | {imported.get(cache, name) for name, cache in library_caches().items()}
     rows = {route for _, route, _ in BROKEN}
-    assert sorted(imported - rows - set(NO_ROW)) == []
-    assert sorted(set(NO_ROW) - (imported - rows)) == []
+    assert sorted(routes - rows - set(NO_ROW)) == []
+    assert sorted(set(NO_ROW) - (routes - rows)) == []
 
 
 class TestThreeway(FaultRows):
@@ -400,21 +469,6 @@ class TestThreeway(FaultRows):
 
     def test_cap_override(self):
         assert verify_threeway(2, 2, max_group_order=10**6).ok
-
-    @pytest.mark.parametrize(
-        "module,table,sets,corrupt,violation", TABLE_FAULTS, ids=[fault[1] for fault in TABLE_FAULTS]
-    )
-    def test_a_broken_table_is_reported(self, monkeypatch, module, table, sets, corrupt, violation):
-        # Every table is keyed with the set chain last; cleared before and
-        # after, so no warm entry hides the fault or outlives it.
-        real = getattr(module, table)
-        real.cache_clear()
-        monkeypatch.setattr(module, table, lambda *args: corrupt(real(*args)) if args[-1] == sets else real(*args))
-        try:
-            report = verify_threeway(2, 2)
-        finally:
-            real.cache_clear()
-        assert any(re.search(violation, v) for v in report.violations), report.violations
 
 
 class TestEquivariance(FaultRows):
@@ -502,15 +556,6 @@ class TestProducts(FaultRows):
     def test_envelope_cases(self, r, n):
         assert verify_products(r, n).ok
 
-    def test_reversed_segments_are_reported(self, monkeypatch):
-        # A fault every chain-side decomposition shares: the stratum's, the
-        # coset's and the face's factor lists still agree, but the coset's
-        # blocks land on the wrong columns, so their product is another set.
-        real = Chain.segments
-        monkeypatch.setattr(Chain, "segments", lambda c: real(c)[::-1])
-        report = verify_products(2, 2)
-        assert any(re.search("coset is not the product of its blocks", v) for v in report.violations)
-
 
 class TestNonemptiness(FaultRows):
     SUITE = "nonempty"
@@ -535,18 +580,6 @@ class TestNonemptiness(FaultRows):
         assert violations[0] == f"vertex {base.to_json()} lies on 10 hyperplanes, more than n=3"
         # The one family met only at that vertex: the layers of its maximal chain.
         assert violations[1:] == ["sortability and vertex scan disagree on [{1: 0}, {1: 0, 2: 0}, {1: 0, 2: 0, 3: 0}]"]
-
-    def test_a_kernel_that_skips_a_coefficient_is_reported_at_r6(self, monkeypatch):
-        # The kernel tests coeffs[2:] for coeffs[1:], so a sum whose zeta
-        # coefficient is nonzero can pass.  That moves no vertex onto another
-        # hyperplane at (3,3), (4,3), (5,2) or (5,3); at (6,2) it does.
-        def kernel(args, on):
-            coeffs = cyclo._hyperplane_coeffs(*args[:3])
-            return coeffs[0] == args[3] and not any(coeffs[2:])
-
-        assert_reported(
-            monkeypatch, "nonempty", "_on_hyperplane_coords", kernel, "sortability and vertex scan disagree", 6, 2
-        )
 
     @pytest.mark.parametrize("r,n,calls", [(2, 3, 708), (3, 3, 5913)])
     def test_each_distinct_restriction_takes_one_evaluation(self, monkeypatch, r, n, calls):
