@@ -64,6 +64,9 @@ IDENTITY_CHAIN_JSON = json.dumps(
 # malformed or fuzzed one.
 CHAIN_R2N1_JSON = '{"r":2,"n":1,"sets":[[1]],"decoration":{"1":1}}'
 MATRIX_R2N1_JSON = '{"r":2,"n":1,"cols":[{"col":1,"row":1,"exp":0}]}'
+# A vertex that fits MATRIX_R2N1: the malformed-vertex cases corrupt it, so
+# a value the loader wrongly accepts acts cleanly and the case fails.
+VERTEX_R2N1_JSON = json.dumps({"coords": [{"mag": ["2", "1"], "branch": 0}]})
 FILES = {
     "CHAIN": CHAIN_JSON,
     "MATRIX": MATRIX_JSON,
@@ -77,6 +80,7 @@ FILES = {
     "IDENTITY_CHAIN": IDENTITY_CHAIN_JSON,
     "CHAIN_R2N1": CHAIN_R2N1_JSON,
     "MATRIX_R2N1": MATRIX_R2N1_JSON,
+    "VERTEX_R2N1": VERTEX_R2N1_JSON,
 }
 
 # sha256 of each command's stdout.  Each name in FILES stands for a file
@@ -94,6 +98,7 @@ STDOUT_SHA256 = {
     "stratum --chain CHAIN --dot": "cb6dd2b9f3bfdbbb24b5603dd5d88137618e2e0b6741003371b761d982988103",
     "act --matrix MATRIX --chain CHAIN": "65a519bd67546ff8bf2032f457954b60d9431b20a55a0076c09adcb9c5bf9151",
     "act --matrix MATRIX --vertex VERTEX": "ddcdac9461768f8628a6b4fc0641799e99febf46de5e652409fe81efeefe95bf",
+    "act --matrix MATRIX_R2N1 --vertex VERTEX_R2N1": "2b9dec6a0c8e9de799d1837df43e0eb65201d76466f53d58d7203884873a2f58",
     "face --chain EMPTY_CHAIN --vertices --factors": "d1eab36046ac946a6757290214b30b94b9822275b75fdf84644214397bb3a8d9",
     "coset --chain EMPTY_CHAIN --elements": "f1b9d45e459f878e00038ec888fe1d4345f30521b8ed10a81d7a966a97686030",
     "act --matrix MATRIX_R2N3 --chain EMPTY_CHAIN": "6d79c84361adc0bcc646a07bff72acacd17d92127a88248a093e736f45b5c13f",
@@ -370,10 +375,10 @@ class TestErrors:
             ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":null}'),
             ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":"x"}'),
             ("chain", '{"r":2,"n":1,"sets":[[1]],"decoration":1}'),
-            ("vertex", VERTEX_JSON.replace('["2", "1"]', '["2", "0"]')),
-            ("vertex", VERTEX_JSON.replace('["2", "1"]', '["2.5", "1"]')),
-            ("vertex", VERTEX_JSON.replace('["2", "1"]', '[2, 1]')),
-            ("vertex", VERTEX_JSON.replace('["2", "1"]', '"21"')),
+            ("vertex", VERTEX_R2N1_JSON.replace('["2", "1"]', '["2", "0"]')),
+            ("vertex", VERTEX_R2N1_JSON.replace('["2", "1"]', '["2.5", "1"]')),
+            ("vertex", VERTEX_R2N1_JSON.replace('["2", "1"]', '[2, 1]')),
+            ("vertex", VERTEX_R2N1_JSON.replace('["2", "1"]', '"21"')),
         ],
         ids=[
             "float-r", "float-exp", "bool-col", "string-row", "float-set-element",
@@ -387,7 +392,8 @@ class TestErrors:
         path.write_text(text)
         with pytest.raises(SystemExit) as err:
             main(reading(what, path, inputs))
-        assert f"malformed {what} in {path}" in str(err.value)
+        assert str(err.value).startswith(f"malformed {what} in {path}: ")
+        assert "different (r, n)" not in str(err.value)
 
     @pytest.mark.parametrize("what", ["chain", "matrix", "vertex"])
     @pytest.mark.parametrize("text", ["[1,2]", '"x"', "3"], ids=["list", "string", "number"])
