@@ -11,12 +11,11 @@ other chain from canonical fields computed from valid objects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .cyclo import _check_indices, _check_rn, _check_same_space, _json_int, _of_fields
+from .cyclo import _check_indices, _check_rn, _check_same_space, _json_int, _of_fields, _value_class
 from .group import GenPerm
 
 __all__ = [
@@ -31,15 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Chain:
-    r: int
-    n: int
-    sets: tuple[tuple[int, ...], ...]
-    decoration: tuple[tuple[int, int], ...]
+class Chain(_value_class("Chain", "r n sets decoration")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        r, n = _check_rn(self.r, self.n, self)
+    def __new__(
+        cls, r: int, n: int, sets: tuple[tuple[int, ...], ...], decoration: tuple[tuple[int, int], ...]
+    ) -> "Chain":
+        return tuple.__new__(cls, (r, n, sets, decoration)).__post_init__()
+
+    def __post_init__(self) -> "Chain":
+        r, n = _check_rn(self.r, self.n)
         sets = tuple([_check_indices(s, 1, n, "element") for s in self.sets])
         prev: frozenset[int] = frozenset()
         for cur in map(frozenset, sets):
@@ -53,8 +53,7 @@ class Chain:
         domain = tuple([i for i, _ in dec])
         if domain != top:
             raise ValueError(f"decoration domain {domain} must equal the largest set {top}")
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "decoration", dec)
+        return tuple.__new__(type(self), (r, n, sets, dec))
 
     @property
     def length(self) -> int:

@@ -10,11 +10,11 @@ columns each block hits, and the decoration fixes the column exponents.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .chains import Chain
-from .cyclo import _check_indices, _check_same_space, _of_fields
+from .cyclo import _check_indices, _check_same_space, _of_fields, _value_class
 from .group import GenPerm, _product, generate_subgroup
 
 __all__ = [
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TCosetHandle:
+class TCosetHandle(_value_class("TCosetHandle", "gens rep")):
     """(generators, canonical representative) naming one right coset.
 
     Any representative is made canonical, so equal cosets compare equal.
@@ -38,16 +37,18 @@ class TCosetHandle:
     take its rows top-down in increasing column order; s_0's block has exponent 0.
     """
 
-    gens: frozenset[int]
-    rep: GenPerm
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, gens: frozenset[int], rep: GenPerm) -> "TCosetHandle":
+        return tuple.__new__(cls, (gens, rep)).__post_init__()
+
+    def __post_init__(self) -> "TCosetHandle":
         rep = self.rep
         gens = frozenset(_check_indices(self.gens, 0, rep.n - 1, "generator"))
-        object.__setattr__(self, "gens", gens)
         word = _canonical_word(gens, rep.n, rep.row_of_col, rep.exp_of_col)
         if word != rep.sort_key():
-            object.__setattr__(self, "rep", _of_fields(GenPerm, rep.r, rep.n, *word))
+            rep = _of_fields(GenPerm, rep.r, rep.n, *word)
+        return tuple.__new__(type(self), (gens, rep))
 
     @property
     def r(self) -> int:
@@ -144,8 +145,7 @@ def coset_elements(h: TCosetHandle) -> frozenset[GenPerm]:
     return frozenset([_of_fields(GenPerm, r, n, rows, exps) for rows, exps in _coset_words(h)])
 
 
-@dataclass(frozen=True)
-class CosetFactor:
+class CosetFactor(namedtuple("CosetFactor", "kind block columns size exps")):
     """One block of the block-diagonal decomposition of a coset.
 
     `kind` is "reflection" for the top block, a full S(r, size) whose `exps`
@@ -155,11 +155,7 @@ class CosetFactor:
     blocks take rows 1, 2, ... in list order.
     """
 
-    kind: str
-    block: int
-    columns: tuple[int, ...]
-    size: int
-    exps: tuple[int, ...] | None
+    __slots__ = ()
 
 
 def coset_block_decomposition(c: Chain) -> tuple[CosetFactor, ...]:

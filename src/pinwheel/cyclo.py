@@ -12,14 +12,15 @@ call and wrap it; `verify --suite nonempty` calls `_on_hyperplane_coords`
 once per distinct restriction of the vertices to a hyperplane's subset.
 `hyperplane_eval` returns a `CycloNum`, read through its coefficient tuple:
 the value is rational exactly when every coefficient past the first is 0.
-All types are immutable and all functions are pure.  Constructors check
-outside input; `_of_fields` builds every value any module computes, unchecked.
+All types are immutable named tuples and all functions are pure.
+Constructors check outside input; `_of_fields` builds every value any module
+computes, unchecked.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
@@ -90,12 +91,11 @@ def _reduce(coeffs: list[int], r: int) -> tuple[int, ...]:
     return tuple(work)
 
 
-def _check_rn(r: int, n: int | None = None, owner: object = None) -> tuple[int, int]:
+def _check_rn(r: int, n: int | None = None) -> tuple[int, int]:
     """The pair (r, n) an object lives over, as ints; refused unless r >= 2 and n >= 0.
 
-    A `CycloNum` lives over r alone and passes no n.  A constructor passes itself as
-    `owner` to store the ints (index() hands an int back as itself, so an int is never
-    re-stored).  Caches keyed on (r, n) are typed, or 2.0 would hit the entry for 2.
+    A `CycloNum` lives over r alone and passes no n.  Caches keyed on (r, n) are
+    typed, or 2.0 would hit the entry for 2.
     """
     try:
         r_int, n_int = index(r), 0 if n is None else index(n)
@@ -105,11 +105,6 @@ def _check_rn(r: int, n: int | None = None, owner: object = None) -> tuple[int, 
         if n is None:
             raise ValueError(f"need r >= 2, got r={r!r}")
         raise ValueError(f"need r >= 2 and n >= 0, got r={r!r}, n={n!r}")
-    if owner is not None:
-        if r_int is not r:
-            object.__setattr__(owner, "r", r_int)
-        if n is not None and n_int is not n:
-            object.__setattr__(owner, "n", n_int)
     return r_int, n_int
 
 
@@ -132,13 +127,21 @@ def _check_same_space(a, b) -> None:
         raise ValueError(f"objects live over different (r, n): ({a.r}, {a.n}) vs ({b.r}, {b.n})")
 
 
+def _value_class(name: str, fields: str) -> type:
+    """The namedtuple base of a value class with a checking constructor.
+
+    The class's `__new__` builds the tuple and returns what its `__post_init__`
+    makes of it: the canonical tuple, or a `ValueError`.  `_make`, and so
+    `_replace`, go through that constructor too, not around it.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
 def _of_fields(cls, *values):
-    """The frozen dataclass `cls` with these canonical fields, built with no check run again."""
-    obj = object.__new__(cls)
-    # In field order, so the instance dict shares its keys with checked instances.
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(obj, name, value)
-    return obj
+    """The value class `cls` with these canonical fields, built with no check run again."""
+    return tuple.__new__(cls, values)
 
 
 def _check_nonnegative(name: str, value: int) -> int:
@@ -186,8 +189,7 @@ def _pair_to_fraction(pair) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class CycloNum:
+class CycloNum(_value_class("CycloNum", "r coeffs")):
     """Element of Q(zeta_r) in canonical form: the value `hyperplane_eval` returns.
 
     Stored as the remainder modulo the r-th cyclotomic polynomial in the
@@ -196,40 +198,43 @@ class CycloNum:
     It carries no arithmetic and no JSON form; `coeffs` is all a caller reads.
     """
 
-    r: int
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, r: int, coeffs: tuple[int | Fraction, ...]) -> "CycloNum":
+        return tuple.__new__(cls, (r, coeffs)).__post_init__()
+
+    def __post_init__(self) -> "CycloNum":
         coeffs = tuple(self.coeffs)
-        r, _ = _check_rn(self.r, owner=self)
+        r, _ = _check_rn(self.r)
         for c in coeffs:
             _check_exact(c, "coefficient")
         if len(coeffs) != _degree(r):
             raise ValueError(f"need {_degree(r)} coefficients for r={r}, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(type(self), (r, coeffs))
 
 
-@dataclass(frozen=True)
-class YPoint:
+class YPoint(_value_class("YPoint", "r coords")):
     """Point of Y^n: per coordinate a nonnegative magnitude and a branch in Z_r.
 
     Magnitudes are exact scalars.  Zero magnitudes are stored with branch 0
     (the branch rays meet at the origin), so equality of points is structural.
     """
 
-    r: int
-    coords: tuple[tuple[int | Fraction, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, r: int, coords: tuple[tuple[int | Fraction, int], ...]) -> "YPoint":
+        return tuple.__new__(cls, (r, coords)).__post_init__()
+
+    def __post_init__(self) -> "YPoint":
         coords = tuple(self.coords)
-        r, _ = _check_rn(self.r, len(coords), self)
+        r, _ = _check_rn(self.r, len(coords))
         norm = []
         for mag, branch in coords:
             _check_exact(mag, "magnitude")
             if mag < 0:
                 raise ValueError(f"magnitude must be nonnegative, got {mag}")
             norm.append((mag, index(branch) % r if mag else 0))
-        object.__setattr__(self, "coords", tuple(norm))
+        return tuple.__new__(type(self), (r, tuple(norm)))
 
     @property
     def n(self) -> int:

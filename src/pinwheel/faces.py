@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import index, itemgetter
@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .chains import Chain, _complement, _segments, act_on_chain, enumerate_chains
 from .cyclo import YPoint, _check_exact, _check_indices, _check_rn, _check_same_space, _of_fields
-from .cyclo import _coords_json, delta
+from .cyclo import _coords_json, _value_class, delta
 from .group import GenPerm
 
 __all__ = [
@@ -58,14 +58,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecoratedSubset:
+class DecoratedSubset(_value_class("DecoratedSubset", "elements exps")):
     """A nonempty subset of {1,..,n} with a branch exponent on each element."""
 
-    elements: tuple[int, ...]
-    exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, elements: tuple[int, ...], exps: tuple[int, ...]) -> "DecoratedSubset":
+        return tuple.__new__(cls, (elements, exps)).__post_init__()
+
+    def __post_init__(self) -> "DecoratedSubset":
         if not self.elements:
             raise ValueError("decorated subset must be nonempty")
         if len(self.exps) != len(self.elements):
@@ -75,8 +76,7 @@ class DecoratedSubset:
         elems = tuple([i for i, _ in pairs])
         if len(set(elems)) != len(elems):
             raise ValueError(f"repeated element in {elems}")
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "exps", tuple([e for _, e in pairs]))
+        return tuple.__new__(type(self), (elems, tuple([e for _, e in pairs])))
 
 
 def chain_layers(c: Chain) -> tuple[DecoratedSubset, ...]:
@@ -171,11 +171,10 @@ def chain_to_face_vertices(c: Chain) -> frozenset[YPoint]:
     return frozenset(_of_fields(YPoint, c.r, coords) for coords in _face_coords(c))
 
 
-@dataclass(frozen=True)
-class DeltaFace:
+class DeltaFace(namedtuple("DeltaFace", "chain")):
     """A face of the complex, held as its chain; `to_json` lists its vertices."""
 
-    chain: Chain
+    __slots__ = ()
 
     @staticmethod
     def from_chain(c: Chain) -> "DeltaFace":
@@ -380,8 +379,9 @@ def _face_dimension(n: int, sets: tuple[tuple[int, ...], ...]) -> int:
     return _affine_rank(sorted(vectors))
 
 
-@dataclass(frozen=True)
-class FaceFactor:
+class FaceFactor(
+    namedtuple("FaceFactor", "kind block elements size shift branch_exps", defaults=(None, None))
+):
     """One factor of a face: the leftover complex or a shifted permutohedron.
 
     `kind` is "complex" (block 0, the coordinates outside the largest set) or
@@ -389,12 +389,7 @@ class FaceFactor:
     elements outside that set and rotated onto the decorated branches).
     """
 
-    kind: str
-    block: int
-    elements: tuple[int, ...]
-    size: int
-    shift: int | None = None
-    branch_exps: tuple[tuple[int, int], ...] | None = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data: dict = {

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterable, Mapping
 
-from .cyclo import YPoint, _check_indices, _check_rn, _check_same_space, _json_int, _of_fields
+from .cyclo import YPoint, _check_indices, _check_rn, _check_same_space, _json_int, _of_fields, _value_class
 
 __all__ = [
     "GenPerm",
@@ -36,24 +35,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenPerm:
+class GenPerm(_value_class("GenPerm", "r n row_of_col exp_of_col")):
     """A generalized permutation matrix: permutation plus per-column exponents."""
 
-    r: int
-    n: int
-    row_of_col: tuple[int, ...]
-    exp_of_col: tuple[int, ...]
+    # No __slots__: the instance dict holds the cached `_col_of_row`.
 
-    def __post_init__(self) -> None:
-        r, n = _check_rn(self.r, self.n, self)
+    def __new__(cls, r: int, n: int, row_of_col: tuple[int, ...], exp_of_col: tuple[int, ...]) -> "GenPerm":
+        return tuple.__new__(cls, (r, n, row_of_col, exp_of_col)).__post_init__()
+
+    def __post_init__(self) -> "GenPerm":
+        r, n = _check_rn(self.r, self.n)
         rows = tuple(map(index, self.row_of_col))
         exps = tuple([index(e) % r for e in self.exp_of_col])
         if len(rows) != n or len(exps) != n:
             raise ValueError(f"need {n} columns, got {len(rows)} rows / {len(exps)} exponents")
         _check_indices(rows, 1, n, "row")
-        object.__setattr__(self, "row_of_col", rows)
-        object.__setattr__(self, "exp_of_col", exps)
+        return tuple.__new__(type(self), (r, n, rows, exps))
 
     @cached_property
     def _col_of_row(self) -> tuple[int, ...]:

@@ -10,13 +10,12 @@ The full r-fold symmetric graph is derived from this data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator
 
 from .chains import Chain
-from .cyclo import _check_indices, _check_rn, _check_same_space, _of_fields
+from .cyclo import _check_indices, _check_rn, _check_same_space, _of_fields, _value_class
 from .group import GenPerm
 
 __all__ = [
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PinwheelStratum:
+class PinwheelStratum(_value_class("PinwheelStratum", "r n spoke")):
     """Dual graph of a stratum: a pinwheel factor times Losev-Manin factors.
 
     spoke[j-1] lists the (orbit, exponent) light points on the j-th component
@@ -41,19 +39,20 @@ class PinwheelStratum:
     carry at least one light point; orbits appear at most once.
     """
 
-    r: int
-    n: int
-    spoke: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        r, n = _check_rn(self.r, self.n, self)
+    def __new__(cls, r: int, n: int, spoke: tuple[tuple[tuple[int, int], ...], ...]) -> "PinwheelStratum":
+        return tuple.__new__(cls, (r, n, spoke)).__post_init__()
+
+    def __post_init__(self) -> "PinwheelStratum":
+        r, n = _check_rn(self.r, self.n)
         spoke = tuple(
             [tuple(sorted([(index(i), index(e) % r) for i, e in comp])) for comp in self.spoke]
         )
         if not all(spoke):
             raise ValueError("every spoke component must carry a light point")
         _check_indices([i for comp in spoke for i, _ in comp], 1, n, "orbit")
-        object.__setattr__(self, "spoke", spoke)
+        return tuple.__new__(type(self), (r, n, spoke))
 
     @property
     def k(self) -> int:

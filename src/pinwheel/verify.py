@@ -31,7 +31,7 @@ table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from typing import Callable
 
 from .chains import Chain, _act_on_chain_key, _coarsening_keys, chain_dimension, enumerate_chains
@@ -80,20 +80,17 @@ class CapExceeded(ValueError):
 _MAX_GROUP_ORDER = 2000
 
 
-@dataclass
-class Report:
-    suite: str
-    r: int
-    n: int
-    counts_by_dim: list[int]
-    violations: list[str] = field(default_factory=list)
+class Report(namedtuple("Report", "suite r n counts_by_dim violations")):
+    """What a suite checked: chain counts by dimension, and the violations it appends."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _start(suite: str, r: int, n: int, max_group_order: int) -> tuple[int, int, tuple[Chain, ...], Report]:
@@ -112,7 +109,7 @@ def _start(suite: str, r: int, n: int, max_group_order: int) -> tuple[int, int, 
     counts = [0] * (n + 1)
     for c in chains:
         counts[n - c.length] += 1
-    return r, n, chains, Report(suite, r, n, counts)
+    return r, n, chains, Report(suite, r, n, counts, [])
 
 
 def _numbered(items, ids: dict) -> frozenset[int]:

@@ -338,6 +338,11 @@ class TestOutputBytes:
         assert refused.stdout == b""
         assert b"size cap exceeded" in refused.stderr
 
+    def test_importing_the_cli_loads_no_dataclasses(self, tmp_path):
+        # `dataclasses` brings `inspect`, `ast`, `dis` and `tokenize`, and every command imports the CLI.
+        child = stdlib_child(tmp_path, "-c", "import pinwheel.cli, sys; print('dataclasses' in sys.modules)")
+        assert (child.returncode, child.stderr, child.stdout) == (0, b"", b"False\n")
+
 
 class TestErrors:
     def test_malformed_json(self, tmp_path, capsys):

@@ -1,11 +1,12 @@
 import itertools
 import random
+import re
 import tracemalloc
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+import pinwheel
 from pinwheel import (
     Chain,
     CycloNum,
@@ -45,7 +46,7 @@ from pinwheel import (
     stratum_to_chain,
     verify_nonemptiness,
 )
-from pinwheel import faces
+from pinwheel import SUITES, faces
 from pinwheel.cyclo import _of_fields
 from pinwheel.group import _act_on_coords
 
@@ -55,6 +56,7 @@ from conftest import (
     DenseMatrix,
     base_stratum,
     count_builds,
+    library_caches,
     random_genperm,
     random_ypoints,
     sample,
@@ -282,13 +284,10 @@ class TestEnumeration:
 
 def assert_is_the_checked(obj) -> None:
     """obj, built from computed fields, is what its checking constructor makes of them."""
-    names = [f.name for f in fields(obj)]
-    values = [getattr(obj, name) for name in names]
-    checked = type(obj)(*values)
-    assert obj == checked and hash(obj) == hash(checked)
-    assert [type(v) for v in values] == [type(getattr(checked, name)) for name in names]
-    # A cached property, such as GenPerm's `_col_of_row`, may follow the fields.
-    assert list(vars(obj))[: len(names)] == names == list(vars(checked))
+    checked = type(obj)(*obj)
+    assert type(checked) is type(obj)
+    assert tuple(obj) == tuple(checked) and hash(obj) == hash(checked)
+    assert [type(v) for v in obj] == [type(v) for v in checked]
 
 
 class TestUncheckedWords:
@@ -388,7 +387,79 @@ class TestUncheckedWords:
 
         monkeypatch.setattr(cls, "__post_init__", refuse)
         obj = _of_fields(cls, *fields_in_order)
-        assert [getattr(obj, f.name) for f in fields(cls)] == fields_in_order
+        assert type(obj) is cls
+        assert [getattr(obj, name) for name in cls._fields] == fields_in_order
+
+
+VALUE_CLASSES = sorted(
+    (obj for obj in vars(pinwheel).values() if isinstance(obj, type) and issubclass(obj, tuple)),
+    key=lambda cls: cls.__name__,
+)
+
+
+class TestValueTuples:
+    """The value classes are named tuples; what that brings is pinned here."""
+
+    def test_the_eleven_value_classes_are_named_tuples(self):
+        assert [cls.__name__ for cls in VALUE_CLASSES] == [
+            "Chain", "CosetFactor", "CycloNum", "DecoratedSubset", "DeltaFace", "FaceFactor",
+            "GenPerm", "PinwheelStratum", "Report", "TCosetHandle", "YPoint",
+        ]
+        assert all(cls._fields for cls in VALUE_CLASSES)
+
+    @pytest.mark.parametrize(
+        "obj,bad",
+        [
+            (Chain(2, 2, ((1,),), ((1, 0),)), {"n": -1}),
+            (Chain(2, 2, ((1,),), ((1, 0),)), {"decoration": ((2, 0),)}),
+            (GenPerm(2, 2, (2, 1), (0, 1)), {"row_of_col": (1, 1)}),
+            (YPoint(2, ((1, 0), (2, 1))), {"coords": ((-1, 0), (2, 1))}),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, tuple) else "-".join(value),
+    )
+    def test_replace_and_make_run_the_checking_constructor(self, obj, bad):
+        values = obj._asdict() | bad
+        with pytest.raises(ValueError) as direct:
+            type(obj)(**values)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
+            obj._replace(**bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
+            type(obj)._make(values.values())
+
+    def test_replace_makes_the_fields_canonical(self):
+        g = GenPerm(3, 2, (2, 1), (0, 1))._replace(exp_of_col=(4, -1))
+        assert type(g) is GenPerm and g.exp_of_col == (1, 2)
+        chain = Chain(2, 2, ((1,),), ((1, 0),))._replace(sets=((1, 2),), decoration=((2, 3), (1, 0)))
+        assert type(chain) is Chain and chain.decoration == ((1, 0), (2, 1))
+
+    def test_objects_of_two_classes_compare_equal_when_their_fields_do(self):
+        # A hazard of tuples: the class takes no part in == or hash.
+        chain, matrix = Chain(2, 0, (), ()), GenPerm(2, 0, (), ())
+        assert chain == matrix == (2, 0, (), ()) and hash(chain) == hash(matrix)
+        assert len({chain, matrix}) == 1
+
+    def test_a_value_iterates_over_its_fields_and_has_a_length(self):
+        c = Chain(2, 2, ((1,),), ((1, 0),))
+        assert tuple(c) == (c.r, c.n, c.sets, c.decoration) and len(c) == 4
+        # A point's length counts its two fields, not its n coordinates.
+        p = YPoint(3, ((1, 2), (0, 0), (2, 1)))
+        assert list(p) == [3, p.coords] and (len(p), p.n) == (2, 3)
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_no_suite_hashes_objects_of_two_classes(self, monkeypatch, suite):
+        # So no dict or set a suite fills holds two classes whose objects could
+        # collide; its lookups key on (sets, decoration) and word tuples instead.
+        hashed = set()
+        for cls in VALUE_CLASSES:
+            monkeypatch.setattr(cls, "__hash__", lambda x, cls=cls: hashed.add(cls) or tuple.__hash__(x))
+        for cache in library_caches().values():
+            cache.cache_clear()
+        try:
+            assert SUITES[suite](2, 3).ok
+        finally:
+            for cache in library_caches().values():
+                cache.cache_clear()
+        assert len(hashed) <= 1, sorted(cls.__name__ for cls in hashed)
 
 
 class TestJson:
