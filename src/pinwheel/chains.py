@@ -10,6 +10,7 @@ other chain from canonical fields computed from valid objects.
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 from functools import lru_cache
 from operator import index
@@ -84,7 +85,7 @@ class Chain(_value_class("Chain", "r n sets decoration")):
     @staticmethod
     def from_json(data: Mapping) -> "Chain":
         decoration = data["decoration"]
-        if not isinstance(decoration, Mapping):
+        if not isinstance(decoration, collections.abc.Mapping):
             raise ValueError(f"decoration must be an object, got {decoration!r}")
         dec = [(_json_int(i, decimal=True), _json_int(e)) for i, e in decoration.items()]
         sets = [[_json_int(i) for i in s] for s in data["sets"]]
@@ -115,7 +116,7 @@ def make_chain(
 ) -> Chain:
     """Build a chain from loose pieces; sets may arrive in any order."""
     normalized = sorted((tuple(sorted(s)) for s in sets), key=lambda s: (len(s), s))
-    if isinstance(decoration, Mapping):
+    if isinstance(decoration, collections.abc.Mapping):
         dec: Iterable[tuple[int, int]] = decoration.items()
     else:
         dec = decoration
@@ -150,11 +151,13 @@ def enumerate_chains(r: int, n: int) -> tuple[Chain, ...]:
     the decoration.
     """
     r, n = _check_rn(r, n)
+    # One (element, exponent) pair object for each, shared by every decoration.
+    pairs = [[(i, e) for e in range(r)] for i in range(n + 1)]
     chains = []
     for sets in _set_chains(n):
         top = sets[-1] if sets else ()
-        for exps in itertools.product(range(r), repeat=len(top)):
-            chains.append(_of_fields(Chain, r, n, sets, tuple(zip(top, exps))))
+        for decoration in itertools.product(*[pairs[i] for i in top]):
+            chains.append(_of_fields(Chain, r, n, sets, decoration))
     chains.sort(key=Chain.sort_key)
     return tuple(chains)
 
@@ -220,10 +223,10 @@ def _coarsening_keys(c: Chain) -> list[tuple[tuple, tuple]]:
     Both parts equal the fields of the `Chain` that `coarsenings` builds
     from them, so they serve as lookup keys without building one.
     """
-    dec = c.decoration_map()
-    # A coarsening's decoration is c's restricted to its largest set: one per
-    # set, and () for the coarsening that keeps none.
-    tops = [tuple([(i, dec[i]) for i in s]) for s in c.sets] + [()]
+    # A coarsening's decoration is c's restricted to its largest set, made of
+    # c's own pairs: one per set, and () for the coarsening that keeps none.
+    pair = {p[0]: p for p in c.decoration}
+    tops = [tuple([pair[i] for i in s]) for s in c.sets] + [()]
     return [(kept, tops[top]) for kept, top in _coarsening_sets(c.sets)]
 
 

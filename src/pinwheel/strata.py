@@ -75,8 +75,9 @@ class PinwheelStratum(_value_class("PinwheelStratum", "r n spoke")):
 
 def chain_to_stratum(c: Chain) -> PinwheelStratum:
     """Spoke component j carries the decorated members of the j-th nesting gap."""
-    dec = c.decoration_map()
-    spoke = tuple([tuple([(i, dec[i]) for i in seg]) for seg in c.segments()])
+    # Each light point is the chain's own (element, exponent) pair.
+    pair = {p[0]: p for p in c.decoration}
+    spoke = tuple([tuple([pair[i] for i in seg]) for seg in c.segments()])
     return _of_fields(PinwheelStratum, c.r, c.n, spoke)
 
 

@@ -16,7 +16,8 @@ output that it compares, never just to look something up, and builds it by
 Each key builder is the one its object builder wraps, so a key equals the
 fields of the object it stands for.  One numbering rule holds in every
 suite: a vertex is numbered by its coordinate tuple and a coset element by
-its (rows, exps) word, and sets of those ids are what a suite compares.
+its (rows, exps) word; a chain's ids are held as a tuple in item order and
+compared as a set.
 The threeway suite compares its four inclusion relations chain by chain:
 for each chain it builds the chains it lies in four ways and drops them once
 compared, so no relation is held whole.  The cosets and faces holding a
@@ -112,26 +113,35 @@ def _start(suite: str, r: int, n: int, max_group_order: int) -> tuple[int, int, 
     return r, n, chains, Report(suite, r, n, counts, [])
 
 
-def _numbered(items, ids: dict) -> frozenset[int]:
+def _numbered(items, ids: dict) -> tuple[int, ...]:
     # One integer per distinct vertex coordinate tuple or (rows, exps) word,
-    # so the sets kept for every chain hold no copy of either; a key not yet
-    # numbered, such as a broken route's stray one, gets a fresh id.
-    return frozenset(ids.setdefault(item, len(ids)) for item in items)
+    # in item order, so the tuples kept for every chain hold no copy of
+    # either; a key not yet numbered, such as a broken route's stray one, gets
+    # a fresh id.  An item listed twice gives its id twice; every reader
+    # compares the ids as a set.
+    return tuple([ids.setdefault(item, len(ids)) for item in items])
 
 
-def _holders(owned: list[frozenset[int]], count: int) -> list[set[int]]:
-    # Invert "chain index -> ids" to "id -> indices of the chains holding it".
-    holders: list[set[int]] = [set() for _ in range(count)]
+def _holders(owned: list[tuple[int, ...]], count: int) -> list[tuple[int, ...]]:
+    # Invert "chain index -> ids" to "id -> indices of the chains holding it",
+    # each list frozen to a tuple once complete: a tuple of 32 ints takes 296
+    # bytes, a set grown to hold them about 2 KB.
+    holders: list = [[] for _ in range(count)]
     for i, ids in enumerate(owned):
         for item in ids:
-            holders[item].add(i)
+            holders[item].append(i)
+    for item, held in enumerate(holders):
+        holders[item] = tuple(held)
     return holders
 
 
-def _holding_all(ids: frozenset[int], holders: list[set[int]]) -> set[int]:
+def _holding_all(ids: tuple[int, ...], holders: list[tuple[int, ...]]) -> set[int]:
     # A coset/face lies in another exactly when every one of its ids does, so
     # intersect the holders of its ids, all in one C-level call.
-    return set.intersection(*[holders[i] for i in ids]) if ids else set()
+    if not ids:
+        return set()
+    first, *rest = ids
+    return set(holders[first]).intersection(*[holders[i] for i in rest])
 
 
 def verify_threeway(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> Report:
@@ -162,7 +172,7 @@ def verify_threeway(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER) -> 
         if c.length == n:
             if face != [vertex_of_maximal_chain(c).coords]:
                 fail(f"vertex is not the one point of its face on {c.to_json()}")
-            census |= vertices[-1]
+            census.update(vertices[-1])
         strata.append(s)
         elements.append(_numbered(_coset_words(h), element_ids))
     if len(census) != group_order(r, n):
@@ -213,8 +223,8 @@ def verify_equivariance(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
     strata = [chain_to_stratum(c) for c in chains]
     element_ids = {g.sort_key(): i for i, g in enumerate(group)}
     vertex_ids: dict[tuple, int] = {}
-    elements = [_numbered(_coset_words(h), element_ids) for h in handles]
-    vertices = [_numbered(_face_coords(c), vertex_ids) for c in chains]
+    elements = [frozenset(_numbered(_coset_words(h), element_ids)) for h in handles]
+    vertices = [frozenset(_numbered(_face_coords(c), vertex_ids)) for c in chains]
     base = vertex_ids.setdefault(tuple((i, 0) for i in range(1, n + 1)), len(vertex_ids))
     # One matrix per id, built once; each element then moves every id through
     # a table, vertices by their coords, so no pair builds a point or a matrix.
@@ -311,7 +321,7 @@ def verify_nonemptiness(r: int, n: int, max_group_order: int = _MAX_GROUP_ORDER)
     position = {key: i for i, key in enumerate(hyperplanes)}
     vertex_ids = {x: i for i, x in enumerate(coords)}
     index = {(c.sets, c.decoration): j for j, c in enumerate(chains)}
-    face_ids = [_numbered(_face_coords(c), vertex_ids) for c in chains]
+    face_ids = [frozenset(_numbered(_face_coords(c), vertex_ids)) for c in chains]
 
     def named(family: tuple[int, ...]) -> list[dict[int, int]]:
         return [dict(zip(*hyperplanes[i])) for i in family]

@@ -469,6 +469,21 @@ class TestThreeway(FaultRows):
     def test_cap_override(self):
         assert verify_threeway(2, 2, max_group_order=10**6).ok
 
+    @pytest.mark.parametrize(
+        "route, args",
+        [("_coset_words", (chain_to_coset(TARGET),)), ("_face_coords", (TARGET,))],
+        ids=["_coset_words", "_face_coords"],
+    )
+    def test_an_item_listed_twice_is_the_same_set(self, monkeypatch, route, args):
+        # A chain's ids are compared as sets: listing one item twice names the
+        # same set and leaves the report clean, while the route's plain row,
+        # which drops an item, is still reported.
+        real = getattr(verify, route)
+        monkeypatch.setattr(verify, route, lambda *a: [*(out := real(*a)), out[0]] if a == args else real(*a))
+        assert verify_threeway(2, 2).ok
+        monkeypatch.undo()
+        assert_reported(monkeypatch, "threeway", route, *BROKEN["threeway", route, ""])
+
 
 class TestEquivariance(FaultRows):
     SUITE = "equivariance"
